@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check test test-full test-race bench bench-smoke bench-plan bench-probes bench-seed docs-check record replay replay-verify matrix-smoke server-smoke dispatch-smoke approx-smoke fuzz-smoke cover staticcheck vulncheck
+.PHONY: build vet fmt fmt-check test test-full test-race race-freelist bench bench-smoke bench-plan bench-probes bench-insert bench-seed docs-check record replay replay-verify matrix-smoke server-smoke dispatch-smoke approx-smoke fuzz-smoke cover staticcheck vulncheck
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,12 @@ test-full:
 test-race:
 	$(GO) test -race -short ./...
 
+# race-freelist repeats the mission tree free-list gate under the race
+# detector: concurrent exact and seeded missions across two worlds, more of
+# them than the list's cap, must match a sequential run.
+race-freelist:
+	$(GO) test -race -count=10 -run '^TestFreeListConcurrentMissions$$' ./internal/pipeline
+
 # bench regenerates every paper table/figure headline metric, the campaign-
 # engine scaling curve, and the perception micro-benchmarks, and records the
 # machine-readable perf trajectory in $(BENCH_JSON) (benchmark → ns/op,
@@ -52,6 +58,14 @@ bench-smoke:
 # enough for every PR.
 bench-plan:
 	$(GO) test -bench 'BenchmarkPlan$$' -benchtime=1x -run '^$$' ./internal/pipeline
+
+# bench-insert is the mapping-kernel smoke: one iteration each of the fused
+# scan insertion, the per-voxel reference loop it replaced, and the cold
+# (exact-map) campaign cell whose missions draw recycled trees, so a
+# regression in the carve or the tree lifecycle fails as its own CI step.
+bench-insert:
+	$(GO) test -bench 'Benchmark(InsertCloud|InsertRayReference)$$' -benchtime=1x -run '^$$' ./internal/octomap
+	$(GO) test -bench 'BenchmarkCampaignCell/cold$$' -benchtime=1x -run '^$$' ./internal/pipeline
 
 # bench-seed is the PR 9 golden-map headline: one campaign cell flown cold /
 # seeded / seeded+stride / memo / memo+stride (BenchmarkCampaignCell), the

@@ -71,18 +71,19 @@ func BenchmarkFirstBlocked(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertRayReference measures the per-ray reference path on the
-// identical scan, the before-side of the PR2 batching speedup.
+// BenchmarkInsertRayReference measures the per-voxel reference loop
+// (insertRayReference, the insertion kernel before the fused carve) on the
+// identical scan: the before-side of BenchmarkInsertCloud.
 func BenchmarkInsertRayReference(b *testing.B) {
 	tr, origin, pts := benchScan()
 	for _, p := range pts {
-		tr.InsertRay(origin, p.End, p.Hit)
+		tr.insertRayReference(origin, p.End, p.Hit)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pts {
-			tr.InsertRay(origin, p.End, p.Hit)
+			tr.insertRayReference(origin, p.End, p.Hit)
 		}
 	}
 }

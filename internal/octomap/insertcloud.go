@@ -27,8 +27,12 @@ type RayPoint struct {
 // time), so PR 3 collapsed it back to the straight per-ray loop — keeping
 // this API as the mission-path batching boundary (and as the place a future
 // grouping layer would slot back in, should descents ever get expensive
-// again). Steady-state calls allocate nothing beyond amortised node-arena
-// growth when the scan observes new space.
+// again). The per-voxel call chain of each ray (walker step, descent,
+// clamped update) was later fused into one loop, carve, with the bytes
+// unchanged; the old per-voxel loop survives only as the test oracle.
+// Steady-state calls allocate nothing beyond amortised node-arena growth when
+// the scan observes new space, and a tree recycled through Reset keeps its
+// grown arena.
 func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 	for i := range pts {
 		t.integrateRay(origin, pts[i].End, pts[i].Hit)

@@ -7,10 +7,11 @@
 // and unknown — because the planners treat unknown space optimistically
 // (traversable until observed), which is what lets the pipeline start
 // planning before the map is complete. "Known" is encoded without a flag
-// bit, by the markKnown epsilon convention: a voxel is known iff its
-// log-odds is non-zero, and evidence whose clamped sum lands on exactly 0 is
-// nudged to a 1e-9 epsilon (see applyDelta for the precise guard and why the
-// case cannot arise under the default sensor model).
+// bit: a voxel is known iff its log-odds is non-zero. Nothing nudges
+// evidence that cancels to exactly 0, so such a voxel would read as unknown
+// again; with the default logit sensor model the hit/miss deltas are
+// irrational multiples that never cancel exactly, so the case does not
+// arise in practice.
 //
 // Navigation queries (PointFree, SegmentFree, FirstBlocked) enumerate
 // crossed voxels with the same DDA walk the insertion path uses, and both
@@ -160,52 +161,124 @@ type classCache struct {
 // over the cap simply runs uncached.
 const maxClassCacheCells = 4 << 20
 
-// New creates a tree covering the axis-aligned cube that contains bounds,
-// with the given leaf resolution in metres.
-func New(bounds geom.AABB, resolution float64, params Params) *Tree {
+// arenaPresize is the node capacity a tree's first arena starts with: 1<<17
+// 16-byte nodes, 2 MiB. That is not enough for a mission: nominal missions
+// on the paper's four worlds build 108K–313K nodes (1.7–5.0 MB), and faulty
+// missions that wander build more, so a tree built from scratch regrows and
+// copies its arena several times. Trees recycled through Reset or ForkInto
+// keep the grown arena instead, which is why the pipeline draws every
+// mission's tree from a free list.
+const arenaPresize = 1 << 17
+
+// geometry is everything a tree derives from its bounds and resolution: the
+// root cube that addresses the nodes and the leaf-key extents of the bounds
+// that size the classification grid. Snapshots carry it, so forking and
+// Snapshot.Matches need no probe tree.
+type geometry struct {
+	resolution float64
+	depth      int
+	origin     geom.Vec3
+	rootSize   float64
+	nx, ny, nz int // class-cache extents
+}
+
+// newGeometry returns the geometry of the axis-aligned cube that contains
+// bounds at the given leaf resolution (0.5 m when resolution <= 0).
+func newGeometry(bounds geom.AABB, resolution float64) geometry {
 	if resolution <= 0 {
 		resolution = 0.5
 	}
 	size := bounds.Size()
 	maxSide := math.Max(size.X, math.Max(size.Y, size.Z))
-	depth := 0
-	rootSize := resolution
-	for rootSize < maxSide {
-		rootSize *= 2
-		depth++
+	g := geometry{resolution: resolution, origin: bounds.Min, rootSize: resolution}
+	for g.rootSize < maxSide {
+		g.rootSize *= 2
+		g.depth++
 	}
-	t := &Tree{
-		params:     params,
-		resolution: resolution,
-		depth:      depth,
-		origin:     bounds.Min,
-		rootSize:   rootSize,
-		maxKey:     int(rootSize / resolution),
-		invRes:     1 / resolution,
-		// Pre-size the arena so typical missions never pay an arena copy;
-		// 1<<17 16-byte nodes is 2 MiB against maps that grow to several
-		// hundred thousand nodes.
-		nodes: make([]node, 1, 1<<17),
+	keyExtent := func(side float64) int {
+		return max(int(math.Ceil(side/resolution)), 1)
 	}
+	g.nx, g.ny, g.nz = keyExtent(size.X), keyExtent(size.Y), keyExtent(size.Z)
+	return g
+}
+
+// New creates a tree covering the axis-aligned cube that contains bounds,
+// with the given leaf resolution in metres. It is Reset on a zero Tree, so
+// a fresh tree and a recycled one share one initialisation path.
+func New(bounds geom.AABB, resolution float64, params Params) *Tree {
+	t := new(Tree)
+	t.Reset(bounds, resolution, params)
+	return t
+}
+
+// Reset empties t and re-targets it at bounds, resolution and params,
+// leaving it indistinguishable from New(bounds, resolution, params) to every
+// query and to Digest while reusing its node arena, summary slab and
+// classification grid where they fit. The recycling gates pin this,
+// including a tree reset mid class-cache epoch.
+func (t *Tree) Reset(bounds geom.AABB, resolution float64, params Params) {
+	t.reinit(newGeometry(bounds, resolution), params)
+	if t.nodes == nil {
+		t.nodes = make([]node, 0, arenaPresize)
+	}
+	t.nodes = append(t.nodes[:0], node{firstChild: noChild})
+	t.initSummary()
+	t.leafUpdates = 0
+}
+
+// reinit is the part of Reset and ForkInto that does not depend on the map
+// content: it adopts geometry g and params and drops every memo of the old
+// map. The mutation counter restarts at zero, so invalidation must be
+// explicit rather than counter-based: a recycled tree's caches could
+// otherwise carry entries whose stamped mutation count the new map's counter
+// will reach again, reviving classifications of a map that no longer
+// exists. The path and query caches are dropped outright; the
+// classification grid keeps its allocation when the extents match but
+// retires its epoch (with the same wrap handling classify uses, clearing the
+// grid when the 6-bit epoch would overflow — the mid-epoch-wrap regression
+// test pins this), so no entry stamped before the reset can ever be served
+// after it.
+func (t *Tree) reinit(g geometry, params Params) {
+	t.params = params
+	t.resolution, t.depth, t.origin, t.rootSize = g.resolution, g.depth, g.origin, g.rootSize
+	t.maxKey = int(g.rootSize / g.resolution)
+	t.keyMask = t.maxKey - 1
+	t.invRes = 1 / g.resolution
 	// When the resolution is a power of two (the 0.5 m default), 1/resolution
 	// is exact and x*invRes == x/resolution bit-for-bit for every float, so
 	// key() may use the cheaper multiply.
-	frac, _ := math.Frexp(resolution)
+	frac, _ := math.Frexp(g.resolution)
 	t.mulKey = frac == 0.5
-	t.nodes[0] = node{firstChild: noChild}
-	keyExtent := func(side float64) int {
-		n := int(math.Ceil(side / resolution))
-		if n < 1 {
-			n = 1
-		}
-		return n
+	t.mut = 0
+	t.path = pathCache{}
+	t.qry = queryCache{}
+	t.probeRec = nil
+	if t.cls.nx != g.nx || t.cls.ny != g.ny || t.cls.nz != g.nz {
+		// Different extents: the grid's indexing no longer matches, so drop
+		// it and let EnableClassCache re-arm lazily at the new extents.
+		t.cls = classCache{nx: g.nx, ny: g.ny, nz: g.nz}
+		return
 	}
-	t.cls.nx = keyExtent(size.X)
-	t.cls.ny = keyExtent(size.Y)
-	t.cls.nz = keyExtent(size.Z)
-	t.keyMask = t.maxKey - 1
-	t.initSummary()
-	return t
+	t.retireClassCache()
+}
+
+// retireClassCache invalidates every cached classification while keeping the
+// grid allocation, exactly the way classify retires an epoch: bump it, and
+// clear the grid when the 6-bit epoch space wraps. Called by reinit, where
+// the mutation counter restarts and counter-keyed invalidation alone would
+// be unsound.
+func (t *Tree) retireClassCache() {
+	c := &t.cls
+	c.mut = t.mut
+	if c.grid == nil {
+		c.epoch = 0
+		return
+	}
+	c.epoch++
+	if c.epoch == 1<<6 {
+		clear(c.grid)
+		c.epoch = 1
+	}
 }
 
 // EnableClassCache arms the per-voxel classification cache (see classCache).
@@ -416,28 +489,18 @@ func (t *Tree) updateKey(x, y, z int, delta float64) {
 }
 
 // applyDelta applies one evidence delta to the leaf at arena index ni, which
-// descend resolved for key (x,y,z). This is where the markKnown epsilon
-// convention is applied: a voxel is "known" iff its log-odds is non-zero, and
-// instead of spending a flag bit per node, evidence that leaves the clamped
-// log-odds at exactly 0 would be nudged to a 1e-9 epsilon. The nudge is
-// guarded on logOdds != 0 (preserved bit-for-bit from the reference
-// implementation), so evidence that cancels to exactly 0 reads as unknown
-// again — with the default logit sensor model the hit/miss deltas are
-// irrational multiples that never cancel exactly, so the case does not arise
-// in practice.
+// descend resolved for key (x,y,z), clamping the sum (see the package comment
+// for how a voxel's log-odds also encodes whether it is known).
 //
-// The occupancy summary is maintained here, on the occupied↔free/unknown
-// classification transitions of the updated leaf: this is the only call that
-// can change a unit leaf's classification (see occSummary for why expand
-// cannot), so updating the block count in the same call keeps the summary
-// exact after every mutation.
+// The occupancy summary is maintained here and in carve, on the
+// occupied↔free/unknown classification transitions of the updated leaf:
+// these are the only writes that can change a unit leaf's classification
+// (see occSummary for why expand cannot), so updating the block count in the
+// same write keeps the summary exact after every mutation.
 func (t *Tree) applyDelta(ni int32, x, y, z int, delta float64) {
 	n := &t.nodes[ni]
 	old := n.logOdds
 	n.logOdds = geom.Clampf(old+delta, t.params.ClampMin, t.params.ClampMax)
-	if n.logOdds != 0 {
-		markKnown(n)
-	}
 	if t.sum.counts != nil {
 		wasOcc := old != 0 && old >= t.params.OccThresh
 		isOcc := n.logOdds != 0 && n.logOdds >= t.params.OccThresh
@@ -454,17 +517,9 @@ func (t *Tree) applyDelta(ni int32, x, y, z int, delta float64) {
 	t.mut++
 }
 
-// markKnown nudges an exactly-zero log-odds to a tiny epsilon so the voxel
-// reads as known (see applyDelta for the convention).
-func markKnown(n *node) {
-	if n.logOdds == 0 {
-		n.logOdds = 1e-9
-	}
-}
-
 // lookup returns the log-odds of the leaf (or coarser) node covering key
-// (x,y,z) and whether the voxel has ever received evidence (the markKnown
-// convention: known ⇔ non-zero log-odds). Planner queries arrive in
+// (x,y,z) and whether the voxel has ever received evidence (known ⇔
+// non-zero log-odds; see the package comment). Planner queries arrive in
 // spatially coherent bursts between map updates, so the descent resumes from
 // the cached path whenever the tree has not mutated since.
 func (t *Tree) lookup(x, y, z int) (logOdds float64, known bool) {
@@ -549,9 +604,11 @@ func (t *Tree) MarkFree(p geom.Vec3) {
 // clipped walk), so a surface point landing exactly on a voxel boundary
 // attributes its hit evidence to the voxel containing the surface.
 //
-// InsertRay is the per-ray reference path; whole depth scans should go
-// through InsertCloud, which applies the identical per-ray evidence schedule
-// at the natural batching boundary of the mission loop.
+// InsertRay is the single-ray form of InsertCloud: both run the same fused
+// kernel (integrateRay), so one ray inserted either way leaves bit-identical
+// evidence. Whole depth scans should go through InsertCloud, the mission
+// loop's batching boundary. The independent per-voxel reference the fused
+// kernel is checked against lives in the package tests.
 func (t *Tree) InsertRay(origin, end geom.Vec3, hit bool) {
 	t.integrateRay(origin, end, hit)
 }
@@ -565,15 +622,8 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool) {
 	ex, ey, ez, endOK := t.key(end)
 	var w rayWalker
 	t.startWalk(&w, origin, end)
-	for {
-		x, y, z, _, ok := w.next()
-		if !ok {
-			break
-		}
-		if endOK && x == ex && y == ey && z == ez {
-			continue // endpoint voxel handled below
-		}
-		t.updateKey(x, y, z, t.params.LogOddsMiss)
+	if w.valid {
+		t.carve(&w, ex, ey, ez, endOK)
 	}
 	if endOK {
 		if hit {
@@ -584,11 +634,98 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool) {
 	}
 }
 
+// carve applies miss evidence to every voxel the seeded walk w crosses, in
+// walk order, except the endpoint voxel (ex, ey, ez) when endOK. It is the
+// rayWalker.next → updateKey → descend → applyDelta chain fused into one
+// loop, which is where a sweep-exact mission spends most of its time: the
+// DDA state, the memoised write path and the clamped miss update live in
+// locals, nodes expand exactly where descend expands them, and the
+// leaf-update and mutation counters advance once per ray instead of once per
+// voxel. It visits the same voxels in the same order and expands the same
+// nodes in the same order, so the arena, the summary counts and Digest are
+// bit-identical to the chain; the randomized equivalence test against the
+// chain (kept in the package tests) pins this.
+//
+// Keys the walker overshoots outside [0, maxKey) in the degenerate-axis case
+// alias onto the leaf their low depth bits address, exactly as in descend
+// (see occSummary).
+func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
+	miss := t.params.LogOddsMiss
+	clampMin, clampMax, occ := t.params.ClampMin, t.params.ClampMax, t.params.OccThresh
+	counts := t.sum.counts
+	nodes := t.nodes
+	parents := &t.path.parents
+	top := t.depth - 1
+	px, py, pz, leaf, cached := t.path.x, t.path.y, t.path.z, t.path.leaf, t.path.valid
+
+	x, y, z := w.x, w.y, w.z
+	tMaxX, tMaxY, tMaxZ := w.tMaxX, w.tMaxY, w.tMaxZ
+	updates := 0
+	for steps := 0; steps < w.maxSteps; steps++ {
+		if !endOK || x != ex || y != ey || z != ez {
+			// descend: resume below the highest key bit that differs from
+			// the cached path, expanding leaves on the way down.
+			if diff := (x ^ px) | (y ^ py) | (z ^ pz); !cached || diff != 0 {
+				level, ni := top, int32(0)
+				if cached {
+					if hb := bits.Len(uint(diff)) - 1; hb < level {
+						level, ni = hb, parents[hb]
+					}
+				}
+				for ; level >= 0; level-- {
+					fc := nodes[ni].firstChild
+					if fc == noChild {
+						t.expand(ni)
+						nodes = t.nodes
+						fc = nodes[ni].firstChild
+					}
+					parents[level] = ni
+					ni = fc + int32(((x>>level)&1)<<2|((y>>level)&1)<<1|(z>>level&1))
+				}
+				px, py, pz, leaf, cached = x, y, z, ni, true
+			}
+			// applyDelta with the miss delta.
+			n := &nodes[leaf]
+			old := n.logOdds
+			lo := geom.Clampf(old+miss, clampMin, clampMax)
+			n.logOdds = lo
+			if counts != nil {
+				if wasOcc, isOcc := old != 0 && old >= occ, lo != 0 && lo >= occ; wasOcc != isOcc {
+					if bi := t.summaryIndex(x, y, z); isOcc {
+						counts[bi]++
+					} else {
+						counts[bi]--
+					}
+				}
+			}
+			updates++
+		}
+		if x == w.ex && y == w.ey && z == w.ez {
+			break // end voxel reached, walk exhausted
+		}
+		switch {
+		case tMaxX <= tMaxY && tMaxX <= tMaxZ:
+			x += w.stepX
+			tMaxX += w.tDeltaX
+		case tMaxY <= tMaxZ:
+			y += w.stepY
+			tMaxY += w.tDeltaY
+		default:
+			z += w.stepZ
+			tMaxZ += w.tDeltaZ
+		}
+	}
+	t.path.x, t.path.y, t.path.z, t.path.leaf, t.path.valid = px, py, pz, leaf, cached
+	t.leafUpdates += updates
+	t.mut += uint64(updates)
+}
+
 // rayWalker streams the leaf voxel keys a segment crosses, in order, without
 // a per-ray closure allocation. The insertion paths (InsertRay, InsertCloud)
-// and the DDA collision queries (SegmentFree, FirstBlocked) all traverse
-// through it, so every segment↔voxel enumeration in the package visits
-// bit-identical voxel sequences.
+// and the DDA collision queries (SegmentFree, FirstBlocked) all seed their
+// walks through it, and the loops that step the DDA on locals (carve,
+// rayFree) copy next's stepping rule verbatim, so every segment↔voxel
+// enumeration in the package visits bit-identical voxel sequences.
 //
 // tEntry is the parametric position (in the clipped p0→p1 space) at which
 // the walk entered the voxel most recently yielded by next; segParam maps it
@@ -721,21 +858,6 @@ func (w *rayWalker) segParam(s float64) float64 {
 		return 1
 	}
 	return f
-}
-
-// walkRay visits every leaf voxel key from origin to end in order, flagging
-// the final voxel (retained for tests; the insertion paths use rayWalker
-// directly).
-func (t *Tree) walkRay(origin, end geom.Vec3, visit func(x, y, z int, last bool)) {
-	var w rayWalker
-	t.startWalk(&w, origin, end)
-	for {
-		x, y, z, last, ok := w.next()
-		if !ok {
-			return
-		}
-		visit(x, y, z, last)
-	}
 }
 
 // initAxis computes DDA stepping state for one axis: the step direction, the

@@ -27,13 +27,8 @@ import (
 // ReadSnapshot) so a long-running campaign server can persist its golden
 // maps next to its recordings and reload them across restarts.
 type Snapshot struct {
-	params     Params
-	resolution float64
-	depth      int
-	origin     geom.Vec3
-	rootSize   float64
-
-	clsNX, clsNY, clsNZ int // class-cache extents forks inherit
+	params Params
+	geometry
 
 	nodes       []node   // immutable arena copy; index 0 is the root
 	counts      []uint16 // immutable summary counts; nil when over the cap
@@ -48,14 +43,11 @@ type Snapshot struct {
 // map content).
 func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{
-		params:      t.params,
-		resolution:  t.resolution,
-		depth:       t.depth,
-		origin:      t.origin,
-		rootSize:    t.rootSize,
-		clsNX:       t.cls.nx,
-		clsNY:       t.cls.ny,
-		clsNZ:       t.cls.nz,
+		params: t.params,
+		geometry: geometry{
+			resolution: t.resolution, depth: t.depth, origin: t.origin, rootSize: t.rootSize,
+			nx: t.cls.nx, ny: t.cls.ny, nz: t.cls.nz,
+		},
 		nodes:       append([]node(nil), t.nodes...),
 		counts:      append([]uint16(nil), t.counts()...),
 		sumNB:       t.sum.nb,
@@ -71,14 +63,10 @@ func (s *Snapshot) NumNodes() int { return len(s.nodes) }
 
 // Matches reports whether the snapshot was built over exactly the tree
 // geometry New(bounds, resolution, ...) would produce — the guard campaign
-// layers use before forking a cached (or disk-loaded) seed for a world.
+// layers use before forking a cached (or disk-loaded) seed for a world. It
+// compares geometry only and allocates nothing.
 func (s *Snapshot) Matches(bounds geom.AABB, resolution float64) bool {
-	probe := New(bounds, resolution, s.params)
-	return probe.resolution == s.resolution &&
-		probe.depth == s.depth &&
-		probe.origin == s.origin &&
-		probe.rootSize == s.rootSize &&
-		probe.cls.nx == s.clsNX && probe.cls.ny == s.clsNY && probe.cls.nz == s.clsNZ
+	return s.geometry == newGeometry(bounds, resolution)
 }
 
 // Fork returns a fresh tree holding an exact copy of the snapshot's map. The
@@ -92,43 +80,22 @@ func (s *Snapshot) Fork() *Tree {
 
 // ForkInto resets t to an exact copy of the snapshot's map, reusing t's
 // existing allocations (node arena capacity, summary slab, classification
-// grid) where they fit — the cross-mission memoization path: a mission pool
+// grid) where they fit — the cross-mission memoization path: the pipeline
 // recycles finished trees through ForkInto so steady-state forks are two
 // memcpys with no allocation.
 //
 // Everything semantic is copied from the snapshot; everything memoised is
-// invalidated. The mutation counter restarts at zero on every fork, so the
-// invalidation must be explicit rather than counter-based: a recycled tree's
-// caches could otherwise carry entries whose stamped mutation count the new
-// mission's counter will reach again, reviving classifications of a map that
-// no longer exists. The path and query caches are dropped outright; the
-// classification grid keeps its allocation but retires its epoch (with the
-// same wrap handling classify uses, clearing the grid when the 6-bit epoch
-// would overflow — the mid-epoch-wrap fork regression test pins this), so no
-// entry stamped before the fork can ever be served after it. The summary
-// counts are copied from the snapshot, which is what keeps the bundleAllFree
-// prescan exact on forked trees.
+// invalidated by reinit, the step ForkInto shares with Reset (see reinit for
+// why the invalidation is explicit). The summary counts are copied from the
+// snapshot, which is what keeps the bundleAllFree prescan exact on forked
+// trees.
 func (s *Snapshot) ForkInto(t *Tree) {
-	t.params = s.params
-	t.resolution = s.resolution
-	t.depth = s.depth
-	t.origin = s.origin
-	t.rootSize = s.rootSize
-	t.maxKey = int(s.rootSize / s.resolution)
-	t.keyMask = t.maxKey - 1
-	t.invRes = 1 / s.resolution
-	frac, _ := math.Frexp(s.resolution)
-	t.mulKey = frac == 0.5
-
+	t.reinit(s.geometry, s.params)
 	if cap(t.nodes) < len(s.nodes) {
 		// First fork into this tree (or a bigger world than last time):
 		// size the arena like New does, with headroom for the mission's own
 		// expansion on top of the seed.
-		capacity := len(s.nodes) + len(s.nodes)/4
-		if capacity < 1<<17 {
-			capacity = 1 << 17
-		}
-		t.nodes = make([]node, 0, capacity)
+		t.nodes = make([]node, 0, max(len(s.nodes)+len(s.nodes)/4, arenaPresize))
 	}
 	t.nodes = append(t.nodes[:0], s.nodes...)
 
@@ -144,37 +111,6 @@ func (s *Snapshot) ForkInto(t *Tree) {
 	}
 
 	t.leafUpdates = s.leafUpdates
-	t.mut = 0
-	t.path = pathCache{}
-	t.qry = queryCache{}
-	t.probeRec = nil
-
-	if t.cls.nx != s.clsNX || t.cls.ny != s.clsNY || t.cls.nz != s.clsNZ {
-		// Different world: the grid's indexing no longer matches, so drop it
-		// and let EnableClassCache re-arm lazily at the new extents.
-		t.cls = classCache{nx: s.clsNX, ny: s.clsNY, nz: s.clsNZ}
-		return
-	}
-	t.retireClassCache()
-}
-
-// retireClassCache invalidates every cached classification while keeping the
-// grid allocation, exactly the way classify retires an epoch: bump it, and
-// clear the grid when the 6-bit epoch space wraps. Called on fork, where the
-// mutation counter restarts and counter-keyed invalidation alone would be
-// unsound (see ForkInto).
-func (t *Tree) retireClassCache() {
-	c := &t.cls
-	c.mut = t.mut
-	if c.grid == nil {
-		c.epoch = 0
-		return
-	}
-	c.epoch++
-	if c.epoch == 1<<6 {
-		clear(c.grid)
-		c.epoch = 1
-	}
 }
 
 // rebuildSummary recomputes the occupancy summary from the node arena by
@@ -266,7 +202,8 @@ func (s *Snapshot) Digest() uint64 {
 //	"MAVFISEED" | version byte | header | nodes | digest
 //	header: resolution, origin{X,Y,Z}, rootSize float64; depth uint32;
 //	        params{Hit,Miss,ClampMin,ClampMax,OccThresh} float64;
-//	        clsNX, clsNY, clsNZ uint32; leafUpdates uint64; nodeCount uint32
+//	        class-cache extents nx, ny, nz uint32; leafUpdates uint64;
+//	        nodeCount uint32
 //	node:   logOdds float64 | firstChild int32   (12 bytes)
 //	digest: FNV-64a over header+nodes
 //
@@ -322,9 +259,9 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	putF(s.params.ClampMin)
 	putF(s.params.ClampMax)
 	putF(s.params.OccThresh)
-	putU32(uint32(s.clsNX))
-	putU32(uint32(s.clsNY))
-	putU32(uint32(s.clsNZ))
+	putU32(uint32(s.nx))
+	putU32(uint32(s.ny))
+	putU32(uint32(s.nz))
 	binary.Write(body, binary.LittleEndian, uint64(s.leafUpdates))
 	putU32(uint32(len(s.nodes)))
 	for i := range s.nodes {
@@ -403,9 +340,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	s.params.ClampMin = getF()
 	s.params.ClampMax = getF()
 	s.params.OccThresh = getF()
-	s.clsNX = int(getU32())
-	s.clsNY = int(getU32())
-	s.clsNZ = int(getU32())
+	s.nx = int(getU32())
+	s.ny = int(getU32())
+	s.nz = int(getU32())
 	s.leafUpdates = int(binary.LittleEndian.Uint64(header[off:]))
 	off += 8
 	nodeCount := getU32()
@@ -418,7 +355,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		s.depth < 0 || s.depth > 31 ||
 		s.rootSize != s.resolution*float64(int(1)<<s.depth) ||
 		!s.origin.IsFinite() ||
-		s.clsNX < 1 || s.clsNY < 1 || s.clsNZ < 1 ||
+		s.nx < 1 || s.ny < 1 || s.nz < 1 ||
 		s.leafUpdates < 0 {
 		return nil, fmt.Errorf("%w: invalid geometry", ErrSnapshotCorrupt)
 	}

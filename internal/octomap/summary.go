@@ -44,14 +44,19 @@ const summaryBlockShift = 3
 // classification cache degrades over its own cap.
 const maxSummaryBlocks = 1 << 21
 
-// initSummary sizes the summary for the tree's key cube. Called once by New.
+// initSummary sizes the summary for the tree's key cube and zeroes it,
+// reusing the existing slab when it is large enough (Reset recycles trees
+// through here).
 func (t *Tree) initSummary() {
-	nb := (t.maxKey + 7) >> summaryBlockShift
-	if nb < 1 {
-		nb = 1
-	}
+	nb := max((t.maxKey+7)>>summaryBlockShift, 1)
 	t.sum.nb = nb
-	if blocks := nb * nb * nb; blocks <= maxSummaryBlocks {
+	switch blocks := nb * nb * nb; {
+	case blocks > maxSummaryBlocks:
+		t.sum.counts = nil
+	case cap(t.sum.counts) >= blocks:
+		t.sum.counts = t.sum.counts[:blocks]
+		clear(t.sum.counts)
+	default:
 		t.sum.counts = make([]uint16, blocks)
 	}
 }

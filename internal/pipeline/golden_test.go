@@ -121,3 +121,37 @@ func TestGoldenMissionDigest(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenDigestsThroughSharedFreeList flies all 8 golden cases twice
+// through the mission tree free list, in an order that changes world on
+// every mission, with each case flown once exact (Reset) and once on its
+// world's empty seed (ForkInto). Every mission therefore starts on a tree
+// recycled from another world, another mode or both, and must still
+// reproduce its pinned digest; nothing is re-pinned.
+func TestGoldenDigestsThroughSharedFreeList(t *testing.T) {
+	order := []string{
+		"factory/seed1", "sparse/seed1", "farm/seed1", "sparse/seed9",
+		"dense/seed1", "sparse/kernelfault", "factory/seed2", "sparse/statefault",
+	}
+	cases := goldenCases()
+	if len(order) != len(cases) {
+		t.Fatalf("order lists %d cases, goldenCases has %d", len(order), len(cases))
+	}
+	seeds := map[string]*pipeline.MapSeed{}
+	for pass := 0; pass < 2; pass++ {
+		for i, name := range order {
+			cfg := cases[name]
+			mode := "exact"
+			if (i+pass)%2 == 1 {
+				mode = "empty seed"
+				if seeds[cfg.World.Name] == nil {
+					seeds[cfg.World.Name] = pipeline.EmptyMapSeed(cfg.World)
+				}
+				cfg.MapSeed = seeds[cfg.World.Name]
+			}
+			if got, want := digestMission(pipeline.RunMission(cfg)), goldenDigests[name]; got != want {
+				t.Errorf("pass %d, %s (%s): digest 0x%016x, want 0x%016x", pass, name, mode, got, want)
+			}
+		}
+	}
+}

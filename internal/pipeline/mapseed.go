@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"mavfi/internal/env"
 	"mavfi/internal/octomap"
@@ -31,18 +30,17 @@ const seedConfirm = 5
 // what makes dropping them cheap in fidelity terms.
 const nearFieldFrac = 0.3
 
-// MapSeed is an immutable golden-map snapshot for one world plus a pool of
-// recycled octrees to fork it into. Campaigns build one seed per world and
-// share it across every mission of a cell: mission start becomes a memcpy
-// of the node slab instead of a from-scratch mapping pass.
+// MapSeed is an immutable golden-map snapshot for one world. Campaigns build
+// one seed per world and share it across every mission of a cell: mission
+// start becomes a memcpy of the node slab, forked into a tree from the
+// mission free list (see idleTrees), instead of a from-scratch mapping pass.
 //
 // A MapSeed is safe for concurrent use by any number of missions. Identity
 // holds at any worker width because ForkInto fully resets the recycled
 // tree's semantic state — which arena a mission happens to draw from the
-// pool is unobservable (pinned by the octomap fork equivalence suite).
+// list is unobservable (pinned by the octomap fork equivalence suite).
 type MapSeed struct {
 	snap *octomap.Snapshot
-	pool sync.Pool
 }
 
 // NewMapSeed wraps snap as the golden seed for world w, rejecting snapshots
@@ -70,22 +68,6 @@ func (s *MapSeed) Snapshot() *octomap.Snapshot { return s.snap }
 
 // Digest returns the seed map's content digest.
 func (s *MapSeed) Digest() uint64 { return s.snap.Digest() }
-
-// acquire forks the golden map into a pooled (or fresh) tree.
-func (s *MapSeed) acquire() *octomap.Tree {
-	if t, ok := s.pool.Get().(*octomap.Tree); ok {
-		s.snap.ForkInto(t)
-		return t
-	}
-	return s.snap.Fork()
-}
-
-// release returns a mission's tree to the pool for the next fork.
-func (s *MapSeed) release(t *octomap.Tree) {
-	if t != nil {
-		s.pool.Put(t)
-	}
-}
 
 // BuildMapSeed precomputes a golden map for w: one deterministic mapping
 // pass — depth captures through the real perception kernels from a sweep of

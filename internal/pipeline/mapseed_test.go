@@ -12,8 +12,8 @@ import (
 // TestEmptySeedReproducesGoldenDigests is the exact-mode gate for the fork
 // machinery itself: every golden mission, re-run with MapSeed set to an
 // *empty* golden map (a fork of octomap.New, repeatedly recycled through the
-// seed's pool), must reproduce its pinned digest bit-for-bit. This proves
-// Snapshot/Fork/ForkInto and the pool add nothing and lose nothing — the
+// mission tree free list), must reproduce its pinned digest bit-for-bit. This proves
+// Snapshot/Fork/ForkInto and the free list add nothing and lose nothing — the
 // only thing a real seed changes is the map content it starts from.
 func TestEmptySeedReproducesGoldenDigests(t *testing.T) {
 	if testing.Short() {
@@ -28,7 +28,7 @@ func TestEmptySeedReproducesGoldenDigests(t *testing.T) {
 				seeds[cfg.World.Name] = s
 			}
 			cfg.MapSeed = s
-			// Run twice so the second mission forks into the first's pooled
+			// Run twice so the second mission forks into the first's recycled
 			// arena — the recycled-tree path is the one campaigns live on.
 			digestMission(pipeline.RunMission(cfg))
 			got := digestMission(pipeline.RunMission(cfg))
@@ -55,7 +55,7 @@ func TestZeroStrideBitIdentical(t *testing.T) {
 
 // TestSeededMissionDeterministic pins approximate-mode reproducibility: the
 // same built seed (and the same stride) always yields the same mission,
-// whether the tree comes from a fresh fork, a recycled pool arena, or a
+// whether the tree comes from a fresh fork, a recycled arena, or a
 // different MapSeed value built from the same world.
 func TestSeededMissionDeterministic(t *testing.T) {
 	w := env.Sparse(rand.New(rand.NewSource(42)))
@@ -65,7 +65,7 @@ func TestSeededMissionDeterministic(t *testing.T) {
 	}
 	cfg := pipeline.Config{World: w, Seed: 3, MapSeed: seedA, NearFieldStride: 2}
 	first := digestMission(pipeline.RunMission(cfg))
-	second := digestMission(pipeline.RunMission(cfg)) // pooled arena
+	second := digestMission(pipeline.RunMission(cfg)) // recycled arena
 	cfg.MapSeed = seedB
 	third := digestMission(pipeline.RunMission(cfg)) // independent seed value
 	if first != second || first != third {
@@ -75,7 +75,7 @@ func TestSeededMissionDeterministic(t *testing.T) {
 
 // TestSeededMissionsParallelDeterministic pins worker-width independence at
 // the pipeline level: many missions sharing one MapSeed concurrently (so
-// pool arenas are handed out in racy orders) must each match their serial
+// recycled arenas are handed out in racy orders) must each match their serial
 // digest. This is the property the campaign CSV byte-identity gate rests on.
 func TestSeededMissionsParallelDeterministic(t *testing.T) {
 	w := env.Sparse(rand.New(rand.NewSource(42)))

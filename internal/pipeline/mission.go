@@ -190,17 +190,13 @@ func newRunner(cfg Config) *runner {
 	r.mapPeriod = MapPeriod(cfg.Platform)
 	r.cruise = CruiseSpeed(cfg.Platform, vp, r.camera.MaxRange, r.mapPeriod)
 
-	if cfg.MapSeed != nil {
-		// Approximate mode: start from a fork of the world's golden map
-		// (a memcpy of the node slab) instead of an empty octree. The fork
-		// is released back to the seed's pool in finish.
-		r.tree = cfg.MapSeed.acquire()
-		if !cfg.MapSeed.snap.Matches(cfg.World.Bounds, mapResolution) {
-			panic("pipeline: MapSeed world geometry does not match cfg.World")
-		}
-	} else {
-		r.tree = octomap.New(cfg.World.Bounds, mapResolution, octomap.DefaultParams())
+	if cfg.MapSeed != nil && !cfg.MapSeed.snap.Matches(cfg.World.Bounds, mapResolution) {
+		panic("pipeline: MapSeed world geometry does not match cfg.World")
 	}
+	// An empty map of the world, or in approximate mode a fork of its golden
+	// map (a memcpy of the node slab), on a tree drawn from the free list;
+	// finish returns it.
+	r.tree = missionTree(cfg)
 	if cfg.NearFieldStride > 1 {
 		r.nearRadius = nearFieldFrac * r.camera.MaxRange
 	}
@@ -858,13 +854,11 @@ func (r *runner) finish(outcome qof.Outcome) Result {
 		r.res.Trace = r.trc
 	}
 	r.res.StateDeltas = r.deltas
-	if r.cfg.MapSeed != nil {
-		// Recycle the arena for the cell's next mission. Safe: nothing
-		// after finish touches the tree, and ForkInto fully resets it
-		// before reuse. A panicked mission simply never returns its tree —
-		// the pool refills from fresh forks.
-		r.cfg.MapSeed.release(r.tree)
-		r.tree = nil
-	}
+	// Recycle the tree for the next mission. Safe: nothing after finish
+	// touches it, and Reset or ForkInto fully reinitialises it before reuse.
+	// A panicked mission never reaches finish and never returns its tree —
+	// the list refills with fresh trees.
+	idleTrees.put(r.tree)
+	r.tree, r.adapter.tree = nil, nil
 	return r.res
 }
