@@ -42,7 +42,7 @@ race-freelist:
 # engine scaling curve, and the perception micro-benchmarks, and records the
 # machine-readable perf trajectory in $(BENCH_JSON) (benchmark → ns/op,
 # allocs/op, custom metrics). Scale campaigns with MAVFI_BENCH_RUNS.
-BENCH_JSON ?= BENCH_PR9.json
+BENCH_JSON ?= BENCH_PR13.json
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./... > $(BENCH_JSON).raw
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < $(BENCH_JSON).raw
@@ -60,12 +60,14 @@ bench-plan:
 	$(GO) test -bench 'BenchmarkPlan$$' -benchtime=1x -run '^$$' ./internal/pipeline
 
 # bench-insert is the mapping-kernel smoke: one iteration each of the fused
-# scan insertion, the per-voxel reference loop it replaced, and the cold
-# (exact-map) campaign cell whose missions draw recycled trees, so a
-# regression in the carve or the tree lifecycle fails as its own CI step.
+# scan insertion into the brick store, the test-only map oracle it is
+# checked against, the cold (exact-map) campaign cell whose missions Reset
+# recycled trees, and the memo + near-stride 2 cell whose missions ForkInto
+# them, so a regression in the carve, the store or either tree lifecycle
+# path fails as its own CI step.
 bench-insert:
 	$(GO) test -bench 'Benchmark(InsertCloud|InsertRayReference)$$' -benchtime=1x -run '^$$' ./internal/octomap
-	$(GO) test -bench 'BenchmarkCampaignCell/cold$$' -benchtime=1x -run '^$$' ./internal/pipeline
+	$(GO) test -bench 'BenchmarkCampaignCell/(cold|memo-near2)$$' -benchtime=1x -run '^$$' ./internal/pipeline
 
 # bench-seed is the PR 9 golden-map headline: one campaign cell flown cold /
 # seeded / seeded+stride / memo / memo+stride (BenchmarkCampaignCell), the

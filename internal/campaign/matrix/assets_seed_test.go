@@ -1,12 +1,15 @@
 package matrix
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"mavfi/internal/octomap"
 	"mavfi/internal/pipeline"
+	"mavfi/internal/testutil"
 )
 
 // TestMapSeedRebuildsOverCorruptFile pins the crash-recovery path of the seed
@@ -51,6 +54,55 @@ func TestMapSeedRebuildsOverCorruptFile(t *testing.T) {
 				t.Fatalf("rebuild did not repair the %s seed file (err %v)", name, err)
 			}
 		})
+	}
+}
+
+// TestMapSeedRebuildsOverV1File pins the format upgrade of the seed cache: a
+// version-1 .mapseed file (the octree node-arena format) left in the seed
+// directory by an older build is never trusted. MapSeed rebuilds the world's
+// seed — bit-identical to a fresh build — and atomically rewrites the file
+// in the current format, leaving no temporary file behind.
+func TestMapSeedRebuildsOverV1File(t *testing.T) {
+	w, err := World("sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if _, err := pipeline.EmptyMapSeed(w).Snapshot().WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v1 := testutil.EmptySnapshotV1(v2.Bytes())
+	if _, err := octomap.ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, octomap.ErrSnapshotVersion) {
+		t.Fatalf("reading a version-1 seed: got %v, want ErrSnapshotVersion", err)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sparse.mapseed")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := NewAssets()
+	a.SetSeedDir(dir)
+	s, err := a.MapSeed("sparse")
+	if err != nil {
+		t.Fatalf("MapSeed over a version-1 seed file: %v", err)
+	}
+	built := pipeline.BuildMapSeed(w)
+	if s.Digest() != built.Digest() {
+		t.Fatal("version-1 seed file rebuilt into a different seed")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[len(octomap.SnapshotMagic)] != octomap.SnapshotVersion {
+		t.Fatalf("seed file left at version %d", data[len(octomap.SnapshotMagic)])
+	}
+	if reread, err := octomap.ReadSnapshot(bytes.NewReader(data)); err != nil || reread.Digest() != built.Digest() {
+		t.Fatalf("rewritten seed file does not decode to the rebuilt seed (err %v)", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("seed dir holds %d entries after the rewrite, want 1 (err %v)", len(entries), err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,8 @@ import (
 
 	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/faultinject"
+	"mavfi/internal/pipeline"
+	"mavfi/internal/testutil"
 )
 
 // identitySpec is a small real-mission matrix: sensor and wind families
@@ -161,6 +164,69 @@ func TestDispatchSeedSharingByteIdentity(t *testing.T) {
 	}
 	if summary != refSummary {
 		t.Error("seed sharing: summary CSV differs from single-process run")
+	}
+}
+
+// TestDispatchV1SeedFallsBackToLocalBuild pins what a worker does with a
+// golden-map seed in the retired version-1 format, as a dispatcher from an
+// older build would serve it: the decoder refuses it, the worker builds the
+// seed locally, and the CSVs still match the single-process run. Its eight
+// short missions take under a second, so it also runs in -short mode, the
+// mode CI runs.
+func TestDispatchV1SeedFallsBackToLocalBuild(t *testing.T) {
+	spec := identitySpec()
+	spec.MapSeed = "memo"
+	ref, err := matrix.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refCells, refSummary := resultCSVs(ref)
+
+	w, err := matrix.World("sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if _, err := pipeline.EmptyMapSeed(w).Snapshot().WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v1 := testutil.EmptySnapshotV1(v2.Bytes())
+
+	d := New(Config{
+		Shards:       startWorkers(t, 2),
+		DisableLocal: true,
+		Logf:         t.Logf,
+	})
+	var v1Served atomic.Int64
+	handler := d.Handler()
+	dsrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/seeds/") {
+			v1Served.Add(1)
+			rw.Write(v1)
+			return
+		}
+		handler.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(dsrv.Close)
+	d.cfg.SeedURL = dsrv.URL + "/seeds"
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := d.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1Served.Load() == 0 {
+		t.Error("no worker ever fetched the version-1 seed")
+	}
+	cells, summary := resultCSVs(res)
+	for name, csv := range refCells {
+		if cells[name] != csv {
+			t.Errorf("version-1 seed: cell %s CSV differs from single-process run", name)
+		}
+	}
+	if summary != refSummary {
+		t.Error("version-1 seed: summary CSV differs from single-process run")
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // TestInsertCloudSteadyStateAllocFree pins the PR2 contract on the mapping
-// kernel: once the tree has observed a region (nodes expanded, scan scratch
-// sized), re-integrating scans over it must allocate nothing — the node
-// arena only grows when new space is observed, and then amortised across
-// thousands of nodes.
+// kernel: once the tree has observed a region (bricks allocated, scan
+// scratch sized), re-integrating scans over it must allocate nothing — the
+// brick slab only grows when new space is observed, and then amortised
+// across thousands of voxels.
 func TestInsertCloudSteadyStateAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts are meaningless under -race instrumentation")
@@ -22,7 +22,7 @@ func TestInsertCloudSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	origin := geom.V(16, 16, 8)
 	pts := randomScan(rng, origin, 300)
-	tr.InsertCloud(origin, pts) // warm: expand nodes, size scratch
+	tr.InsertCloud(origin, pts) // warm: allocate bricks, size scratch
 	if allocs := testing.AllocsPerRun(20, func() {
 		tr.InsertCloud(origin, pts)
 	}); allocs != 0 {
@@ -32,8 +32,8 @@ func TestInsertCloudSteadyStateAllocFree(t *testing.T) {
 
 // TestCollisionQueriesAllocFree pins the PR3 contract on the query side,
 // extended in PR 5 over every fused-walker regime: the DDA segment queries
-// and the armed classification cache allocate nothing per probe (the cache
-// grid is a one-time EnableClassCache allocation), across the prescan fast
+// and the classification grid allocate nothing per probe (the grid is
+// allocated with the tree), across the prescan fast
 // path, walks the prescan declines, the slab-clip delegation for offset rays
 // leaving the volume, zero-radius probes, and the pessimistic policy the
 // summary stands aside for.
@@ -46,7 +46,6 @@ func TestCollisionQueriesAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	origin := geom.V(16, 16, 8)
 	tr.InsertCloud(origin, randomScan(rng, origin, 300))
-	tr.EnableClassCache()
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 	qPess := QueryPolicy{UnknownIsFree: false, Radius: 0.55}
 	qThin := QueryPolicy{UnknownIsFree: true}

@@ -44,11 +44,9 @@ func benchQueryTree() (*Tree, [][2]geom.Vec3) {
 }
 
 // BenchmarkSegmentFree measures the DDA segment query on RRT*-edge-length
-// segments, with the per-voxel classification cache armed (the planner
-// configuration).
+// segments, classifying from the exact grid (the planner configuration).
 func BenchmarkSegmentFree(b *testing.B) {
 	tr, segs := benchQueryTree()
-	tr.EnableClassCache()
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,7 +59,6 @@ func BenchmarkSegmentFree(b *testing.B) {
 // BenchmarkFirstBlocked measures the perception-side time-to-collision query.
 func BenchmarkFirstBlocked(b *testing.B) {
 	tr, segs := benchQueryTree()
-	tr.EnableClassCache()
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,19 +68,21 @@ func BenchmarkFirstBlocked(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertRayReference measures the per-voxel reference loop
-// (insertRayReference, the insertion kernel before the fused carve) on the
-// identical scan: the before-side of BenchmarkInsertCloud.
+// BenchmarkInsertRayReference measures the test-only map oracle (refMap,
+// one map write per crossed voxel, the shape of the insertion kernel before
+// the fused carve and the brick store) on the identical scan: the
+// before-side of BenchmarkInsertCloud.
 func BenchmarkInsertRayReference(b *testing.B) {
 	tr, origin, pts := benchScan()
+	ref := newRefMap(tr)
 	for _, p := range pts {
-		tr.insertRayReference(origin, p.End, p.Hit)
+		ref.insertRay(tr, origin, p.End, p.Hit)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pts {
-			tr.insertRayReference(origin, p.End, p.Hit)
+			ref.insertRay(tr, origin, p.End, p.Hit)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func (t *Tree) summaryView(q QueryPolicy) ([]uint16, int) {
 	if !q.UnknownIsFree {
 		return nil, 0
 	}
-	return t.sum.counts, t.sum.nb
+	return t.sum.counts, t.nc
 }
 
 // axisBundleKeys folds into (lo, hi) the inclusive key range, on one axis,
@@ -183,12 +183,12 @@ func (t *Tree) bundleAllFree(m *multiWalker, a, b geom.Vec3, q QueryPolicy) bool
 	if !ok {
 		return false
 	}
-	loX >>= summaryBlockShift
-	hiX >>= summaryBlockShift
-	loY >>= summaryBlockShift
-	hiY >>= summaryBlockShift
-	loZ >>= summaryBlockShift
-	hiZ >>= summaryBlockShift
+	loX >>= brickShift
+	hiX >>= brickShift
+	loY >>= brickShift
+	hiY >>= brickShift
+	loZ >>= brickShift
+	hiZ >>= brickShift
 	for bz := loZ; bz <= hiZ; bz++ {
 		for by := loY; by <= hiY; by++ {
 			base := (bz*nb + by) * nb
@@ -207,7 +207,7 @@ func (t *Tree) bundleAllFree(m *multiWalker, a, b geom.Vec3, q QueryPolicy) bool
 // the mapped volume — rayFree rebuilt on fused axis state, mirroring it
 // statement for statement (it runs only when the bundle prescan could not
 // prove the query free, so the loop carries no summary overhead).
-func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy, cp *classProbe) bool {
+func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy) bool {
 	if !ax.aIn || !ay.aIn || !az.aIn {
 		return false
 	}
@@ -216,7 +216,7 @@ func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy, cp *classProbe) bool
 		// segment crosses out-of-volume (Occupied) space.
 		return false
 	}
-	if q.blocked(cp.classify(ax.ak, ay.ak, az.ak)) {
+	if q.blocked(t.classify(ax.ak, ay.ak, az.ak)) {
 		return false
 	}
 	if ax.eq && ay.eq && az.eq {
@@ -235,6 +235,7 @@ func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy, cp *classProbe) bool
 	tDeltaX, tDeltaY, tDeltaZ := ax.tDelta, ay.tDelta, az.tDelta
 	maxSteps := abs(ex-x) + abs(ey-y) + abs(ez-z) + 3
 	maxKey := t.maxKey
+	grid, nx, ny, nz := t.grid, t.nx, t.ny, t.nz
 	tNext := 0.0
 	for steps := 0; steps < maxSteps; steps++ {
 		tEntry := tNext
@@ -248,17 +249,13 @@ func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy, cp *classProbe) bool
 			// terminates the walk before either guard can trip).
 			return true
 		}
-		// Manually inlined classProbe.classify hit path: one predictable
-		// branch and one byte load per crossed voxel on a warm cache.
+		// Manually inlined classify: one predictable branch and one byte
+		// load per crossed voxel inside the bounds.
 		var o Occupancy
-		if cp.grid != nil && x < cp.nx && y < cp.ny && z < cp.nz {
-			if v := cp.grid[(z*cp.ny+y)*cp.nx+x]; v>>2 == cp.epoch {
-				o = Occupancy(v & 3)
-			} else {
-				o = cp.classify(x, y, z)
-			}
+		if grid != nil && x < nx && y < ny && z < nz {
+			o = Occupancy(grid[(z*ny+y)*nx+x])
 		} else {
-			o = cp.classify(x, y, z)
+			o = t.classifySlow(x, y, z)
 		}
 		if q.blocked(o) {
 			return false
@@ -290,14 +287,14 @@ func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy, cp *classProbe) bool
 // rebuilt on fused axis state. A ray whose far endpoint keys outside the
 // volume needs the slab clip; that rare case delegates to the retained
 // sequential rayFirstBlocked, which is the same code the reference runs.
-func (t *Tree) walkFirstBlocked(a, b geom.Vec3, ax, ay, az *rayAxis, q QueryPolicy, cp *classProbe) (float64, bool) {
+func (t *Tree) walkFirstBlocked(a, b geom.Vec3, ax, ay, az *rayAxis, q QueryPolicy) (float64, bool) {
 	if !ax.aIn || !ay.aIn || !az.aIn {
 		return 0, true // starts in out-of-volume (Occupied) space
 	}
 	if !ax.bIn || !ay.bIn || !az.bIn {
-		return t.rayFirstBlocked(a, b, q, cp) // slab-clipped walk, rare
+		return t.rayFirstBlocked(a, b, q) // slab-clipped walk, rare
 	}
-	if q.blocked(cp.classify(ax.ak, ay.ak, az.ak)) {
+	if q.blocked(t.classify(ax.ak, ay.ak, az.ak)) {
 		return 0, true // starts inside a blocked voxel
 	}
 	if ax.eq && ay.eq && az.eq {
@@ -322,7 +319,7 @@ func (t *Tree) walkFirstBlocked(a, b geom.Vec3, ax, ay, az *rayAxis, q QueryPoli
 		if tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= maxKey || y >= maxKey || z >= maxKey {
 			break // walker overshoot artifact; see walkFree
 		}
-		if q.blocked(cp.classify(x, y, z)) {
+		if q.blocked(t.classify(x, y, z)) {
 			// segParam on the (0,1) seed: map the clipped-walk entry back to
 			// the caller's a→b parameterisation, clamped to [0,1].
 			f := clipLo + tEntry*clipSpan

@@ -21,18 +21,17 @@ type RayPoint struct {
 // resulting log-odds bit-for-bit.
 //
 // History: PR 2 implemented this call with a per-voxel grouping layer (walk
-// all rays once, group hit/miss evidence per unique voxel, one descent per
-// unique voxel). PR 2's memoised descent caches then made single descents so
-// cheap that the grouping bookkeeping became pure overhead (~15% of mission
-// time), so PR 3 collapsed it back to the straight per-ray loop — keeping
-// this API as the mission-path batching boundary (and as the place a future
-// grouping layer would slot back in, should descents ever get expensive
-// again). The per-voxel call chain of each ray (walker step, descent,
-// clamped update) was later fused into one loop, carve, with the bytes
-// unchanged; the old per-voxel loop survives only as the test oracle.
-// Steady-state calls allocate nothing beyond amortised node-arena growth when
-// the scan observes new space, and a tree recycled through Reset keeps its
-// grown arena.
+// all rays once, group hit/miss evidence per unique voxel, one octree descent
+// per unique voxel). PR 2's memoised descent caches then made single descents
+// so cheap that the grouping bookkeeping became pure overhead (~15% of
+// mission time), so PR 3 collapsed it back to the straight per-ray loop —
+// keeping this API as the mission-path batching boundary. PR 12 fused each
+// ray's per-voxel call chain into one loop, carve, and PR 13 replaced the
+// octree under it with the brick store, where an update is one or two array
+// loads; the bytes never changed, and an independent map oracle in the
+// package tests pins them. Steady-state calls allocate nothing beyond
+// amortised brick-slab growth when the scan observes new space, and a tree
+// recycled through Reset keeps its grown slab.
 func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 	for i := range pts {
 		t.integrateRay(origin, pts[i].End, pts[i].Hit)
@@ -53,7 +52,7 @@ func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 // Saturated-evidence memoization (memo): a ray whose endpoint voxel is
 // already clamped in the direction of the ray's own evidence — a hit into
 // a voxel at the upper log-odds clamp, a free endpoint at the lower clamp —
-// is skipped entirely, one memoised lookup instead of a full carve. On a
+// is skipped entirely, one brick lookup instead of a full carve. On a
 // map forked from a converged golden seed nearly every ray into already-
 // mapped space qualifies, which is what makes cross-mission memoization
 // pay: the fork carries the prior campaign evidence, and re-confirming it

@@ -8,33 +8,21 @@ import (
 	"mavfi/internal/geom"
 )
 
-// collectLeaves flattens a tree into the log-odds value of every leaf voxel
-// at full resolution, keyed by voxel coordinates, by expanding coarser
-// leaves over the keys they cover.
+// voxelKey returns the key of voxel i of the brick in cell.
+func voxelKey(t *Tree, cell, i int) [3]int {
+	nc := t.nc
+	return [3]int{cell%nc*8 + i&7, cell/nc%nc*8 + (i>>3)&7, cell/nc/nc*8 + i>>6}
+}
+
+// collectLeaves flattens a tree into the log-odds of every voxel its
+// allocated bricks hold, keyed by voxel key.
 func collectLeaves(t *Tree) map[[3]int]float64 {
 	out := map[[3]int]float64{}
-	var walk func(ni int32, level, x, y, z int)
-	walk = func(ni int32, level, x, y, z int) {
-		fc := t.nodes[ni].firstChild
-		if fc == noChild {
-			span := 1 << uint(level+1)
-			for dx := 0; dx < span; dx++ {
-				for dy := 0; dy < span; dy++ {
-					for dz := 0; dz < span; dz++ {
-						out[[3]int{x + dx, y + dy, z + dz}] = t.nodes[ni].logOdds
-					}
-				}
-			}
-			return
+	t.store.each(func(cell int, vals []float64) {
+		for i, v := range vals {
+			out[voxelKey(t, cell, i)] = v
 		}
-		for i := 0; i < 8; i++ {
-			cx := x | ((i >> 2 & 1) << uint(level))
-			cy := y | ((i >> 1 & 1) << uint(level))
-			cz := z | ((i & 1) << uint(level))
-			walk(fc+int32(i), level-1, cx, cy, cz)
-		}
-	}
-	walk(0, t.depth-1, 0, 0, 0)
+	})
 	return out
 }
 
@@ -150,29 +138,32 @@ func TestInsertCloudCorruptedEndpointBoundedAndBitExact(t *testing.T) {
 	compareTrees(t, ref, bat)
 }
 
-// compareTrees asserts two trees have identical structure and bit-identical
-// log-odds everywhere, by parallel recursive walk (cheap even on large
-// volumes, unlike expanding coarse leaves to full resolution).
+// compareTrees asserts two trees hold bricks in the same cells with
+// bit-identical log-odds in every voxel.
 func compareTrees(t *testing.T, a, b *Tree) {
 	t.Helper()
-	var walk func(ai, bi int32, path string)
-	walk = func(ai, bi int32, path string) {
-		an, bn := a.nodes[ai], b.nodes[bi]
-		if math.Float64bits(an.logOdds) != math.Float64bits(bn.logOdds) {
-			t.Fatalf("node %s log-odds not bit-identical: %v vs %v", path, an.logOdds, bn.logOdds)
+	type brick struct {
+		cell int
+		vals []float64
+	}
+	bricks := func(tr *Tree) (out []brick) {
+		tr.store.each(func(cell int, vals []float64) { out = append(out, brick{cell, vals}) })
+		return out
+	}
+	ab, bb := bricks(a), bricks(b)
+	if len(ab) != len(bb) {
+		t.Fatalf("brick counts diverge: %d vs %d", len(ab), len(bb))
+	}
+	for i := range ab {
+		if ab[i].cell != bb[i].cell {
+			t.Fatalf("brick %d: cell %d vs %d", i, ab[i].cell, bb[i].cell)
 		}
-		if (an.firstChild == noChild) != (bn.firstChild == noChild) {
-			t.Fatalf("node %s structure diverges: leaf=%v vs leaf=%v",
-				path, an.firstChild == noChild, bn.firstChild == noChild)
-		}
-		if an.firstChild == noChild {
-			return
-		}
-		for i := int32(0); i < 8; i++ {
-			walk(an.firstChild+i, bn.firstChild+i, path+string(rune('0'+i)))
+		for j := range ab[i].vals {
+			if av, bv := ab[i].vals[j], bb[i].vals[j]; math.Float64bits(av) != math.Float64bits(bv) {
+				t.Fatalf("voxel %v log-odds not bit-identical: %v vs %v", voxelKey(a, ab[i].cell, j), av, bv)
+			}
 		}
 	}
-	walk(0, 0, "/")
 }
 
 // TestInsertCloudEmptyAndOutOfVolume exercises the degenerate inputs.

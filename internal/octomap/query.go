@@ -45,28 +45,18 @@ func probeOffsets(r float64) [6]geom.Vec3 {
 // policy (centre voxel plus the 6 probe voxels at the radius; see
 // probeOffsets).
 func (t *Tree) PointFree(p geom.Vec3, q QueryPolicy) bool {
-	cp := t.classProbeView()
-	if q.blocked(cp.at(p)) {
+	if q.blocked(t.At(p)) {
 		return false
 	}
 	if q.Radius <= 0 {
 		return true
 	}
 	for _, d := range probeOffsets(q.Radius) {
-		if q.blocked(cp.at(p.Add(d))) {
+		if q.blocked(t.At(p.Add(d))) {
 			return false
 		}
 	}
 	return true
-}
-
-// at is At on the hoisted cache view.
-func (cp *classProbe) at(p geom.Vec3) Occupancy {
-	x, y, z, ok := cp.t.key(p)
-	if !ok {
-		return Occupied
-	}
-	return cp.classify(x, y, z)
 }
 
 // SegmentFree reports whether the segment a→b is traversable under the
@@ -89,13 +79,12 @@ func (cp *classProbe) at(p geom.Vec3) Occupancy {
 // sequence are bit-identical to the per-ray reference (segmentFreeSeq in
 // the equivalence suite).
 func (t *Tree) SegmentFree(a, b geom.Vec3, q QueryPolicy) bool {
-	cp := t.classProbeView()
 	var m multiWalker
 	m.init(t, a, b)
 	if q.Radius > 0 && t.bundleAllFree(&m, a, b, q) {
 		return true // no walk can classify anything outside zero-count blocks
 	}
-	if !t.walkFree(&m.x, &m.y, &m.z, q, &cp) {
+	if !t.walkFree(&m.x, &m.y, &m.z, q) {
 		return false
 	}
 	if q.Radius <= 0 {
@@ -109,13 +98,13 @@ func (t *Tree) SegmentFree(a, b geom.Vec3, q QueryPolicy) bool {
 		switch i >> 1 {
 		case 0:
 			t.fillRayAxis(&m.o, a.X+offs[i].X, b.X+offs[i].X, t.origin.X)
-			free = t.walkFree(&m.o, &m.y, &m.z, q, &cp)
+			free = t.walkFree(&m.o, &m.y, &m.z, q)
 		case 1:
 			t.fillRayAxis(&m.o, a.Y+offs[i].Y, b.Y+offs[i].Y, t.origin.Y)
-			free = t.walkFree(&m.x, &m.o, &m.z, q, &cp)
+			free = t.walkFree(&m.x, &m.o, &m.z, q)
 		default:
 			t.fillRayAxis(&m.o, a.Z+offs[i].Z, b.Z+offs[i].Z, t.origin.Z)
-			free = t.walkFree(&m.x, &m.y, &m.o, q, &cp)
+			free = t.walkFree(&m.x, &m.y, &m.o, q)
 		}
 		if !free {
 			return false
@@ -125,14 +114,13 @@ func (t *Tree) SegmentFree(a, b geom.Vec3, q QueryPolicy) bool {
 }
 
 // rayFree reports whether every voxel crossed by the single segment a→b is
-// unblocked, with the whole segment inside the mapped volume. cp is the
-// caller's cache view, shared across a query's probe rays.
+// unblocked, with the whole segment inside the mapped volume.
 //
 // Since PR 5 this is the retained per-ray reference: production queries run
 // the fused walkFree (bit-identical, pinned by the equivalence suite), and
 // this body exists so the reference cannot drift from what the fused walker
 // must reproduce.
-func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy, cp *classProbe) bool {
+func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy) bool {
 	ax, ay, az, aIn := t.key(a)
 	if !aIn {
 		return false
@@ -142,7 +130,7 @@ func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy, cp *classProbe) bool {
 		// segment crosses out-of-volume (Occupied) space.
 		return false
 	}
-	if q.blocked(cp.classify(ax, ay, az)) {
+	if q.blocked(t.classify(ax, ay, az)) {
 		return false
 	}
 	if a == b {
@@ -173,19 +161,7 @@ func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy, cp *classProbe) bool {
 			// terminates the walk before either guard can trip).
 			return true
 		}
-		// Manually inlined classProbe.classify hit path: one predictable
-		// branch and one byte load per crossed voxel on a warm cache.
-		var o Occupancy
-		if cp.grid != nil && x < cp.nx && y < cp.ny && z < cp.nz {
-			if v := cp.grid[(z*cp.ny+y)*cp.nx+x]; v>>2 == cp.epoch {
-				o = Occupancy(v & 3)
-			} else {
-				o = cp.classify(x, y, z)
-			}
-		} else {
-			o = cp.classify(x, y, z)
-		}
-		if q.blocked(o) {
+		if q.blocked(t.classify(x, y, z)) {
 			return false
 		}
 		if x == w.ex && y == w.ey && z == w.ez {
@@ -222,14 +198,13 @@ func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy, cp *classProbe) bool {
 // SegmentFree and fusedwalk.go); a ray whose far endpoint leaves the volume
 // still takes the sequential slab-clipped walk through rayFirstBlocked.
 func (t *Tree) FirstBlocked(a, b geom.Vec3, q QueryPolicy) (frac float64, ok bool) {
-	cp := t.classProbeView()
 	var m multiWalker
 	m.init(t, a, b)
 	if q.Radius > 0 && t.bundleAllFree(&m, a, b, q) {
 		return 0, false // no walk can classify anything outside zero-count blocks
 	}
 	first := math.Inf(1)
-	if f, blocked := t.walkFirstBlocked(a, b, &m.x, &m.y, &m.z, q, &cp); blocked {
+	if f, blocked := t.walkFirstBlocked(a, b, &m.x, &m.y, &m.z, q); blocked {
 		first = f
 	}
 	if q.Radius > 0 {
@@ -241,13 +216,13 @@ func (t *Tree) FirstBlocked(a, b geom.Vec3, q QueryPolicy) (frac float64, ok boo
 			switch i >> 1 {
 			case 0:
 				t.fillRayAxis(&m.o, ao.X, bo.X, t.origin.X)
-				f, blocked = t.walkFirstBlocked(ao, bo, &m.o, &m.y, &m.z, q, &cp)
+				f, blocked = t.walkFirstBlocked(ao, bo, &m.o, &m.y, &m.z, q)
 			case 1:
 				t.fillRayAxis(&m.o, ao.Y, bo.Y, t.origin.Y)
-				f, blocked = t.walkFirstBlocked(ao, bo, &m.x, &m.o, &m.z, q, &cp)
+				f, blocked = t.walkFirstBlocked(ao, bo, &m.x, &m.o, &m.z, q)
 			default:
 				t.fillRayAxis(&m.o, ao.Z, bo.Z, t.origin.Z)
-				f, blocked = t.walkFirstBlocked(ao, bo, &m.x, &m.y, &m.o, q, &cp)
+				f, blocked = t.walkFirstBlocked(ao, bo, &m.x, &m.y, &m.o, q)
 			}
 			if blocked && f < first {
 				first = f
@@ -262,19 +237,18 @@ func (t *Tree) FirstBlocked(a, b geom.Vec3, q QueryPolicy) (frac float64, ok boo
 
 // rayFirstBlocked returns the parametric position along the single segment
 // a→b at which the ray first enters blocked (or out-of-volume) space, and
-// whether any such position exists. cp is the caller's cache view, shared
-// across a query's probe rays.
+// whether any such position exists.
 //
 // Since PR 5 this body serves two callers: the fused walkFirstBlocked
 // delegates rays whose far endpoint keys outside the volume here (the walk
 // then needs the slab clip), and the sequential reference of the
 // fused-vs-sequential equivalence suite (firstBlockedSeq) is built on it.
-func (t *Tree) rayFirstBlocked(a, b geom.Vec3, q QueryPolicy, cp *classProbe) (float64, bool) {
+func (t *Tree) rayFirstBlocked(a, b geom.Vec3, q QueryPolicy) (float64, bool) {
 	ax, ay, az, aIn := t.key(a)
 	if !aIn {
 		return 0, true // starts in out-of-volume (Occupied) space
 	}
-	if q.blocked(cp.classify(ax, ay, az)) {
+	if q.blocked(t.classify(ax, ay, az)) {
 		return 0, true // starts inside a blocked voxel
 	}
 	if a == b {
@@ -290,7 +264,7 @@ func (t *Tree) rayFirstBlocked(a, b geom.Vec3, q QueryPolicy, cp *classProbe) (f
 		if w.tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= t.maxKey || y >= t.maxKey || z >= t.maxKey {
 			break // walker overshoot artifact; see rayFree
 		}
-		if q.blocked(cp.classify(x, y, z)) {
+		if q.blocked(t.classify(x, y, z)) {
 			return w.segParam(w.tEntry), true
 		}
 	}

@@ -225,62 +225,74 @@ func TestFirstBlockedMatchesOracleAndReference(t *testing.T) {
 	}
 }
 
-// TestClassCacheTransparent: queries with the per-voxel classification cache
-// armed must be indistinguishable from uncached queries, across interleaved
-// map mutations (which must invalidate the cache).
+// TestClassCacheTransparent: queries classifying from the exact grid must
+// be indistinguishable from a control tree whose grid is set aside (every
+// probe reads its brick), across interleaved map mutations of both.
 func TestClassCacheTransparent(t *testing.T) {
 	cached := queryTestTree(41)
 	plain := queryTestTree(41)
-	cached.EnableClassCache()
+	plain.grid = nil // classify from the bricks only
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 200; i++ {
 			a, b := randomInteriorPoint(rng), randomInteriorPoint(rng)
 			if ca, pa := cached.At(a), plain.At(a); ca != pa {
-				t.Fatalf("round %d: At(%v) cached %v != plain %v", round, a, ca, pa)
+				t.Fatalf("round %d: At(%v) grid %v != bricks %v", round, a, ca, pa)
 			}
 			if cs, ps := cached.SegmentFree(a, b, testPolicy), plain.SegmentFree(a, b, testPolicy); cs != ps {
-				t.Fatalf("round %d: SegmentFree(%v,%v) cached %v != plain %v", round, a, b, cs, ps)
+				t.Fatalf("round %d: SegmentFree(%v,%v) grid %v != bricks %v", round, a, b, cs, ps)
 			}
 			cf, cok := cached.FirstBlocked(a, b, testPolicy)
 			pf, pok := plain.FirstBlocked(a, b, testPolicy)
 			if cok != pok || math.Float64bits(cf) != math.Float64bits(pf) {
-				t.Fatalf("round %d: FirstBlocked(%v,%v) cached (%v,%v) != plain (%v,%v)", round, a, b, cf, cok, pf, pok)
+				t.Fatalf("round %d: FirstBlocked(%v,%v) grid (%v,%v) != bricks (%v,%v)", round, a, b, cf, cok, pf, pok)
 			}
 		}
-		// Mutate both maps identically; the cache must drop its epoch.
+		// Mutate both maps identically; the grid must follow every write.
 		origin := randomInteriorPoint(rng)
 		pts := randomScan(rng, origin, 40)
 		cached.InsertCloud(origin, pts)
 		plain.InsertCloud(origin, pts)
 	}
+	assertGridExact(t, cached, "after interleaved mutations")
 }
 
-// TestClassCacheEpochWrap forces the 6-bit epoch counter to wrap and checks
-// classifications stay correct across the wrap (the grid is cleared so stale
-// stamps cannot alias).
-func TestClassCacheEpochWrap(t *testing.T) {
+// TestClassGridExact flips one voxel between Free and Occupied 70 times
+// through MarkFree/MarkOccupied (the scenario of the retired epoch-wrap
+// test), plus a carve through it, and requires its grid byte, At and the
+// summary to follow every single update, with the whole grid exact at the
+// end.
+func TestClassGridExact(t *testing.T) {
 	tr := newTestTree()
-	tr.EnableClassCache()
 	p := geom.V(5.25, 5.25, 5.25)
+	x, y, z, _ := tr.key(p)
+	gridAt := func() Occupancy { return Occupancy(tr.grid[(z*tr.ny+y)*tr.nx+x]) }
+	if gridAt() != Unknown {
+		t.Fatal("fresh grid byte not Unknown")
+	}
 	for i := 0; i < 70; i++ {
 		want := Free
 		if i%2 == 1 {
 			want = Occupied
 		}
-		// Flip the voxel's state; each mutation bumps the epoch on the next
-		// query.
 		for tr.At(p) != want {
 			if want == Occupied {
 				tr.MarkOccupied(p)
 			} else {
 				tr.MarkFree(p)
 			}
-		}
-		if got := tr.At(p); got != want {
-			t.Fatalf("iteration %d: At = %v, want %v", i, got, want)
+			lo, _ := tr.lookup(x, y, z)
+			if got := gridAt(); got != tr.classOf(lo) {
+				t.Fatalf("iteration %d: grid byte %v after an update to %v", i, got, lo)
+			}
+			if got := tr.sum.counts[tr.cell(x, y, z)]; (got == 1) != (tr.classOf(lo) == Occupied) {
+				t.Fatalf("iteration %d: summary count %d for a voxel at %v", i, got, lo)
+			}
 		}
 	}
+	tr.InsertRay(geom.V(0.25, 5.25, 5.25), geom.V(31.75, 5.25, 5.25), false)
+	assertGridExact(t, tr, "after 70 flips and a carve")
+	assertSummaryExact(t, tr, "after 70 flips and a carve")
 }
 
 // TestFirstBlockedStartsInsideOccupiedVoxel: a ray beginning inside a
@@ -367,11 +379,10 @@ func TestSegmentQueriesAxisAlignedOnVoxelBoundary(t *testing.T) {
 // axis delta below the DDA's 1e-12 threshold (step 0) whose endpoints still
 // straddle a voxel boundary makes the end key unreachable, and the walker
 // burns its defensive step budget drifting past the clipped key range —
-// queries must treat those artifact keys as walk exhaustion, not crash the
-// armed classification cache or misreport a collision.
+// queries must treat those artifact keys as walk exhaustion, not index the
+// classification grid with them or misreport a collision.
 func TestSegmentQueriesDegenerateAxisDelta(t *testing.T) {
 	tr := newTestTree()
-	tr.EnableClassCache()
 	q := QueryPolicy{UnknownIsFree: true}
 	a := geom.V(5.25, 6.0-4e-13, 1.2)
 	b := geom.V(5.25, 6.0+4e-13, 0.1)
@@ -391,7 +402,6 @@ func TestSegmentQueriesDegenerateAxisDelta(t *testing.T) {
 	// segment end, in line with the drifting walk, must not produce a
 	// phantom collision.
 	tr2 := newTestTree()
-	tr2.EnableClassCache()
 	a2 := geom.V(5.25, 6.0-4e-13, 4.25)
 	b2 := geom.V(5.25, 6.0+4e-13, 3.25)
 	tr2.MarkOccupied(geom.V(5.25, 5.75, 2.25)) // below b2, never crossed

@@ -1,6 +1,7 @@
 package octomap
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,32 +9,140 @@ import (
 	"mavfi/internal/geom"
 )
 
-// insertRayReference is the per-voxel insertion loop the fused carve
-// replaced: rayWalker.next yields each crossed voxel and updateKey applies
-// its miss evidence through descend and applyDelta, one call chain per
-// voxel, before the endpoint gets its hit or miss. It is kept only as the
-// oracle the fused kernel must reproduce bit for bit, and as the before-side
-// of BenchmarkInsertRayReference.
-func (t *Tree) insertRayReference(origin, end geom.Vec3, hit bool) {
-	ex, ey, ez, endOK := t.key(end)
-	var w rayWalker
-	t.startWalk(&w, origin, end)
-	for {
-		x, y, z, _, ok := w.next()
-		if !ok {
-			break
+// refMap is the oracle the fused carve and the brick store are checked
+// against: a plain map from masked leaf key to log-odds that shares no
+// storage and no update code with the tree. Rays are walked with walkRay and
+// every crossed voxel gets its clamped miss, one map write per voxel, before
+// the endpoint gets its hit or miss; the summary counts and the classes are
+// derived from the map when a test asks for them.
+type refMap struct {
+	p       Params
+	mask    int
+	vox     map[[3]int]float64
+	updates int
+}
+
+func newRefMap(tr *Tree) *refMap {
+	return &refMap{p: tr.params, mask: tr.maxKey - 1, vox: map[[3]int]float64{}}
+}
+
+// update applies one clamped evidence delta at the masked key.
+func (r *refMap) update(x, y, z int, delta float64) {
+	k := [3]int{x & r.mask, y & r.mask, z & r.mask}
+	r.vox[k] = geom.Clampf(r.vox[k]+delta, r.p.ClampMin, r.p.ClampMax)
+	r.updates++
+}
+
+// insertRay is InsertRay's evidence schedule, one voxel at a time.
+func (r *refMap) insertRay(tr *Tree, origin, end geom.Vec3, hit bool) {
+	ex, ey, ez, endOK := tr.key(end)
+	tr.walkRay(origin, end, func(x, y, z int, _ bool) {
+		if !endOK || x != ex || y != ey || z != ez {
+			r.update(x, y, z, r.p.LogOddsMiss)
 		}
-		if endOK && x == ex && y == ey && z == ez {
-			continue // endpoint voxel handled below
-		}
-		t.updateKey(x, y, z, t.params.LogOddsMiss)
-	}
+	})
 	if endOK {
 		if hit {
-			t.updateKey(ex, ey, ez, t.params.LogOddsHit)
+			r.update(ex, ey, ez, r.p.LogOddsHit)
 		} else {
-			t.updateKey(ex, ey, ez, t.params.LogOddsMiss)
+			r.update(ex, ey, ez, r.p.LogOddsMiss)
 		}
+	}
+}
+
+// class classifies one oracle value.
+func (r *refMap) class(lo float64) Occupancy {
+	switch {
+	case lo == 0:
+		return Unknown
+	case lo >= r.p.OccThresh:
+		return Occupied
+	}
+	return Free
+}
+
+// assertMatchesOracle requires tr to hold exactly the oracle's map: the same
+// leaf-update total, bit-identical log-odds in every voxel (and nothing
+// non-zero anywhere else), the summary counts the oracle's classes imply,
+// and the oracle's class in every classification-grid byte.
+func assertMatchesOracle(t *testing.T, tr *Tree, ref *refMap, when string) {
+	t.Helper()
+	if tr.LeafUpdates() != ref.updates {
+		t.Fatalf("%s: leaf updates: tree %d, oracle %d", when, tr.LeafUpdates(), ref.updates)
+	}
+	// Every non-zero voxel of the tree is an oracle voxel with the same bits,
+	// and the tree has as many non-zero voxels as the oracle.
+	treeKnown, refKnown := 0, 0
+	tr.store.each(func(cell int, vals []float64) {
+		for i, g := range vals {
+			if g == 0 {
+				continue
+			}
+			k := voxelKey(tr, cell, i)
+			if w, ok := ref.vox[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: voxel %v: tree %v, oracle %v (written %v)", when, k, g, w, ok)
+			}
+			treeKnown++
+		}
+	})
+	for _, w := range ref.vox {
+		if w != 0 {
+			refKnown++
+		}
+	}
+	if treeKnown != refKnown {
+		t.Fatalf("%s: tree holds %d non-zero voxels, oracle %d", when, treeKnown, refKnown)
+	}
+
+	nc := tr.maxKey / 8
+	if nc == 0 {
+		nc = 1
+	}
+	if cells := nc * nc * nc; cells > maxDenseCells {
+		if tr.sum.counts != nil {
+			t.Fatalf("%s: summary armed over the cap (%d cells)", when, cells)
+		}
+	} else {
+		counts := make([]uint16, cells)
+		for k, v := range ref.vox {
+			if ref.class(v) == Occupied {
+				counts[((k[2]/8)*nc+k[1]/8)*nc+k[0]/8]++
+			}
+		}
+		if len(tr.sum.counts) != len(counts) {
+			t.Fatalf("%s: summary has %d cells, want %d", when, len(tr.sum.counts), len(counts))
+		}
+		for i, c := range counts {
+			if tr.sum.counts[i] != c {
+				t.Fatalf("%s: summary cell %d: tree %d, oracle %d", when, i, tr.sum.counts[i], c)
+			}
+		}
+	}
+
+	if tr.grid == nil {
+		t.Fatalf("%s: test world has no classification grid", when)
+	}
+	known := 0
+	for k, v := range ref.vox {
+		if k[0] >= tr.nx || k[1] >= tr.ny || k[2] >= tr.nz {
+			continue
+		}
+		want := ref.class(v)
+		if g := Occupancy(tr.grid[(k[2]*tr.ny+k[1])*tr.nx+k[0]]); g != want {
+			t.Fatalf("%s: grid byte of %v: %v, oracle %v", when, k, g, want)
+		}
+		if want != Unknown {
+			known++
+		}
+	}
+	nonzero := 0
+	for _, b := range tr.grid {
+		if b != 0 {
+			nonzero++
+		}
+	}
+	if nonzero != known {
+		t.Fatalf("%s: grid holds %d known voxels, oracle %d", when, nonzero, known)
 	}
 }
 
@@ -57,20 +166,21 @@ func flipBit(f float64, bit uint) float64 {
 	return math.Float64frombits(math.Float64bits(f) ^ 1<<bit)
 }
 
-// referenceScans builds the randomized scan schedule the fused-vs-reference
-// test feeds both trees: mission-like scans from moving origins, with every
-// ray class the fused carve must handle like the per-voxel loop —
+// referenceScans builds the randomized scan schedule the fused-vs-oracle
+// test feeds a tree over a volume of the given size at the origin: mission-
+// like scans from moving origins, with every ray class the fused carve must
+// handle like the per-voxel loop —
 //   - endpoints with flipped bits (mantissa, exponent and sign), as the
 //     KernelOctoMap hook produces;
 //   - rays that start or end outside the volume, so the walk is slab-clipped,
 //     and rays that miss it entirely;
 //   - the degenerate-axis overshoot rays whose walker overruns the key cube
-//     and whose evidence aliases onto masked keys;
+//     (in a 16 m cube) and whose evidence aliases onto masked keys;
 //   - repeated rays that drive voxels to both clamps.
-func referenceScans(rng *rand.Rand, span float64) []refScan {
+func referenceScans(rng *rand.Rand, size geom.Vec3) []refScan {
 	var scans []refScan
 	for s := 0; s < 6; s++ {
-		origin := geom.V(rng.Float64()*span, rng.Float64()*span, rng.Float64()*span)
+		origin := geom.V(rng.Float64()*size.X, rng.Float64()*size.Y, rng.Float64()*size.Z)
 		pts := randomScan(rng, origin, 80)
 		for i := range pts {
 			if rng.Intn(8) == 0 {
@@ -89,15 +199,16 @@ func referenceScans(rng *rand.Rand, span float64) []refScan {
 	}
 	// Slab-clipped rays: origin outside, endpoint inside, and the reverse,
 	// plus a ray that never meets the volume.
-	out := geom.V(-3, span/2, span/3)
+	mid := size.Scale(0.5)
+	out := geom.V(-3, mid.Y, size.Z/3)
 	scans = append(scans, refScan{out, []RayPoint{
-		{End: geom.V(span/2, span/2, span/2), Hit: true},
-		{End: geom.V(span+4, span/3, span/2), Hit: false},
+		{End: mid, Hit: true},
+		{End: geom.V(size.X+4, size.Y/3, mid.Z), Hit: false},
 		{End: geom.V(-9, -9, -9), Hit: true},
 	}})
-	scans = append(scans, refScan{geom.V(span/2, span/2, span/2), []RayPoint{
-		{End: geom.V(span+7, span/2, span/4), Hit: true},
-		{End: geom.V(span/3, -6, span/2), Hit: false},
+	scans = append(scans, refScan{mid, []RayPoint{
+		{End: geom.V(size.X+7, mid.Y, size.Z/4), Hit: true},
+		{End: geom.V(size.X/3, -6, mid.Z), Hit: false},
 	}})
 	// Degenerate-axis overshoot rays (the summary aliasing cases).
 	scans = append(scans,
@@ -110,7 +221,7 @@ func referenceScans(rng *rand.Rand, span float64) []refScan {
 	origin := geom.V(1.25, 1.25, 1.25)
 	var hits, misses []RayPoint
 	for i := 0; i < 5; i++ {
-		end := geom.V(1.25+float64(i)*2.5, span-1.75, span/2+0.25)
+		end := geom.V(1.25+float64(i)*2.5, size.Y-1.75, mid.Z+0.25)
 		for rep := 0; rep < 12; rep++ {
 			hits = append(hits, RayPoint{End: end, Hit: true})
 			misses = append(misses, RayPoint{End: end, Hit: false})
@@ -126,83 +237,82 @@ type refScan struct {
 }
 
 // TestFusedCarveMatchesReference is the equivalence gate for the fused
-// carve: the same randomized scans fed to a tree through InsertCloud (and,
-// on alternate scans, InsertRay) and to a tree through the per-voxel
-// reference loop must leave identical Digests, leaf-update totals, summary
-// counts, arena layouts and per-voxel log-odds. Dropping, duplicating or
-// reordering a single voxel update fails it.
+// carve and the brick store: the same randomized scans fed to a tree through
+// InsertCloud (and, on alternate scans, InsertRay) and to the map oracle
+// must leave, after every scan, the same leaf-update total, bit-identical
+// log-odds in every voxel, exact summary counts and exact classification
+// bytes. It runs on a 16 m cube, whose key cube the overshoot rays overrun,
+// and on a 600 m corridor whose 2^24-cell brick grid is over maxDenseCells,
+// so its bricks are keyed through the map and it has no summary. Dropping,
+// duplicating or misaddressing a single voxel update, summary update or grid
+// write fails it.
 func TestFusedCarveMatchesReference(t *testing.T) {
-	bounds := geom.Box(geom.V(0, 0, 0), geom.V(16, 16, 16))
+	worlds := []struct {
+		name   string
+		bounds geom.AABB
+		trials int
+		dense  bool // the brick index is the dense slice, not the map
+	}{
+		{"16 m cube", geom.Box(geom.V(0, 0, 0), geom.V(16, 16, 16)), 12, true},
+		{"corridor over the dense-index cap", geom.Box(geom.V(0, 0, 0), geom.V(600, 40, 20)), 2, false},
+	}
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 12; trial++ {
-		fused := New(bounds, 0.5, DefaultParams())
-		ref := New(bounds, 0.5, DefaultParams())
-		for i, sc := range referenceScans(rng, 16) {
-			if i%2 == 0 {
-				fused.InsertCloud(sc.origin, sc.pts)
-			} else {
-				for _, p := range sc.pts {
-					fused.InsertRay(sc.origin, p.End, p.Hit)
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			for trial := 0; trial < w.trials; trial++ {
+				tr := New(w.bounds, 0.5, DefaultParams())
+				if dense := tr.store.index != nil; dense != w.dense {
+					t.Fatalf("dense brick index = %v in the %s", dense, w.name)
+				}
+				ref := newRefMap(tr)
+				for i, sc := range referenceScans(rng, w.bounds.Size()) {
+					if i%2 == 0 {
+						tr.InsertCloud(sc.origin, sc.pts)
+					} else {
+						for _, p := range sc.pts {
+							tr.InsertRay(sc.origin, p.End, p.Hit)
+						}
+					}
+					for _, p := range sc.pts {
+						ref.insertRay(tr, sc.origin, p.End, p.Hit)
+					}
+					assertMatchesOracle(t, tr, ref, fmt.Sprintf("trial %d scan %d", trial, i))
+				}
+				p := DefaultParams()
+				var atMin, atMax bool
+				for _, lo := range ref.vox {
+					atMin = atMin || lo == p.ClampMin
+					atMax = atMax || lo == p.ClampMax
+				}
+				if !atMin || !atMax {
+					t.Fatalf("trial %d: scans never reached both clamps (min %v, max %v)", trial, atMin, atMax)
 				}
 			}
-			for _, p := range sc.pts {
-				ref.insertRayReference(sc.origin, p.End, p.Hit)
-			}
-		}
-		if fused.LeafUpdates() != ref.LeafUpdates() {
-			t.Fatalf("trial %d: leaf updates: fused %d, reference %d", trial, fused.LeafUpdates(), ref.LeafUpdates())
-		}
-		if len(fused.nodes) != len(ref.nodes) {
-			t.Fatalf("trial %d: arena: fused %d nodes, reference %d", trial, len(fused.nodes), len(ref.nodes))
-		}
-		for i := range ref.sum.counts {
-			if fused.sum.counts[i] != ref.sum.counts[i] {
-				t.Fatalf("trial %d: summary block %d: fused %d, reference %d", trial, i, fused.sum.counts[i], ref.sum.counts[i])
-			}
-		}
-		assertSummaryExact(t, fused, "fused tree")
-		compareTrees(t, ref, fused)
-		want, got := collectLeaves(ref), collectLeaves(fused)
-		for k, w := range want {
-			if math.Float64bits(w) != math.Float64bits(got[k]) {
-				t.Fatalf("trial %d: voxel %v: fused %v, reference %v", trial, k, got[k], w)
-			}
-		}
-		if fused.Digest() != ref.Digest() {
-			t.Fatalf("trial %d: Digest: fused %016x, reference %016x", trial, fused.Digest(), ref.Digest())
-		}
-		p := DefaultParams()
-		var atMin, atMax bool
-		for _, lo := range want {
-			atMin = atMin || lo == p.ClampMin
-			atMax = atMax || lo == p.ClampMax
-		}
-		if !atMin || !atMax {
-			t.Fatalf("trial %d: scans never reached both clamps (min %v, max %v)", trial, atMin, atMax)
-		}
+		})
 	}
 }
 
-// TestCarveRetiresCachedClassifications pins the once-per-ray mutation
-// count of the fused carve: a ray whose endpoint lies outside the volume
-// changes the map through its carve alone — no expansion when the path is
-// already expanded, no endpoint update — and must still retire every cached
-// classification, or the planners are served the map as it was.
+// TestCarveRetiresCachedClassifications pins the class-grid write on the
+// carve path: a ray whose endpoint lies outside the volume changes the map
+// through its carve alone — no endpoint update — and must flip the grid
+// byte of an occupied voxel it carves through to Free, or the planners are
+// served the map as it was.
 func TestCarveRetiresCachedClassifications(t *testing.T) {
 	tr := newTestTree()
 	origin, out := geom.V(2.25, 10.25, 4.25), geom.V(40.25, 10.25, 4.25) // ends past x = 32
 	v := geom.V(10.25, 10.25, 4.25)
-	tr.InsertRay(origin, out, false) // expands every node on the path
+	tr.InsertRay(origin, out, false) // allocates every brick on the path
 	tr.MarkOccupied(v)
-	tr.EnableClassCache()
-	if got := tr.At(v); got != Occupied {
-		t.Fatalf("setup: At(v) = %v, want Occupied", got)
+	x, y, z, _ := tr.key(v)
+	gridAt := func() Occupancy { return Occupancy(tr.grid[(z*tr.ny+y)*tr.nx+x]) }
+	if got := gridAt(); got != Occupied || tr.At(v) != Occupied {
+		t.Fatalf("setup: grid byte %v, At %v, want Occupied", got, tr.At(v))
 	}
 	for i := 0; i < 3; i++ {
 		tr.InsertRay(origin, out, false)
 	}
 	p, _ := tr.Prob(v)
-	if got := tr.At(v); got != Free || p >= 0.5 {
-		t.Fatalf("after carving through v: At = %v (p = %v), want Free", got, p)
+	if got := gridAt(); got != Free || tr.At(v) != Free || p >= 0.5 {
+		t.Fatalf("after carving through v: grid byte %v, At %v (p = %v), want Free", got, tr.At(v), p)
 	}
 }

@@ -59,10 +59,9 @@ func assertSameQueries(t *testing.T, got, want *Tree, bounds geom.AABB, seed int
 }
 
 // mapWorld feeds a tree mission-like scans over bounds and queries it in
-// between, so it ends with grown arenas, warm path and query caches, an
-// armed classification cache and a non-zero mutation count.
+// between, so it ends with a grown brick slab and a populated summary and
+// classification grid.
 func mapWorld(tr *Tree, bounds geom.AABB, seed int64) {
-	tr.EnableClassCache()
 	rng := rand.New(rand.NewSource(seed))
 	size := bounds.Size()
 	for s := 0; s < 4; s++ {
@@ -79,11 +78,12 @@ func mapWorld(tr *Tree, bounds geom.AABB, seed int64) {
 // free list rests on. A tree that mapped one world and is Reset to a
 // world with different extents must digest like a New tree straight away
 // and, fed the same scans afterwards, keep matching it on Digest and on every
-// query. The same must hold for a tree recycled into the same extents mid
-// class-cache epoch, where a stale classification would otherwise survive.
+// query. The same must hold for a tree recycled into the same extents with
+// a stale byte planted in its classification grid.
 func TestResetMatchesNew(t *testing.T) {
 	worldA := geom.Box(geom.V(0, 0, 0), geom.V(32, 32, 16))
 	worldB := geom.Box(geom.V(-6, 2, 0.5), geom.V(18, 30, 12.5)) // other origin, extents and root cube
+	corridor := geom.Box(geom.V(0, 0, 0), geom.V(600, 40, 20))   // bricks keyed through the map
 	cases := []struct {
 		name     string
 		from, to geom.AABB
@@ -91,13 +91,14 @@ func TestResetMatchesNew(t *testing.T) {
 		{"larger to smaller world", worldA, worldB},
 		{"smaller to larger world", worldB, worldA},
 		{"same world", worldA, worldA},
+		{"map-indexed world to itself", corridor, corridor},
+		{"map-indexed to dense world", corridor, worldA},
 	}
 	for ci, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			recycled := New(c.from, 0.5, DefaultParams())
 			mapWorld(recycled, c.from, int64(10+ci))
 			recycled.Reset(c.to, 0.5, DefaultParams())
-			recycled.EnableClassCache() // as the planner would re-arm it
 			fresh := New(c.to, 0.5, DefaultParams())
 			assertSameQueries(t, recycled, fresh, c.to, 1, "right after Reset")
 
@@ -110,35 +111,34 @@ func TestResetMatchesNew(t *testing.T) {
 				fresh.InsertCloud(origin, pts)
 				assertSameQueries(t, recycled, fresh, c.to, int64(s), "after a scan")
 			}
-			assertSummaryExact(t, recycled, "recycled tree")
+			if recycled.sum.counts != nil { // none over the dense-cell cap
+				assertSummaryExact(t, recycled, "recycled tree")
+			}
 		})
 	}
 
+	// The subtest keeps the name of the class-cache epoch case it succeeds.
 	t.Run("mid class-cache epoch", func(t *testing.T) {
-		// Recycled tree: voxel v is Free, and its cache entry is rewound to
-		// epoch 1 while the cache sits at the last epoch before the 6-bit
-		// wrap — the TestForkMidEpochWrapRegression set-up. Reset must clear
-		// the grid as it wraps, or the stale Free is served for a voxel the
-		// fresh map has never observed.
-		v := geom.V(10.25, 10.25, 4.25)
+		// Recycled tree: voxel v is Free on the old map, and a second voxel u
+		// the old map never saw gets a stale Occupied byte planted in the
+		// grid. Reset must clear the grid, or a classification of a map that
+		// no longer exists is served for voxels the fresh map has never
+		// observed.
+		v, u := geom.V(10.25, 10.25, 4.25), geom.V(20.75, 3.25, 9.75)
 		recycled := New(worldA, 0.5, DefaultParams())
 		recycled.InsertRay(geom.V(2.25, 10.25, 4.25), geom.V(20.25, 10.25, 4.25), false)
-		recycled.EnableClassCache()
-		if recycled.At(v) != Free {
-			t.Fatal("setup: voxel not Free on the old map")
+		if recycled.At(v) != Free || recycled.At(u) != Unknown {
+			t.Fatal("setup: voxel v not Free or u not Unknown on the old map")
 		}
-		x, y, z, _ := recycled.key(v)
-		c := &recycled.cls
-		c.grid[(z*c.ny+y)*c.nx+x] = 1<<2 | uint8(Free)
-		c.epoch = 63
-		c.mut = recycled.mut
+		x, y, z, _ := recycled.key(u)
+		recycled.grid[(z*recycled.ny+y)*recycled.nx+x] = uint8(Occupied)
 
 		recycled.Reset(worldA, 0.5, DefaultParams())
-		if got := recycled.At(v); got != Unknown {
-			t.Fatalf("Reset served a stale pre-wrap cache entry: At = %v, want Unknown", got)
+		if got, gotU := recycled.At(v), recycled.At(u); got != Unknown || gotU != Unknown {
+			t.Fatalf("Reset served a stale grid byte: At(v) = %v, At(u) = %v, want Unknown", got, gotU)
 		}
 		fresh := New(worldA, 0.5, DefaultParams())
-		assertSameQueries(t, recycled, fresh, worldA, 2, "after a mid-epoch Reset")
+		assertSameQueries(t, recycled, fresh, worldA, 2, "after a Reset over a stale grid")
 		for i := 0; i < 4; i++ {
 			recycled.MarkOccupied(v)
 			fresh.MarkOccupied(v)
@@ -147,9 +147,22 @@ func TestResetMatchesNew(t *testing.T) {
 	})
 }
 
+// TestNewRejectsHugeVolume pins the key-cube limit: a volume needing more
+// than 2^24 leaves per axis would overflow the flat cell numbers, so New
+// refuses it loudly instead of aliasing distant bricks onto each other.
+func TestNewRejectsHugeVolume(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a volume of 2^28 leaves per axis")
+		}
+	}()
+	New(geom.Box(geom.V(0, 0, 0), geom.V(1e8, 1, 1)), 0.5, DefaultParams())
+}
+
 // TestResetKeepsAllocations pins what recycling is for: resetting a grown
-// tree to a world of the same extents reuses its arena, summary slab and
-// classification grid instead of allocating new ones.
+// tree to a world of the same extents, or forking a snapshot of such a world
+// into it, reuses its brick slab, brick index, summary and classification
+// grid instead of allocating new ones.
 func TestResetKeepsAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts are meaningless under -race instrumentation")
@@ -157,13 +170,20 @@ func TestResetKeepsAllocations(t *testing.T) {
 	bounds := geom.Box(geom.V(0, 0, 0), geom.V(32, 32, 16))
 	tr := New(bounds, 0.5, DefaultParams())
 	mapWorld(tr, bounds, 5)
-	arena, grid := &tr.nodes[:1][0], &tr.cls.grid[0]
-	if allocs := testing.AllocsPerRun(10, func() {
-		tr.Reset(bounds, 0.5, DefaultParams())
-	}); allocs != 0 {
-		t.Fatalf("Reset allocates %v objects, want 0", allocs)
-	}
-	if &tr.nodes[:1][0] != arena || &tr.cls.grid[0] != grid {
-		t.Fatal("Reset replaced the arena or the classification grid")
+	snap := tr.Snapshot()
+	slab, index, grid, counts := &tr.store.slab[0], &tr.store.index[0], &tr.grid[0], &tr.sum.counts[0]
+	for _, step := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Reset", func() { tr.Reset(bounds, 0.5, DefaultParams()) }},
+		{"ForkInto", func() { snap.ForkInto(tr) }},
+	} {
+		if allocs := testing.AllocsPerRun(10, step.fn); allocs != 0 {
+			t.Fatalf("%s allocates %v objects, want 0", step.name, allocs)
+		}
+		if &tr.store.slab[:1][0] != slab || &tr.store.index[0] != index || &tr.grid[0] != grid || &tr.sum.counts[0] != counts {
+			t.Fatalf("%s replaced the slab, the brick index, the grid or the summary", step.name)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"os"
 
@@ -14,52 +15,44 @@ import (
 	"mavfi/internal/geom"
 )
 
-// Snapshot is an immutable copy of a Tree's semantic state: the node arena,
-// the derived occupancy-summary counts, and the geometry that addresses them.
-// It is the unit of cross-mission map memoization (the PR 9 golden-map seed):
-// a campaign builds one mapping pass per world, snapshots it, and every
-// mission of the cell starts from a Fork instead of an empty tree.
+// Snapshot is an immutable copy of a Tree's state: the brick index and slab,
+// the derived summary counts and classification grid, and the geometry that
+// addresses them. It is the unit of cross-mission map memoization (the PR 9
+// golden-map seed): a campaign builds one mapping pass per world, snapshots
+// it, and every mission of the cell starts from a Fork instead of an empty
+// tree.
 //
 // A Snapshot is safe for concurrent use by any number of forking goroutines
-// because nothing ever writes through it: Fork/ForkInto copy the slabs out,
-// and the caches (path, query, classification) are per-Tree state that is
-// reset — never shared — on fork. Snapshots also serialize (WriteTo /
-// ReadSnapshot) so a long-running campaign server can persist its golden
-// maps next to its recordings and reload them across restarts.
+// because nothing ever writes through it: Fork/ForkInto copy the slices out.
+// Snapshots also serialize (WriteTo / ReadSnapshot) so a long-running
+// campaign server can persist its golden maps next to its recordings and
+// reload them across restarts.
 type Snapshot struct {
 	params Params
 	geometry
 
-	nodes       []node   // immutable arena copy; index 0 is the root
-	counts      []uint16 // immutable summary counts; nil when over the cap
-	sumNB       int
+	store       brickStore // immutable copy of the bricks
+	counts      []uint16   // immutable summary counts; nil over maxDenseCells
+	grid        []uint8    // immutable classification grid; nil over maxClassCells
 	leafUpdates int
 }
 
-// Snapshot deep-copies the tree's semantic state. The copy is a memcpy of
-// the node slab plus the summary counts — the arena is a contiguous
-// index-linked slab, so no pointer graph needs walking — and none of the
-// per-Tree caches travel with it (they are descent/classification memos, not
-// map content).
+// Snapshot copies the tree's state: a memcpy each of the brick index, the
+// slab, the summary counts and the classification grid.
 func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{
-		params: t.params,
-		geometry: geometry{
-			resolution: t.resolution, depth: t.depth, origin: t.origin, rootSize: t.rootSize,
-			nx: t.cls.nx, ny: t.cls.ny, nz: t.cls.nz,
+		params:   t.params,
+		geometry: t.geometry,
+		store: brickStore{
+			index: copied(nil, t.store.index),
+			big:   maps.Clone(t.store.big),
+			slab:  copied(nil, t.store.slab),
 		},
-		nodes:       append([]node(nil), t.nodes...),
-		counts:      append([]uint16(nil), t.counts()...),
-		sumNB:       t.sum.nb,
+		counts:      copied(nil, t.sum.counts),
+		grid:        copied(nil, t.grid),
 		leafUpdates: t.leafUpdates,
 	}
 }
-
-// counts returns the summary slice (nil-preserving helper for Snapshot).
-func (t *Tree) counts() []uint16 { return t.sum.counts }
-
-// NumNodes returns the snapshot's arena size, a memory-footprint proxy.
-func (s *Snapshot) NumNodes() int { return len(s.nodes) }
 
 // Matches reports whether the snapshot was built over exactly the tree
 // geometry New(bounds, resolution, ...) would produce — the guard campaign
@@ -79,142 +72,86 @@ func (s *Snapshot) Fork() *Tree {
 }
 
 // ForkInto resets t to an exact copy of the snapshot's map, reusing t's
-// existing allocations (node arena capacity, summary slab, classification
-// grid) where they fit — the cross-mission memoization path: the pipeline
-// recycles finished trees through ForkInto so steady-state forks are two
-// memcpys with no allocation.
-//
-// Everything semantic is copied from the snapshot; everything memoised is
-// invalidated by reinit, the step ForkInto shares with Reset (see reinit for
-// why the invalidation is explicit). The summary counts are copied from the
-// snapshot, which is what keeps the bundleAllFree prescan exact on forked
-// trees.
+// brick index, slab, summary and classification grid where they fit — the
+// cross-mission memoization path: the pipeline recycles finished trees
+// through ForkInto, so a steady-state fork is a set of memcpys with no
+// allocation. The summary counts and the grid are copied, not rebuilt, and
+// are exact because the snapshot's were.
 func (s *Snapshot) ForkInto(t *Tree) {
 	t.reinit(s.geometry, s.params)
-	if cap(t.nodes) < len(s.nodes) {
-		// First fork into this tree (or a bigger world than last time):
-		// size the arena like New does, with headroom for the mission's own
-		// expansion on top of the seed.
-		t.nodes = make([]node, 0, max(len(s.nodes)+len(s.nodes)/4, arenaPresize))
-	}
-	t.nodes = append(t.nodes[:0], s.nodes...)
-
-	t.sum.nb = s.sumNB
-	switch {
-	case s.counts == nil:
-		t.sum.counts = nil
-	case cap(t.sum.counts) >= len(s.counts):
-		t.sum.counts = t.sum.counts[:len(s.counts)]
-		copy(t.sum.counts, s.counts)
-	default:
-		t.sum.counts = append([]uint16(nil), s.counts...)
-	}
-
+	t.store.copyFrom(&s.store)
+	t.sum.counts = copied(t.sum.counts, s.counts)
+	t.grid = copied(t.grid, s.grid)
 	t.leafUpdates = s.leafUpdates
 }
 
-// rebuildSummary recomputes the occupancy summary from the node arena by
-// full reclassification — the recount ReadSnapshot uses (counts are derived
-// state, so they are rebuilt rather than trusted from the wire) and the
-// oracle the fork equivalence tests compare incremental counts against.
-func (t *Tree) rebuildSummary() {
-	t.initSummary()
-	if t.sum.counts == nil {
-		return
-	}
-	t.recount(0, t.depth-1, 0, 0, 0)
-}
-
-// recount walks the subtree at arena index ni, whose children select with
-// key bit `bit`, accumulating occupied unit leaves into the summary. Coarse
-// leaves (bit >= 0) hold exactly-zero log-odds — evidence only lands at unit
-// depth — so only bit < 0 leaves can contribute.
-func (t *Tree) recount(ni int32, bit, x, y, z int) {
-	fc := t.nodes[ni].firstChild
-	if fc == noChild {
-		if bit < 0 {
-			if lo := t.nodes[ni].logOdds; lo != 0 && lo >= t.params.OccThresh {
-				t.sum.counts[t.summaryIndex(x, y, z)]++
-			}
-		}
-		return
-	}
-	for i := int32(0); i < 8; i++ {
-		t.recount(fc+i, bit-1,
-			x|int(i>>2&1)<<bit,
-			y|int(i>>1&1)<<bit,
-			z|int(i&1)<<bit)
-	}
-}
-
-// Digest returns an FNV-64a hash of the tree's semantic state: geometry,
-// sensor model, the full node arena, the summary counts, and the leaf-update
-// total. Cache state and the mutation counter are deliberately excluded —
-// they memoise work, they are not map content — so a forked tree and a tree
-// rebuilt from the same insertions digest identically, which is the byte
-// the fork equivalence suite pins.
+// Digest returns an FNV-64a hash of the tree's map: geometry, sensor model,
+// the leaf-update total, every allocated brick (its cell number and 512
+// log-odds) in ascending cell order, and the summary counts. Visiting the
+// bricks in cell order makes the digest independent of the order they were
+// allocated in, so a forked tree, a tree rebuilt from the same insertions
+// and a decoded snapshot digest identically; that is the byte the fork
+// equivalence suite pins. The classification grid is derived from the
+// bricks and not hashed.
 func (t *Tree) Digest() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	putF := func(f float64) {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		h.Write(b[:])
-	}
-	putF(t.resolution)
-	putF(t.origin.X)
-	putF(t.origin.Y)
-	putF(t.origin.Z)
-	putF(t.rootSize)
-	putF(float64(t.depth))
-	putF(t.params.LogOddsHit)
-	putF(t.params.LogOddsMiss)
-	putF(t.params.ClampMin)
-	putF(t.params.ClampMax)
-	putF(t.params.OccThresh)
-	putF(float64(t.leafUpdates))
-	for i := range t.nodes {
-		putF(t.nodes[i].logOdds)
-		binary.LittleEndian.PutUint32(b[:4], uint32(t.nodes[i].firstChild))
-		h.Write(b[:4])
-	}
-	for _, c := range t.sum.counts {
-		binary.LittleEndian.PutUint16(b[:2], c)
-		h.Write(b[:2])
-	}
-	return h.Sum64()
+	return digest(t.geometry, t.params, t.leafUpdates, &t.store, t.sum.counts)
 }
 
 // Digest returns the digest a tree forked from this snapshot would report.
 func (s *Snapshot) Digest() uint64 {
-	t := s.Fork()
-	return t.Digest()
+	return digest(s.geometry, s.params, s.leafUpdates, &s.store, s.counts)
+}
+
+func digest(g geometry, p Params, leafUpdates int, store *brickStore, counts []uint16) uint64 {
+	h := fnv.New64a()
+	var b []byte
+	for _, f := range []float64{g.resolution, g.origin.X, g.origin.Y, g.origin.Z, g.rootSize, float64(g.depth),
+		p.LogOddsHit, p.LogOddsMiss, p.ClampMin, p.ClampMax, p.OccThresh, float64(leafUpdates)} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	h.Write(b)
+	store.each(func(cell int, vals []float64) {
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(cell))
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		h.Write(b)
+	})
+	b = b[:0]
+	for _, c := range counts {
+		b = binary.LittleEndian.AppendUint16(b, c)
+	}
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Snapshot serialization. The format follows the record package's framing
 // discipline (magic, version byte, little-endian payload, FNV-64a digest
 // footer) with the same reader-safety rules the PR 8 FuzzRecordRead fix
 // established: nothing is ever preallocated from a length the wire declares,
-// and every structural invariant the in-memory representation relies on is
-// revalidated before a node is trusted.
+// and every invariant the in-memory store relies on is revalidated before a
+// brick is trusted.
 //
 // Layout (all little-endian):
 //
-//	"MAVFISEED" | version byte | header | nodes | digest
+//	"MAVFISEED" | version byte | header | bricks | digest
 //	header: resolution, origin{X,Y,Z}, rootSize float64; depth uint32;
 //	        params{Hit,Miss,ClampMin,ClampMax,OccThresh} float64;
-//	        class-cache extents nx, ny, nz uint32; leafUpdates uint64;
-//	        nodeCount uint32
-//	node:   logOdds float64 | firstChild int32   (12 bytes)
-//	digest: FNV-64a over header+nodes
+//	        class-grid extents nx, ny, nz uint32; leafUpdates uint64;
+//	        brickCount uint32
+//	brick:  cell uint32 | 512 × logOdds float64   (4100 bytes; cells ascending)
+//	digest: FNV-64a over header+bricks
 //
-// The summary counts are derived state and are not serialized; ReadSnapshot
-// rebuilds them by recount, so a corrupted file can never smuggle in counts
-// inconsistent with its arena.
+// The summary counts and the classification grid are derived state and are
+// not serialized; ReadSnapshot rebuilds them from the bricks, so a corrupted
+// file can never smuggle in counts or classes inconsistent with its map.
+// Version 1 carried the octree's node arena; a version-1 file fails with
+// ErrSnapshotVersion, and every caller rebuilds the map instead.
 const (
 	// SnapshotMagic prefixes every serialized golden-map seed.
 	SnapshotMagic = "MAVFISEED"
 	// SnapshotVersion is the current format version.
-	SnapshotVersion = 1
+	SnapshotVersion = 2
 )
 
 // Typed snapshot-decode errors, in the record package's style: corrupt input
@@ -228,52 +165,60 @@ var (
 	// ErrSnapshotTruncated marks a snapshot cut off before its digest.
 	ErrSnapshotTruncated = errors.New("octomap: truncated snapshot")
 	// ErrSnapshotCorrupt marks a structurally invalid snapshot (bad geometry,
-	// out-of-range child links, or a digest mismatch).
+	// a brick count or cell out of range, cells out of order, an invalid
+	// log-odds value, or a digest mismatch).
 	ErrSnapshotCorrupt = errors.New("octomap: corrupt snapshot")
 )
 
-// maxSnapshotNodes bounds the node count a snapshot may declare: far above
-// any real arena (the largest worlds build a few hundred thousand nodes) but
-// small enough that the count can never size a pathological allocation.
-const maxSnapshotNodes = 1 << 27
+const (
+	snapshotHeaderBytes = 5*8 + 4 + 5*8 + 3*4 + 8 + 4
+	snapshotBrickBytes  = 4 + brickVoxels*8
+)
 
-const snapshotNodeBytes = 12
-
-// WriteTo serializes the snapshot. It implements io.WriterTo.
+// WriteTo serializes the snapshot. It implements io.WriterTo. It fails on a
+// brick whose cell number does not fit the format's uint32, which takes a
+// key cube of at least 2^14 leaves per axis (8 km at 0.5 m).
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	buf.WriteString(SnapshotMagic)
-	buf.WriteByte(SnapshotVersion)
-
-	body := new(bytes.Buffer)
-	putF := func(f float64) { binary.Write(body, binary.LittleEndian, math.Float64bits(f)) }
-	putU32 := func(v uint32) { binary.Write(body, binary.LittleEndian, v) }
+	bricks := len(s.store.slab) / brickVoxels
+	buf := make([]byte, 0, len(SnapshotMagic)+1+snapshotHeaderBytes+bricks*snapshotBrickBytes+8)
+	buf = append(buf, SnapshotMagic...)
+	buf = append(buf, SnapshotVersion)
+	body := len(buf)
+	le := binary.LittleEndian
+	putF := func(f float64) { buf = le.AppendUint64(buf, math.Float64bits(f)) }
 	putF(s.resolution)
 	putF(s.origin.X)
 	putF(s.origin.Y)
 	putF(s.origin.Z)
 	putF(s.rootSize)
-	putU32(uint32(s.depth))
+	buf = le.AppendUint32(buf, uint32(s.depth))
 	putF(s.params.LogOddsHit)
 	putF(s.params.LogOddsMiss)
 	putF(s.params.ClampMin)
 	putF(s.params.ClampMax)
 	putF(s.params.OccThresh)
-	putU32(uint32(s.nx))
-	putU32(uint32(s.ny))
-	putU32(uint32(s.nz))
-	binary.Write(body, binary.LittleEndian, uint64(s.leafUpdates))
-	putU32(uint32(len(s.nodes)))
-	for i := range s.nodes {
-		binary.Write(body, binary.LittleEndian, math.Float64bits(s.nodes[i].logOdds))
-		binary.Write(body, binary.LittleEndian, uint32(s.nodes[i].firstChild))
+	buf = le.AppendUint32(buf, uint32(s.nx))
+	buf = le.AppendUint32(buf, uint32(s.ny))
+	buf = le.AppendUint32(buf, uint32(s.nz))
+	buf = le.AppendUint64(buf, uint64(s.leafUpdates))
+	buf = le.AppendUint32(buf, uint32(bricks))
+	var err error
+	s.store.each(func(cell int, vals []float64) {
+		if cell > math.MaxUint32 {
+			err = fmt.Errorf("octomap: cell %d does not fit the snapshot format", cell)
+		}
+		buf = le.AppendUint32(buf, uint32(cell))
+		for _, v := range vals {
+			putF(v)
+		}
+	})
+	if err != nil {
+		return 0, err
 	}
-
 	h := fnv.New64a()
-	h.Write(body.Bytes())
-	buf.Write(body.Bytes())
-	binary.Write(&buf, binary.LittleEndian, h.Sum64())
-	n, err := w.Write(buf.Bytes())
+	h.Write(buf[body:])
+	buf = le.AppendUint64(buf, h.Sum64())
+	n, err := w.Write(buf)
 	return int64(n), err
 }
 
@@ -292,12 +237,13 @@ func WriteSnapshotFile(path string, s *Snapshot) error {
 }
 
 // ReadSnapshot decodes one serialized snapshot from r, validating the magic,
-// version, geometry, every child link, and the digest footer before any of
-// it is trusted. Truncated input returns ErrSnapshotTruncated; structurally
-// invalid input returns an error wrapping ErrSnapshotCorrupt. The declared
-// node count never sizes an allocation directly (the PR 8 readFrame rule):
-// the node payload is grown through io.CopyN, so a corrupt count fails at
-// the input's actual size instead of allocating what the header promises.
+// version, geometry, brick count, every cell and log-odds value, and the
+// digest footer before any of it is trusted. Truncated input returns
+// ErrSnapshotTruncated; structurally invalid input returns an error wrapping
+// ErrSnapshotCorrupt. The declared brick count never sizes an allocation
+// directly (the PR 8 readFrame rule): the payload is grown through io.CopyN,
+// so a corrupt count fails at the input's actual size instead of allocating
+// what the header promises.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	magic := make([]byte, len(SnapshotMagic)+1)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -311,62 +257,65 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			ErrSnapshotVersion, magic[len(SnapshotMagic)], SnapshotVersion)
 	}
 
-	const headerBytes = 5*8 + 4 + 5*8 + 3*4 + 8 + 4
-	header := make([]byte, headerBytes)
+	header := make([]byte, snapshotHeaderBytes)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrSnapshotTruncated, err)
 	}
 	h := fnv.New64a()
 	h.Write(header)
 
+	le := binary.LittleEndian
 	off := 0
 	getF := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(header[off:]))
+		v := math.Float64frombits(le.Uint64(header[off:]))
 		off += 8
 		return v
 	}
-	getU32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(header[off:])
+	getU32 := func() int {
+		v := le.Uint32(header[off:])
 		off += 4
-		return v
+		return int(v)
 	}
-	s := &Snapshot{}
-	s.resolution = getF()
-	s.origin = geom.V(getF(), getF(), getF())
-	s.rootSize = getF()
-	s.depth = int(getU32())
-	s.params.LogOddsHit = getF()
-	s.params.LogOddsMiss = getF()
-	s.params.ClampMin = getF()
-	s.params.ClampMax = getF()
-	s.params.OccThresh = getF()
-	s.nx = int(getU32())
-	s.ny = int(getU32())
-	s.nz = int(getU32())
-	s.leafUpdates = int(binary.LittleEndian.Uint64(header[off:]))
+	var g geometry
+	var p Params
+	g.resolution = getF()
+	g.origin = geom.V(getF(), getF(), getF())
+	g.rootSize = getF()
+	g.depth = getU32()
+	p.LogOddsHit = getF()
+	p.LogOddsMiss = getF()
+	p.ClampMin = getF()
+	p.ClampMax = getF()
+	p.OccThresh = getF()
+	g.nx, g.ny, g.nz = getU32(), getU32(), getU32()
+	leafUpdates := int(le.Uint64(header[off:]))
 	off += 8
-	nodeCount := getU32()
+	brickCount := getU32()
 
 	// Geometry must reproduce exactly what New computes from it: the depth
-	// and root size are redundant with the resolution, and the descent
-	// machinery (32-entry path arrays, power-of-two key cube) relies on the
-	// relationship holding.
-	if !(s.resolution > 0) || math.IsInf(s.resolution, 0) ||
-		s.depth < 0 || s.depth > 31 ||
-		s.rootSize != s.resolution*float64(int(1)<<s.depth) ||
-		!s.origin.IsFinite() ||
-		s.nx < 1 || s.ny < 1 || s.nz < 1 ||
-		s.leafUpdates < 0 {
+	// and root size are redundant with the resolution, and the extents lie
+	// inside the key cube (which bounds the classification grid they size).
+	maxKey := 1 << min(g.depth, maxDepth)
+	if !(g.resolution > 0) || math.IsInf(g.resolution, 0) ||
+		g.depth > maxDepth ||
+		g.rootSize != g.resolution*float64(maxKey) ||
+		!g.origin.IsFinite() ||
+		g.nx < 1 || g.ny < 1 || g.nz < 1 || g.nx > maxKey || g.ny > maxKey || g.nz > maxKey ||
+		leafUpdates < 0 {
 		return nil, fmt.Errorf("%w: invalid geometry", ErrSnapshotCorrupt)
 	}
-	if nodeCount < 1 || nodeCount > maxSnapshotNodes {
-		return nil, fmt.Errorf("%w: implausible node count %d", ErrSnapshotCorrupt, nodeCount)
+	t := new(Tree)
+	t.reinit(g, p)
+	nc := uint64(t.nc)
+	cells := nc * nc * nc // at most 2^63 under maxDepth
+	if uint64(brickCount) > cells {
+		return nil, fmt.Errorf("%w: %d bricks declared for %d cells", ErrSnapshotCorrupt, brickCount, cells)
 	}
 
 	var payload bytes.Buffer
-	if got, err := io.CopyN(&payload, r, int64(nodeCount)*snapshotNodeBytes); err != nil {
-		return nil, fmt.Errorf("%w: nodes: got %d of %d bytes",
-			ErrSnapshotTruncated, got, int64(nodeCount)*snapshotNodeBytes)
+	want := int64(brickCount) * snapshotBrickBytes
+	if got, err := io.CopyN(&payload, r, want); err != nil {
+		return nil, fmt.Errorf("%w: bricks: got %d of %d bytes", ErrSnapshotTruncated, got, want)
 	}
 	h.Write(payload.Bytes())
 
@@ -374,37 +323,49 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if _, err := io.ReadFull(r, footer[:]); err != nil {
 		return nil, fmt.Errorf("%w: digest footer: %v", ErrSnapshotTruncated, err)
 	}
-	if binary.LittleEndian.Uint64(footer[:]) != h.Sum64() {
+	if le.Uint64(footer[:]) != h.Sum64() {
 		return nil, fmt.Errorf("%w: digest mismatch", ErrSnapshotCorrupt)
 	}
 
+	// Rebuild the map brick by brick, deriving the summary and the grid
+	// through the same reclassify every write uses.
+	t.empty()
+	t.store.slab = make([]float64, 0, brickCount*brickVoxels) // the payload is all there
 	raw := payload.Bytes()
-	s.nodes = make([]node, nodeCount)
-	for i := range s.nodes {
-		b := raw[i*snapshotNodeBytes:]
-		s.nodes[i].logOdds = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		s.nodes[i].firstChild = int32(binary.LittleEndian.Uint32(b[8:]))
-	}
-	// Child links must form the arena structure expand produces — root at
-	// index 0, eight-child blocks appended behind it — before any descent
-	// may trust them: fc is either noChild or the 8-aligned start of a block
-	// that lies fully inside the arena.
-	for i := range s.nodes {
-		fc := s.nodes[i].firstChild
-		if fc == noChild {
-			continue
+	prev := -1
+	for i := range brickCount {
+		rec := raw[i*snapshotBrickBytes:][:snapshotBrickBytes]
+		cell := int(le.Uint32(rec))
+		if uint64(cell) >= cells || cell <= prev {
+			return nil, fmt.Errorf("%w: brick %d: cell %d out of range or order", ErrSnapshotCorrupt, i, cell)
 		}
-		if fc < 1 || int(fc)+8 > len(s.nodes) || (fc-1)%8 != 0 {
-			return nil, fmt.Errorf("%w: node %d has invalid child link %d", ErrSnapshotCorrupt, i, fc)
+		prev = cell
+		base := t.store.brick(cell)
+		cx := cell % t.nc << brickShift
+		cy := cell / t.nc % t.nc << brickShift
+		cz := cell / t.nc / t.nc << brickShift
+		for j := range brickVoxels {
+			v := math.Float64frombits(le.Uint64(rec[4+8*j:]))
+			t.store.slab[base+j] = v
+			if v == 0 {
+				continue
+			}
+			x, y, z := cx|j&7, cy|(j>>brickShift)&7, cz|j>>(2*brickShift)
+			if math.IsInf(v, 0) || !(v >= p.ClampMin && v <= p.ClampMax) ||
+				x >= t.maxKey || y >= t.maxKey || z >= t.maxKey {
+				return nil, fmt.Errorf("%w: brick %d holds log-odds %v at key (%d,%d,%d)", ErrSnapshotCorrupt, i, v, x, y, z)
+			}
+			t.reclassify(x, y, z, Unknown, t.classOf(v))
 		}
 	}
-
-	// Rebuild the derived summary from the validated arena.
-	t := s.Fork()
-	t.rebuildSummary()
-	s.counts = append([]uint16(nil), t.sum.counts...)
-	s.sumNB = t.sum.nb
-	return s, nil
+	return &Snapshot{
+		params:      p,
+		geometry:    g,
+		store:       t.store,
+		counts:      t.sum.counts,
+		grid:        t.grid,
+		leafUpdates: leafUpdates,
+	}, nil
 }
 
 // ReadSnapshotFile decodes the snapshot at path.

@@ -3,9 +3,13 @@ package octomap
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mavfi/internal/geom"
@@ -64,19 +68,18 @@ func TestForkThenInsertMatchesRebuildBitExact(t *testing.T) {
 }
 
 // TestForkIntoRecycledTreeBitExact pins the pooled path: ForkInto onto a
-// dirty, structurally different tree (different map content, warm descent
-// caches, armed classification cache) must produce exactly the state Fork
-// produces into a fresh tree, and further identical mutations must keep the
-// two bit-identical.
+// dirty, structurally different tree (different map content, a populated
+// classification grid) must produce exactly the state Fork produces into a
+// fresh tree, and further identical mutations must keep the two
+// bit-identical.
 func TestForkIntoRecycledTreeBitExact(t *testing.T) {
 	base := newTestTree()
 	seedInsertions(base, 303, 4)
 	snap := base.Snapshot()
 
-	// A recycled tree with unrelated content and every cache warm.
+	// A recycled tree with unrelated content.
 	recycled := newTestTree()
 	seedInsertions(recycled, 999, 6)
-	recycled.EnableClassCache()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		recycled.At(randomInteriorPoint(rng))
@@ -88,6 +91,7 @@ func TestForkIntoRecycledTreeBitExact(t *testing.T) {
 	if recycled.Digest() != fresh.Digest() {
 		t.Fatal("ForkInto onto a recycled tree differs from a fresh Fork")
 	}
+	assertGridExact(t, recycled, "recycled fork")
 
 	seedInsertions(recycled, 404, 2)
 	seedInsertions(fresh, 404, 2)
@@ -98,94 +102,87 @@ func TestForkIntoRecycledTreeBitExact(t *testing.T) {
 	assertSummaryExact(t, recycled, "recycled fork after mutations")
 }
 
-// TestForkClassCacheTransparent pins the class-cache epoch behaviour after a
-// fork: a recycled tree whose grid is full of pre-fork classifications must
-// answer every post-fork query exactly as an uncached control does, through
-// further mutations (which bump epochs from the restarted counter) and
-// across both the classify and classProbe read paths.
+// TestForkClassCacheTransparent pins the classification grid after a fork:
+// a recycled tree whose grid was full of the old map's classifications must
+// answer every post-fork query exactly as a control fork whose grid is set
+// aside (so every probe reads its brick), through further mutations of
+// both, across At, SegmentFree and FirstBlocked.
 func TestForkClassCacheTransparent(t *testing.T) {
 	base := newTestTree()
 	seedInsertions(base, 505, 4)
 	snap := base.Snapshot()
 
 	cached := newTestTree()
-	seedInsertions(cached, 111, 5) // unrelated map the cache memoises
-	cached.EnableClassCache()
+	seedInsertions(cached, 111, 5) // unrelated map the grid classifies
 	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 200; i++ {
-		cached.At(randomInteriorPoint(rng))
-	}
 
 	snap.ForkInto(cached)
-	control := snap.Fork() // never arms its cache
+	control := snap.Fork()
+	control.grid = nil // classify from the bricks only
 
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 150; i++ {
 			p := randomInteriorPoint(rng)
 			if got, want := cached.At(p), control.At(p); got != want {
-				t.Fatalf("round %d: cached At(%v) = %v, uncached control = %v", round, p, got, want)
+				t.Fatalf("round %d: At(%v) = %v, brick-only control = %v", round, p, got, want)
 			}
 			a, b := randomInteriorPoint(rng), randomInteriorPoint(rng)
 			if got, want := cached.SegmentFree(a, b, q), control.SegmentFree(a, b, q); got != want {
-				t.Fatalf("round %d: cached SegmentFree = %v, control = %v", round, got, want)
+				t.Fatalf("round %d: SegmentFree = %v, control = %v", round, got, want)
+			}
+			gf, gok := cached.FirstBlocked(a, b, q)
+			wf, wok := control.FirstBlocked(a, b, q)
+			if gok != wok || math.Float64bits(gf) != math.Float64bits(wf) {
+				t.Fatalf("round %d: FirstBlocked = (%v,%v), control = (%v,%v)", round, gf, gok, wf, wok)
 			}
 		}
-		// Mutate both identically; the fork's mutation counter runs from 0.
 		seedInsertions(cached, int64(600+round), 1)
 		seedInsertions(control, int64(600+round), 1)
 	}
+	assertGridExact(t, cached, "forked tree after mutations")
 }
 
-// TestForkMidEpochWrapRegression is the satellite-4 regression: fork into a
-// recycled tree whose classification cache sits at the last epoch before the
-// 6-bit wrap (63). Retiring that epoch on fork must clear the grid, because
-// the post-wrap epoch restarts at 1 — the same stamp long-stale entries may
-// still carry. Without the clear, a voxel classified under the old map would
-// be served verbatim on the new one.
+// TestForkMidEpochWrapRegression is the successor of the class-cache epoch
+// wrap regression: fork into a recycled tree with stale bytes planted in its
+// classification grid — one for a voxel the snapshot maps differently, one
+// for a voxel the snapshot has never observed. ForkInto must replace the
+// whole grid with the snapshot's, so neither stale byte is ever served.
 func TestForkMidEpochWrapRegression(t *testing.T) {
 	// Old map: voxel v is Free (carved by a ray straight through it).
-	v := geom.V(10.25, 10.25, 4.25)
+	v, u := geom.V(10.25, 10.25, 4.25), geom.V(20.75, 3.25, 9.75)
 	old := newTestTree()
 	old.InsertRay(geom.V(2.25, 10.25, 4.25), geom.V(20.25, 10.25, 4.25), false)
 
-	// New map: the same voxel is solidly Occupied.
+	// New map: the same voxel is solidly Occupied; u stays unobserved.
 	next := newTestTree()
 	for i := 0; i < 4; i++ {
 		next.MarkOccupied(v)
 	}
 	snap := next.Snapshot()
 
-	old.EnableClassCache()
 	if old.At(v) != Free {
 		t.Fatal("setup: voxel not Free on the old map")
 	}
-	// The entry for v is now stamped with the current epoch. Rewind the
-	// stamp to epoch 1 (a long-stale entry the intervening epochs never
-	// overwrote), then advance the cache to the pre-wrap edge.
-	x, y, z, ok := old.key(v)
+	ux, uy, uz, ok := old.key(u)
 	if !ok {
 		t.Fatal("setup: voxel keys outside the volume")
 	}
-	c := &old.cls
-	idx := (z*c.ny+y)*c.nx + x
-	c.grid[idx] = 1<<2 | uint8(Free)
-	c.epoch = 63
-	c.mut = old.mut
+	old.grid[(uz*old.ny+uy)*old.nx+ux] = uint8(Free)
 
 	snap.ForkInto(old)
 	if got := old.At(v); got != Occupied {
-		t.Fatalf("post-fork classification served a stale pre-wrap cache entry: got %v, want Occupied", got)
+		t.Fatalf("post-fork classification served the old map: got %v, want Occupied", got)
 	}
-	// And the epoch actually wrapped the way classify's own wrap does.
-	if old.cls.epoch != 1 {
-		t.Fatalf("fork across the epoch wrap left epoch %d, want 1", old.cls.epoch)
+	if got := old.At(u); got != Unknown {
+		t.Fatalf("post-fork classification served a planted stale byte: got %v, want Unknown", got)
 	}
+	assertGridExact(t, old, "fork over a stale grid")
 }
 
 // TestForkPrescanExactUnderUnknownIsFree pins the bundleAllFree prescan on
 // forked trees: under the optimistic policy the prescan consults the summary
-// counts the fork copied, and its answers must match both an uncached
+// counts the fork copied, and its answers must match both a brick-only
 // control fork and the summary recount oracle while the forked tree keeps
 // mutating.
 func TestForkPrescanExactUnderUnknownIsFree(t *testing.T) {
@@ -195,7 +192,7 @@ func TestForkPrescanExactUnderUnknownIsFree(t *testing.T) {
 
 	fork := snap.Fork()
 	control := snap.Fork()
-	control.EnableClassCache()
+	control.grid = nil // classify from the bricks only
 
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 	rng := rand.New(rand.NewSource(11))
@@ -311,6 +308,12 @@ func TestSnapshotSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("leaf updates diverge across serialization: %d vs %d", a.LeafUpdates(), b.LeafUpdates())
 	}
 	assertSummaryExact(t, b, "deserialized fork (recounted summary)")
+	assertGridExact(t, b, "deserialized fork (rebuilt grid)")
+	for i := range a.grid {
+		if a.grid[i] != b.grid[i] {
+			t.Fatalf("rebuilt grid byte %d is %d, the source's is %d", i, b.grid[i], a.grid[i])
+		}
+	}
 
 	path := filepath.Join(t.TempDir(), "seed.snap")
 	if err := WriteSnapshotFile(path, snap); err != nil {
@@ -332,10 +335,13 @@ func TestSnapshotSerializationRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotReadRejectsCorrupt drives the decoder through the corruption
-// taxonomy: wrong magic, unsupported version, truncation at every section
-// boundary, bit flips under the digest, and structurally invalid child links
-// with a forged (recomputed) digest. Every case must fail with the right
-// typed error and none may panic or over-allocate.
+// taxonomy: wrong magic, unsupported versions (version 1 included),
+// truncation at every section boundary, bit flips under the digest, brick
+// counts beyond the cell grid or beyond the payload, and — with a forged
+// (recomputed) digest, so only the structural checks can catch them — cells
+// out of range or repeated, extents beyond the key cube, broken geometry,
+// and log-odds that are non-finite or outside the clamps. Every case must
+// fail with the right typed error and none may panic or over-allocate.
 func TestSnapshotReadRejectsCorrupt(t *testing.T) {
 	base := newTestTree()
 	seedInsertions(base, 1212, 2)
@@ -345,6 +351,9 @@ func TestSnapshotReadRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
+	if bricks := len(snap.store.slab) / brickVoxels; bricks < 2 {
+		t.Fatalf("test snapshot holds %d bricks, want at least 2", bricks)
+	}
 
 	check := func(name string, data []byte, want error) {
 		t.Helper()
@@ -357,51 +366,114 @@ func TestSnapshotReadRejectsCorrupt(t *testing.T) {
 	check("empty", nil, ErrSnapshotTruncated)
 	badMagic := append([]byte("NOTASEED!"), valid[len(SnapshotMagic):]...)
 	check("bad magic", badMagic, ErrSnapshotMagic)
-	badVer := append([]byte(nil), valid...)
-	badVer[len(SnapshotMagic)] = 99
-	check("bad version", badVer, ErrSnapshotVersion)
+	for _, v := range []byte{1, 99} {
+		badVer := append([]byte(nil), valid...)
+		badVer[len(SnapshotMagic)] = v
+		check(fmt.Sprintf("version %d", v), badVer, ErrSnapshotVersion)
+	}
 	check("truncated header", valid[:len(SnapshotMagic)+1+10], ErrSnapshotTruncated)
-	check("truncated nodes", valid[:len(valid)/2], ErrSnapshotTruncated)
+	check("truncated bricks", valid[:len(valid)/2], ErrSnapshotTruncated)
 	check("missing footer", valid[:len(valid)-8], ErrSnapshotTruncated)
 
 	flipped := append([]byte(nil), valid...)
 	flipped[len(valid)/2] ^= 0x40
-	check("bit flip under digest", flipped, ErrSnapshotCorrupt)
+	check("digest mismatch", flipped, ErrSnapshotCorrupt)
 
-	// A declared node count far beyond the payload must fail as truncation
-	// (the io.CopyN growth rule), never as a giant allocation.
+	const bodyOff = len(SnapshotMagic) + 1
+	const depthOff, extentsOff = 5 * 8, 5*8 + 4 + 5*8
+	const countOff = snapshotHeaderBytes - 4
+	brickOff := func(i int) int { return snapshotHeaderBytes + i*snapshotBrickBytes }
 	huge := append([]byte(nil), valid...)
-	countOff := len(SnapshotMagic) + 1 + 5*8 + 4 + 5*8 + 3*4 + 8
-	huge[countOff] = 0xff
-	huge[countOff+1] = 0xff
-	huge[countOff+2] = 0xff
-	huge[countOff+3] = 0x07 // ~134M nodes declared, payload unchanged
-	check("huge declared count", huge, ErrSnapshotTruncated)
+	putLE32(huge[bodyOff+countOff:], 0x07ffffff)
+	check("brick count above the cell grid", huge, ErrSnapshotCorrupt)
 
-	// Forged structural corruption: break a child link, then recompute the
+	// A brick count the cell grid allows but the payload does not back must
+	// fail as truncation (the io.CopyN growth rule), never as an allocation
+	// of what the header declares: forge a 512 m cube (depth 10, 2^21 cells)
+	// that declares every cell, ~8.6 GB of bricks.
+	bigDecl := append([]byte(nil), valid...)
+	putLE64(bigDecl[bodyOff+4*8:], math.Float64bits(0.5*1024))
+	putLE32(bigDecl[bodyOff+depthOff:], 10)
+	putLE32(bigDecl[bodyOff+countOff:], 1<<21)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	check("brick count beyond the payload", bigDecl, ErrSnapshotTruncated)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("brick count beyond the payload: decoder allocated %d MB", grew>>20)
+	}
+
+	// Forged structural corruption: mutate the body, then recompute the
 	// digest so only the structural validation can catch it.
 	reforge := func(mutate func(body []byte)) []byte {
 		forged := append([]byte(nil), valid...)
-		body := forged[len(SnapshotMagic)+1 : len(forged)-8]
+		body := forged[bodyOff : len(forged)-8]
 		mutate(body)
-		h := fnvSum64(body)
-		putLE64(forged[len(forged)-8:], h)
+		putLE64(forged[len(forged)-8:], fnvSum64(body))
 		return forged
 	}
-	headerLen := 5*8 + 4 + 5*8 + 3*4 + 8 + 4
-	check("out-of-range child link", reforge(func(body []byte) {
-		// First node's firstChild → beyond the arena.
-		putLE32(body[headerLen+8:], 1+8*1000000)
+	check("cell out of range", reforge(func(body []byte) {
+		putLE32(body[brickOff(1):], 1<<20) // the 32 m world has 8³ cells
 	}), ErrSnapshotCorrupt)
-	check("misaligned child link", reforge(func(body []byte) {
-		putLE32(body[headerLen+8:], 2)
+	check("duplicate cell", reforge(func(body []byte) {
+		copy(body[brickOff(1):brickOff(1)+4], body[brickOff(0):])
 	}), ErrSnapshotCorrupt)
-	check("zero nodes", reforge(func(body []byte) {
-		putLE32(body[headerLen-4:], 0)
+	check("extents beyond the key cube", reforge(func(body []byte) {
+		// The overflow repro: 2^21·2^21·2^22 wraps a 64-bit product to 0.
+		putLE32(body[extentsOff:], 1<<21)
+		putLE32(body[extentsOff+4:], 1<<21)
+		putLE32(body[extentsOff+8:], 1<<22)
 	}), ErrSnapshotCorrupt)
 	check("broken geometry", reforge(func(body []byte) {
 		putLE64(body[4*8:], 0x7ff8000000000001) // NaN rootSize
 	}), ErrSnapshotCorrupt)
+	for name, v := range map[string]float64{
+		"NaN log-odds":         math.NaN(),
+		"infinite log-odds":    math.Inf(-1),
+		"log-odds above clamp": DefaultParams().ClampMax + 0.5,
+		"log-odds below clamp": DefaultParams().ClampMin - 1e-9,
+	} {
+		check(name, reforge(func(body []byte) {
+			putLE64(body[brickOff(0)+4+8*77:], math.Float64bits(v))
+		}), ErrSnapshotCorrupt)
+	}
+}
+
+// TestSnapshotExtentsNeverOverflowGrid is the regression test for the
+// class-grid overflow: extents 2^21·2^21·2^22 wrap a 64-bit cell product to
+// 0, which once sized an empty grid that the first At indexed out of range.
+// Over a 64-leaf key cube the extents are now rejected; over a 2^22-leaf
+// cube they are legal, and the decoded snapshot must run without a grid and
+// fork, classify and re-serialize without panicking.
+func TestSnapshotExtentsNeverOverflowGrid(t *testing.T) {
+	var empty bytes.Buffer
+	if _, err := newTestTree().Snapshot().WriteTo(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(forgeExtents(empty.Bytes(), 0))); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("extents beyond the key cube: got %v, want ErrSnapshotCorrupt", err)
+	}
+	s, err := ReadSnapshot(bytes.NewReader(forgeExtents(empty.Bytes(), 22)))
+	if err != nil {
+		t.Fatalf("extents inside a 2^22-leaf cube: %v", err)
+	}
+	if s.grid != nil {
+		t.Fatalf("a %d×%d×%d grid was sized", s.nx, s.ny, s.nz)
+	}
+	tr := s.Fork()
+	p := geom.V(10.25, 10.25, 4.25)
+	tr.MarkOccupied(p)
+	if tr.At(p) != Occupied || tr.At(geom.V(3, 3, 3)) != Unknown {
+		t.Fatal("fork of the huge-extent snapshot misclassifies")
+	}
+	if _, err := s.WriteTo(io.Discard); err != nil {
+		t.Fatalf("re-serializing the decoded snapshot: %v", err)
+	}
+	// A brick whose cell number passes the format's uint32 fails loudly
+	// instead of being written under a truncated cell.
+	if _, err := tr.Snapshot().WriteTo(io.Discard); err == nil {
+		t.Fatal("a brick beyond cell 2^32 was serialized")
+	}
 }
 
 // Tiny local codec helpers for the forgery cases.
@@ -442,17 +514,17 @@ func TestSnapshotForkDifferentWorldsThroughOnePool(t *testing.T) {
 	pooled := new(Tree)
 	for i := 0; i < 4; i++ {
 		snapSmall.ForkInto(pooled)
-		pooled.EnableClassCache()
 		pooled.At(geom.V(5, 5, 5))
 		if pooled.Digest() != snapSmall.Digest() {
 			t.Fatalf("iteration %d: pooled fork of small world diverges", i)
 		}
+		assertGridExact(t, pooled, "pooled fork of the small world")
 		snapBig.ForkInto(pooled)
-		pooled.EnableClassCache()
 		pooled.At(geom.V(50, 50, 10))
 		if pooled.Digest() != snapBig.Digest() {
 			t.Fatalf("iteration %d: pooled fork of big world diverges", i)
 		}
+		assertGridExact(t, pooled, "pooled fork of the big world")
 	}
 }
 

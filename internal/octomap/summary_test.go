@@ -17,7 +17,7 @@ func recountSummary(tr *Tree) []uint16 {
 		for y := 0; y < tr.maxKey; y++ {
 			for x := 0; x < tr.maxKey; x++ {
 				if tr.classifySlow(x, y, z) == Occupied {
-					counts[tr.summaryIndex(x, y, z)]++
+					counts[tr.cell(x, y, z)]++
 				}
 			}
 		}
@@ -35,11 +35,30 @@ func assertSummaryExact(t *testing.T, tr *Tree, when string) {
 	}
 }
 
+// assertGridExact requires every byte of the classification grid to equal
+// the classification of its voxel's brick value, by brute force over the
+// bounds.
+func assertGridExact(t *testing.T, tr *Tree, when string) {
+	t.Helper()
+	if len(tr.grid) != tr.nx*tr.ny*tr.nz {
+		t.Fatalf("%s: grid has %d bytes for %dx%dx%d extents", when, len(tr.grid), tr.nx, tr.ny, tr.nz)
+	}
+	for z := 0; z < tr.nz; z++ {
+		for y := 0; y < tr.ny; y++ {
+			for x := 0; x < tr.nx; x++ {
+				if got, want := Occupancy(tr.grid[(z*tr.ny+y)*tr.nx+x]), tr.classifySlow(x, y, z); got != want {
+					t.Fatalf("%s: grid byte of (%d,%d,%d) is %v, its brick says %v", when, x, y, z, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestOccSummaryMatchesRecount pins the incremental summary maintenance
 // against the brute-force recount oracle across interleaved scan insertion,
 // direct occupied/free marking (including occupied→free→occupied flips of
 // the same voxel), collision queries between mutations, and walker-overshoot
-// insertions whose evidence lands through the key-masked descend aliasing.
+// insertions whose evidence lands on the masked key.
 func TestOccSummaryMatchesRecount(t *testing.T) {
 	tr := newTestTree()
 	if tr.sum.counts == nil {
@@ -72,24 +91,23 @@ func TestOccSummaryMatchesRecount(t *testing.T) {
 	}
 
 	// Degenerate-axis insertions: the ray walker's defensive overshoot can
-	// hand descend keys outside [0, maxKey), whose evidence aliases onto the
-	// masked key (see occSummary). The summary must follow the evidence.
+	// hand the carve keys outside [0, maxKey), whose evidence aliases onto
+	// the masked key (see Tree). The summary must follow the evidence.
 	tr.InsertRay(geom.V(5.25, 6.0-4e-13, 1.2), geom.V(5.25, 6.0+4e-13, 0.1), true)
 	tr.InsertRay(geom.V(0.25, 6.0-4e-13, 15.8), geom.V(0.25, 6.0+4e-13, 15.95), true)
 	assertSummaryExact(t, tr, "degenerate-axis insertions")
 }
 
-// TestSummaryQueriesAcrossEpochWrap interleaves enough mutation/query rounds
-// to wrap the classification cache's 6-bit epoch while the summary serves
-// the same queries, checking fused queries against the sequential reference
-// the whole way: the summary (no epochs) and the class cache (wrapping
-// epochs) must stay coherent through every invalidation regime.
+// TestSummaryQueriesAcrossEpochWrap interleaves 70 mutation/query rounds
+// (enough to have wrapped the 6-bit epoch of the class cache the exact grid
+// replaced) while the summary serves the same queries, checking fused
+// queries against the sequential reference the whole way: the summary and
+// the grid must stay exact through every round.
 func TestSummaryQueriesAcrossEpochWrap(t *testing.T) {
 	tr := queryTestTree(71)
-	tr.EnableClassCache()
 	rng := rand.New(rand.NewSource(72))
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
-	for round := 0; round < 70; round++ { // > 63 epochs: forces a wrap
+	for round := 0; round < 70; round++ {
 		p := randomInteriorPoint(rng)
 		if round%2 == 0 {
 			tr.MarkOccupied(p)
@@ -103,18 +121,20 @@ func TestSummaryQueriesAcrossEpochWrap(t *testing.T) {
 			}
 		}
 	}
-	assertSummaryExact(t, tr, "after epoch wrap")
+	assertSummaryExact(t, tr, "after 70 rounds")
+	assertGridExact(t, tr, "after 70 rounds")
 }
 
 // TestSummaryCapDisables pins the footprint-cap degradation: a volume whose
-// block count exceeds maxSummaryBlocks runs with the summary disabled (nil
-// counts), and queries still answer exactly like the sequential reference.
+// cell count exceeds maxDenseCells runs with the summary disabled (nil
+// counts), its bricks keyed through the map and no classification grid, and
+// queries still answer exactly like the sequential reference.
 func TestSummaryCapDisables(t *testing.T) {
-	// 2050 m at 0.125 m resolution → rootSize 4096 m, maxKey 2^15, nb 2^12:
-	// 2^36 blocks, far over the cap.
+	// 2050 m at 0.125 m resolution → rootSize 4096 m, maxKey 2^15, nc 2^12:
+	// 2^36 cells, far over the cap, so the bricks are keyed through the map.
 	big := New(geom.Box(geom.V(0, 0, 0), geom.V(2050, 2050, 2050)), 0.125, DefaultParams())
-	if big.sum.counts != nil {
-		t.Fatalf("summary armed over the cap: nb=%d", big.sum.nb)
+	if big.sum.counts != nil || big.store.index != nil || big.grid != nil {
+		t.Fatalf("dense structures armed over the cap: nc=%d", big.nc)
 	}
 	big.MarkOccupied(geom.V(100.06, 100.06, 100.06))
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.3}

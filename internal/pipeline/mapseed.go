@@ -32,12 +32,12 @@ const nearFieldFrac = 0.3
 
 // MapSeed is an immutable golden-map snapshot for one world. Campaigns build
 // one seed per world and share it across every mission of a cell: mission
-// start becomes a memcpy of the node slab, forked into a tree from the
+// start becomes a memcpy of the bricks and grids, forked into a tree from the
 // mission free list (see idleTrees), instead of a from-scratch mapping pass.
 //
 // A MapSeed is safe for concurrent use by any number of missions. Identity
 // holds at any worker width because ForkInto fully resets the recycled
-// tree's semantic state — which arena a mission happens to draw from the
+// tree's semantic state — which tree a mission happens to draw from the
 // list is unobservable (pinned by the octomap fork equivalence suite).
 type MapSeed struct {
 	snap *octomap.Snapshot

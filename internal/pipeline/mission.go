@@ -21,22 +21,14 @@ import (
 
 // mapAdapter exposes the OctoMap to the motion planners through the
 // planning.CollisionChecker interface, restricted to the planning altitude
-// band. It also implements planning.PlanCacher: the first Plan invocation
-// arms the tree's per-voxel classification cache, which then serves every
-// collision probe — planner and perception alike — until the next scan
-// integration invalidates it (the cache is keyed on the tree's mutation
-// counter, so the "map cannot mutate mid-plan" invariant is enforced rather
-// than assumed).
+// band. Every probe it forwards classifies voxels from the tree's exact
+// classification grid, which scan integration keeps current in the same
+// writes that change the map, so there is nothing to arm per plan.
 type mapAdapter struct {
 	tree   *octomap.Tree
 	policy octomap.QueryPolicy
 	zMin   float64
 	zMax   float64
-}
-
-// BeginPlan implements planning.PlanCacher.
-func (a *mapAdapter) BeginPlan() {
-	a.tree.EnableClassCache()
 }
 
 func (a *mapAdapter) PointFree(p geom.Vec3) bool {
@@ -194,7 +186,7 @@ func newRunner(cfg Config) *runner {
 		panic("pipeline: MapSeed world geometry does not match cfg.World")
 	}
 	// An empty map of the world, or in approximate mode a fork of its golden
-	// map (a memcpy of the node slab), on a tree drawn from the free list;
+	// map (a memcpy of its bricks and grids), on a tree drawn from the free list;
 	// finish returns it.
 	r.tree = missionTree(cfg)
 	if cfg.NearFieldStride > 1 {

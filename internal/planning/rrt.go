@@ -28,7 +28,6 @@ func (p *RRT) Name() string { return "RRT" }
 
 // Plan implements Planner.
 func (p *RRT) Plan(start, goal geom.Vec3, cc CollisionChecker, rng *rand.Rand) ([]geom.Vec3, error) {
-	beginPlan(cc)
 	if !cc.PointFree(start) || !cc.PointFree(goal) {
 		return nil, ErrNoPath
 	}

@@ -67,7 +67,6 @@ func (p *RRTConnect) connect(tree *searchTree, target geom.Vec3, cc CollisionChe
 
 // Plan implements Planner.
 func (p *RRTConnect) Plan(start, goal geom.Vec3, cc CollisionChecker, rng *rand.Rand) ([]geom.Vec3, error) {
-	beginPlan(cc)
 	if !cc.PointFree(start) || !cc.PointFree(goal) {
 		return nil, ErrNoPath
 	}

@@ -29,12 +29,8 @@ func NewRRTStar(cfg Config) *RRTStar { return &RRTStar{Cfg: cfg} }
 // Name implements Planner.
 func (p *RRTStar) Name() string { return "RRT*" }
 
-// Plan implements Planner. The collision checker's per-plan voxel cache (see
-// PlanCacher) is armed first: RRT* is by far the heaviest query client —
-// choose-parent and rewiring re-probe the same neighbourhood segments every
-// iteration — and the map cannot mutate for the duration of the invocation.
+// Plan implements Planner.
 func (p *RRTStar) Plan(start, goal geom.Vec3, cc CollisionChecker, rng *rand.Rand) ([]geom.Vec3, error) {
-	beginPlan(cc)
 	if !cc.PointFree(start) || !cc.PointFree(goal) {
 		return nil, ErrNoPath
 	}

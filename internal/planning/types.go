@@ -71,26 +71,6 @@ type CollisionChecker interface {
 	SegmentFree(a, b geom.Vec3) bool
 }
 
-// PlanCacher is an optional CollisionChecker extension. BeginPlan marks the
-// start of one planner invocation, during which the underlying map is
-// guaranteed not to mutate (the mission loop runs planning and scan
-// integration strictly in turn), licensing the checker to memoise per-voxel
-// collision answers across the thousands of PointFree/SegmentFree probes a
-// single Plan issues. The octomap-backed checker arms its voxel-keyed
-// classification cache here; checkers without caching simply don't implement
-// the interface.
-type PlanCacher interface {
-	BeginPlan()
-}
-
-// beginPlan notifies cc that a planner invocation is starting, when it cares.
-// Every Planner implementation calls this first thing in Plan.
-func beginPlan(cc CollisionChecker) {
-	if p, ok := cc.(PlanCacher); ok {
-		p.BeginPlan()
-	}
-}
-
 // Planner is a single-query motion planner producing a piecewise-linear path
 // from start to goal.
 type Planner interface {
