@@ -6,9 +6,11 @@
 //
 // Standard metrics (ns/op, B/op, allocs/op) and custom b.ReportMetric units
 // are both captured. The GOMAXPROCS suffix (-8) is stripped so files diff
-// cleanly across machines; sub-benchmark paths are kept. Benchmark names are
-// only unique per package, so keys are qualified with the package path from
-// the `pkg:` header lines (module-root benchmarks stay bare).
+// cleanly across machines, and kept as the benchmark's procs metric (1 when
+// there is no suffix, the one case go test omits it); sub-benchmark paths
+// are kept. Benchmark names are only unique per package, so keys are
+// qualified with the package path from the `pkg:` header lines
+// (module-root benchmarks stay bare).
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -30,63 +33,9 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	results := map[string]map[string]float64{}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var pkg, rootPkg string
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Fprintln(os.Stderr, line)
-		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = strings.TrimSpace(rest)
-			// The first pkg seen with no path separator is the module root;
-			// its benchmarks keep unqualified names.
-			if rootPkg == "" && !strings.Contains(pkg, "/") {
-				rootPkg = pkg
-			}
-			continue
-		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		name := m[1]
-		if pkg != "" && pkg != rootPkg {
-			// Strip the module prefix for stable, readable keys.
-			short := pkg
-			if i := strings.Index(short, "/"); i >= 0 {
-				short = short[i+1:]
-			}
-			name = short + "." + name
-		}
-		// Strip the GOMAXPROCS suffix from the leaf segment only, so
-		// sub-benchmark names like workers=8 survive.
-		if i := strings.LastIndex(name, "/"); i < 0 {
-			name = procSuffix.ReplaceAllString(name, "")
-		} else {
-			name = name[:i+1] + procSuffix.ReplaceAllString(name[i+1:], "")
-		}
-		metrics := results[name]
-		if metrics == nil {
-			metrics = map[string]float64{}
-			results[name] = metrics
-		}
-		metrics["iterations"], _ = strconv.ParseFloat(m[2], 64)
-		fields := strings.Fields(m[3])
-		for i := 0; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			metrics[fields[i+1]] = v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: reading stdin:", err)
-		os.Exit(1)
-	}
-	if len(results) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
+	results, err := parse(os.Stdin, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 
@@ -126,4 +75,68 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads `go test -bench` output from r, echoing every line to echo,
+// and returns the metrics of each benchmark by qualified name.
+func parse(r io.Reader, echo io.Writer) (map[string]map[string]float64, error) {
+	results := map[string]map[string]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	var pkg, rootPkg string
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(rest)
+			// The first pkg seen with no path separator is the module root;
+			// its benchmarks keep unqualified names.
+			if rootPkg == "" && !strings.Contains(pkg, "/") {
+				rootPkg = pkg
+			}
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		name := m[1]
+		if pkg != "" && pkg != rootPkg {
+			// Strip the module prefix for stable, readable keys.
+			short := pkg
+			if i := strings.Index(short, "/"); i >= 0 {
+				short = short[i+1:]
+			}
+			name = short + "." + name
+		}
+		// Strip the GOMAXPROCS suffix from the leaf segment only, so
+		// sub-benchmark names like workers=8 survive.
+		procs := 1.0
+		if sfx := procSuffix.FindString(name[strings.LastIndex(name, "/")+1:]); sfx != "" {
+			procs, _ = strconv.ParseFloat(sfx[1:], 64)
+			name = strings.TrimSuffix(name, sfx)
+		}
+		metrics := results[name]
+		if metrics == nil {
+			metrics = map[string]float64{}
+			results[name] = metrics
+		}
+		metrics["procs"] = procs
+		metrics["iterations"], _ = strconv.ParseFloat(m[2], 64)
+		fields := strings.Fields(m[3])
+		for i := 0; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				continue
+			}
+			metrics[fields[i+1]] = v
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("reading input: %w", err)
+	}
+	if len(results) == 0 {
+		return nil, fmt.Errorf("no benchmark lines found in input")
+	}
+	return results, nil
 }

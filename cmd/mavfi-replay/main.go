@@ -43,23 +43,6 @@ import (
 	"mavfi/internal/record"
 )
 
-var kernelNames = map[string]faultinject.Kernel{
-	"pcgen":    faultinject.KernelPCGen,
-	"octomap":  faultinject.KernelOctoMap,
-	"colcheck": faultinject.KernelColCheck,
-	"planner":  faultinject.KernelPlanner,
-	"pid":      faultinject.KernelPID,
-}
-
-func stateByName(name string) (faultinject.StateID, bool) {
-	for s := faultinject.StateID(0); s < faultinject.NumInjectableStates; s++ {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 func main() {
 	var (
 		doRecord = flag.Bool("record", false, "record a campaign cell to -o")
@@ -156,26 +139,26 @@ func recordCell(dir, envName, kernel, state, fault string, severity float64, run
 	var cfgs []pipeline.Config
 	switch {
 	case kernel != "":
-		k, ok := kernelNames[kernel]
-		if !ok {
-			return fmt.Errorf("unknown kernel %q", kernel)
+		_, target, err := faultinject.ParseTarget("kernel:" + kernel)
+		if err != nil {
+			return err
 		}
 		ctr := faultinject.NewCounter()
 		pipeline.RunMission(pipeline.Config{World: world, Seed: seed + 555, Counter: ctr})
 		planRNG := rand.New(rand.NewSource(seed + 42))
 		for i := 0; i < runs; i++ {
-			plan := faultinject.NewPlan(k, ctr.Count(k), planRNG)
+			plan := faultinject.NewPlan(target.Kernel, ctr.Count(target.Kernel), planRNG)
 			cfgs = append(cfgs, pipeline.Config{World: world, Seed: seed + int64(i), KernelFault: &plan})
 		}
 	case state != "":
-		s, ok := stateByName(state)
-		if !ok {
-			return fmt.Errorf("unknown state %q", state)
+		_, target, err := faultinject.ParseTarget("state:" + state)
+		if err != nil {
+			return err
 		}
 		nominal := pipeline.NominalDuration(pipeline.Config{World: world})
 		planRNG := rand.New(rand.NewSource(seed + 42))
 		for i := 0; i < runs; i++ {
-			plan := faultinject.NewStatePlan(s, nominal*0.15, nominal*0.85, planRNG)
+			plan := faultinject.NewStatePlan(target.State, nominal*0.15, nominal*0.85, planRNG)
 			cfgs = append(cfgs, pipeline.Config{World: world, Seed: seed + int64(i), StateFault: &plan})
 		}
 	case fault != "":

@@ -46,23 +46,6 @@ import (
 	"mavfi/internal/record"
 )
 
-var kernelNames = map[string]faultinject.Kernel{
-	"pcgen":    faultinject.KernelPCGen,
-	"octomap":  faultinject.KernelOctoMap,
-	"colcheck": faultinject.KernelColCheck,
-	"planner":  faultinject.KernelPlanner,
-	"pid":      faultinject.KernelPID,
-}
-
-func stateByName(name string) (faultinject.StateID, bool) {
-	for s := faultinject.StateID(0); s < faultinject.NumInjectableStates; s++ {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "matrix" {
 		runMatrix(os.Args[2:])
@@ -98,6 +81,22 @@ func main() {
 	}
 	if modes != 1 {
 		fmt.Fprintln(os.Stderr, "specify exactly one of -kernel, -state, or -fault")
+		os.Exit(2)
+	}
+	// -kernel and -state name kernel and state targets; ParseTarget holds
+	// the one table of their spellings.
+	var fam faultinject.Family
+	var target faultinject.DrawSpec
+	switch {
+	case *kernel != "":
+		fam, target, err = faultinject.ParseTarget("kernel:" + *kernel)
+	case *state != "":
+		fam, target, err = faultinject.ParseTarget("state:" + *state)
+	default:
+		fam, target, err = faultinject.ParseTarget(*fault)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -152,35 +151,21 @@ func main() {
 	planRNG := rand.New(rand.NewSource(*seed + 42))
 	nominal := pipeline.NominalDuration(pipeline.Config{World: world})
 
+	target.NominalS = nominal
+	target.Severity = *severity
+
 	cfgs := make([]pipeline.Config, *runs)
 	for i := range cfgs {
 		cfg := pipeline.Config{World: world, Seed: *seed + int64(i)}
 		switch {
 		case *kernel != "":
-			k, ok := kernelNames[*kernel]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown kernel %q\n", *kernel)
-				os.Exit(2)
-			}
-			plan := faultinject.NewPlan(k, ctr.Count(k), planRNG)
+			plan := faultinject.NewPlan(target.Kernel, ctr.Count(target.Kernel), planRNG)
 			cfg.KernelFault = &plan
 		case *state != "":
-			s, ok := stateByName(*state)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown state %q\n", *state)
-				os.Exit(2)
-			}
-			plan := faultinject.NewStatePlan(s, nominal*0.15, nominal*0.85, planRNG)
+			plan := faultinject.NewStatePlan(target.State, nominal*0.15, nominal*0.85, planRNG)
 			cfg.StateFault = &plan
 		default:
-			fam, spec, err := faultinject.ParseTarget(*fault)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			spec.NominalS = nominal
-			spec.Severity = *severity
-			cfg.SetFault(faultinject.DrawFault(fam, spec, ctr, planRNG))
+			cfg.SetFault(faultinject.DrawFault(fam, target, ctr, planRNG))
 		}
 		cfgs[i] = cfg
 	}
@@ -205,16 +190,8 @@ func main() {
 		if injDir != "" {
 			// Recording failures are reported but never fail the mission: the
 			// campaign aggregate survives a filling disk.
-			f, err := os.Create(record.MissionPath(injDir, i))
-			if err == nil {
-				res, err = record.RunRecorded(cfg, f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			} else {
-				res = pipeline.RunMission(cfg)
-			}
-			if err != nil {
+			var err error
+			if res, err = record.RecordedMission(injDir, i, cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "recording mission %d: %v\n", i, err)
 			}
 		} else {

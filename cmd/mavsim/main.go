@@ -11,10 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
-	"mavfi/internal/env"
+	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/pipeline"
 	"mavfi/internal/platform"
 )
@@ -29,22 +28,12 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := pipeline.Config{Seed: *seed, Record: *traceOut != ""}
-
-	rng := rand.New(rand.NewSource(1))
-	switch *envName {
-	case "factory":
-		cfg.World = env.Factory()
-	case "farm":
-		cfg.World = env.Farm()
-	case "sparse":
-		cfg.World = env.Sparse(rng)
-	case "dense":
-		cfg.World = env.Dense(rng)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown env %q\n", *envName)
+	world, err := matrix.World(*envName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cfg := pipeline.Config{World: world, Seed: *seed, Record: *traceOut != ""}
 
 	switch *planner {
 	case "rrt":

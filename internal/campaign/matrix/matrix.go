@@ -171,9 +171,14 @@ func ParseFamilies(s string) ([]faultinject.Family, error) {
 	return out, nil
 }
 
-// World builds one of the named standard environments with the same fixed
-// generator seed every CLI uses, so matrix cells, single campaigns, and
-// recordings are all comparable.
+// World builds one of the named standard environments; a generated world
+// draws from its own fresh rand.Source(1). mavfi, mavfi-replay, mavsim, the
+// job server and the dispatcher resolve world names here, so their matrix
+// cells, single campaigns and recordings fly the same worlds. The paper
+// figures do not: experiments.NewContext draws Sparse and then Dense from
+// one rand.Source(Opts.Seed). At the default seed 1 its Sparse world is
+// World("sparse"), but its Dense world is not World("dense"). ROADMAP.md
+// item 2(a) decides which definition wins.
 func World(name string) (*env.World, error) {
 	rng := rand.New(rand.NewSource(1))
 	switch name {

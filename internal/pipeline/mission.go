@@ -45,7 +45,7 @@ func (a *mapAdapter) SegmentFree(p, q geom.Vec3) bool {
 	return a.tree.SegmentFree(p, q, a.policy)
 }
 
-// runner holds the full closed-loop mission state: the ROS graph, kernels,
+// runner holds the full closed-loop mission state: the ROS topics, kernels,
 // simulator, injectors, and detector bookkeeping.
 type runner struct {
 	cfg   Config
@@ -69,14 +69,11 @@ type runner struct {
 	mission *planning.Mission
 
 	// Middleware.
-	graph   *ros.Graph
 	depthT  *ros.Topic[*sim.DepthImage]
-	imuT    *ros.Topic[sim.IMUReading]
 	cloudT  *ros.Topic[*pointcloud.Cloud]
 	reportT *ros.Topic[perception.Report]
 	trajT   *ros.Topic[*planning.Trajectory]
 	wpT     *ros.Topic[waypointMsg]
-	cmdT    *ros.Topic[sim.VelocityCmd]
 
 	// Fault injection. kInj/sInj are the paper's compute-fault injectors;
 	// senInj/actInj/windInj are the zoo's physical-fault injectors (all
@@ -281,29 +278,31 @@ func (r *runner) hook(k faultinject.Kernel) func(float64) float64 {
 	return r.kInj.Hook(k)
 }
 
-// buildGraph assembles the ROS node/topic graph of Fig. 2 and installs the
-// MAVFI interceptors.
+// buildGraph wires the Fig. 2 edges on which one kernel's output reaches
+// another, and installs the MAVFI interceptors on the two state streams:
+//
+//	/airsim/depth            depth camera → point_cloud_generation
+//	/perception/point_cloud  point cloud generation → octomap_generation
+//	/perception/collision    collision check → motion_planner (state faults)
+//	/planning/multidoftraj   motion planner → path_tracking
+//	/planning/waypoint       command issue → path_tracking write-back (state faults)
+//
+// Only subscribers are nodes, because a node is the crash domain a
+// ros.CrashRecord names; the collision check, the planner and command issue
+// run in the tick loop and publish. The IMU reading and the flight command
+// go straight to the detector and the physics step, so they are not topics.
 func (r *runner) buildGraph() {
 	g := ros.NewGraph()
-	r.graph = g
-
-	sensorN := g.NewNode("airsim_interface")
 	pcgenN := g.NewNode("point_cloud_generation")
 	mapN := g.NewNode("octomap_generation")
-	colN := g.NewNode("collision_check")
 	planN := g.NewNode("motion_planner")
 	ctrlN := g.NewNode("path_tracking")
-	mavfiN := g.NewNode("mavfi")
-	_ = sensorN
-	_ = mavfiN
 
 	r.depthT = ros.OpenTopic[*sim.DepthImage](g, "/airsim/depth")
-	r.imuT = ros.OpenTopic[sim.IMUReading](g, "/airsim/imu")
 	r.cloudT = ros.OpenTopic[*pointcloud.Cloud](g, "/perception/point_cloud")
 	r.reportT = ros.OpenTopic[perception.Report](g, "/perception/collision")
 	r.trajT = ros.OpenTopic[*planning.Trajectory](g, "/planning/multidoftraj")
 	r.wpT = ros.OpenTopic[waypointMsg](g, "/planning/waypoint")
-	r.cmdT = ros.OpenTopic[sim.VelocityCmd](g, "/control/flight_command")
 
 	// Perception chain: depth → point cloud → OctoMap. Both kernels render
 	// into per-mission scratch (r.cloud, r.scanBuf): delivery is synchronous
@@ -337,7 +336,6 @@ func (r *runner) buildGraph() {
 	r.reportT.Subscribe(planN, func(rep perception.Report) {
 		r.lastReport = rep
 	})
-	_ = colN
 
 	// Trajectories install into the tracker. No detection suppression is
 	// needed here: the sign+exponent preprocessing makes legitimate replan
@@ -354,12 +352,12 @@ func (r *runner) buildGraph() {
 	// MAVFI message-level injection (Fig. 4 mode): interceptors corrupt
 	// inter-kernel states in transit.
 	if r.sInj != nil {
-		r.reportT.Intercept(func(rep perception.Report) (perception.Report, bool) {
+		r.reportT.Intercept(func(rep perception.Report) perception.Report {
 			rep.TimeToCollision = r.sInj.Corrupt(faultinject.StateTimeToCollision, rep.TimeToCollision)
 			rep.FutureCollisionSeq = r.sInj.Corrupt(faultinject.StateFutureColSeq, rep.FutureCollisionSeq)
-			return rep, false
+			return rep
 		})
-		r.wpT.Intercept(func(m waypointMsg) (waypointMsg, bool) {
+		r.wpT.Intercept(func(m waypointMsg) waypointMsg {
 			m.WP.Pos.X = r.sInj.Corrupt(faultinject.StateWpX, m.WP.Pos.X)
 			m.WP.Pos.Y = r.sInj.Corrupt(faultinject.StateWpY, m.WP.Pos.Y)
 			m.WP.Pos.Z = r.sInj.Corrupt(faultinject.StateWpZ, m.WP.Pos.Z)
@@ -367,7 +365,7 @@ func (r *runner) buildGraph() {
 			m.WP.Vel.X = r.sInj.Corrupt(faultinject.StateVelX, m.WP.Vel.X)
 			m.WP.Vel.Y = r.sInj.Corrupt(faultinject.StateVelY, m.WP.Vel.Y)
 			m.WP.Vel.Z = r.sInj.Corrupt(faultinject.StateVelZ, m.WP.Vel.Z)
-			return m, false
+			return m
 		})
 	}
 
@@ -422,7 +420,6 @@ func (r *runner) run() Result {
 			reading.Pos = r.senInj.CorruptPos(reading.Pos)
 			est.Pos = r.senInj.CorruptPos(st.Pos)
 		}
-		r.imuT.Publish(reading)
 
 		// Execute a replan decided last tick (and not vetoed by the
 		// detector's recovery in between).
@@ -436,7 +433,6 @@ func (r *runner) run() Result {
 		r.perceive(est, phase)
 		r.maybePlan(est, phase)
 		cmd := r.command(est, phase)
-		r.cmdT.Publish(cmd)
 		cmd = r.detectAndRecover(est, phase, reading, cmd)
 
 		r.mav.Step(cmd, r.tick)

@@ -144,16 +144,6 @@ func RunRecordedOptions(cfg pipeline.Config, dst io.Writer, opts Options) (pipel
 	return res, nil
 }
 
-// Replay re-simulates the recorded mission from its header alone and
-// returns the recomputed result.
-func (m *Mission) Replay() (pipeline.Result, error) {
-	cfg, err := m.Config()
-	if err != nil {
-		return pipeline.Result{}, err
-	}
-	return pipeline.RunMission(cfg), nil
-}
-
 // verifySink re-encodes the replayed samples through the canonical sample
 // codec and compares them byte-for-byte against the recorded stream as the
 // replay flies, remembering the first divergence.

@@ -1,55 +1,32 @@
 // Package ros implements the in-process middleware substrate the MAVFI
-// reproduction runs on. It mirrors the subset of ROS semantics the paper
-// relies on:
+// reproduction runs on. It mirrors the subset of ROS semantics the paper's
+// mission loop relies on:
 //
-//   - Nodes, each hosting one compute kernel, registered with a master.
+//   - Nodes, each hosting one compute kernel. A node is a crash domain: a
+//     panic inside one of its callbacks is recovered, logged against the
+//     node in the graph's CrashLog, and the node keeps receiving. This
+//     matches the paper's observation that "the ROS master node would
+//     restart the node automatically if it crashes" — which is why MAVFI
+//     focuses on SDCs rather than crashes.
 //   - Topics: typed one-to-many publish/subscribe channels.
-//   - Services: typed one-to-one request/response calls.
-//   - A master that detects node crashes (panics during callback dispatch)
-//     and restarts the node, matching the paper's observation that "the ROS
-//     master node would restart the node automatically if it crashes" —
-//     which is why MAVFI focuses on SDCs rather than crashes.
-//   - Interceptors: middleware hooks on topics, which is how the MAVFI
-//     injector node corrupts inter-kernel states in transit (Fig. 4 mode)
-//     and how the anomaly-detection node taps them without modifying the
-//     pipeline kernels.
+//   - Interceptors: hooks on topics, which is how the MAVFI injector
+//     corrupts inter-kernel states in transit (Fig. 4 mode).
 //
-// Dispatch is deterministic: Publish in immediate mode runs subscriber
-// callbacks synchronously in subscription order; in queued mode messages are
-// buffered per subscription and drained by SpinOnce in registration order.
-// Determinism is essential for reproducible fault-injection campaigns.
+// Delivery is synchronous and deterministic: Publish runs the interceptor
+// chain in registration order, then every subscriber callback in
+// subscription order, before it returns. Determinism is essential for
+// reproducible fault-injection campaigns.
 package ros
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// DispatchMode selects how published messages reach subscribers.
-type DispatchMode int
-
-const (
-	// Immediate dispatch invokes subscriber callbacks synchronously inside
-	// Publish, like ROS intra-process (nodelet) communication.
-	Immediate DispatchMode = iota
-	// Queued dispatch buffers messages per subscription; the graph's
-	// SpinOnce drains them in deterministic order, like a single-threaded
-	// ROS executor.
-	Queued
-)
-
-// Graph is the ROS computation graph: the master plus all nodes, topics, and
-// services. A Graph is not safe for concurrent use; the simulator drives it
-// from a single goroutine, which is what makes campaigns reproducible.
+// Graph is the ROS computation graph: the master's registry of nodes and
+// topics, and its log of recovered crashes. A Graph is not safe for
+// concurrent use; the simulator drives it from a single goroutine, which is
+// what makes campaigns reproducible.
 type Graph struct {
-	mode     DispatchMode
-	nodes    map[string]*Node
-	order    []*Node // registration order, for deterministic iteration
-	topics   map[string]topicHandle
-	services map[string]serviceHandle
-
-	// pending holds queued-mode deliveries awaiting SpinOnce.
-	pending []func()
+	nodes  map[string]struct{} // registered names, for the duplicate check
+	topics map[string]any      // *Topic[T] by name
 
 	// CrashLog records every node crash the master observed and recovered.
 	CrashLog []CrashRecord
@@ -61,119 +38,23 @@ type CrashRecord struct {
 	Reason string
 }
 
-type topicHandle interface {
-	topicName() string
-	messageCount() int
+// Node is a participant in the graph, typically hosting one PPC compute
+// kernel (the paper's "each ROS node comprises a single compute kernel"),
+// and the crash domain a CrashRecord names.
+type Node struct {
+	name string
 }
 
-type serviceHandle interface {
-	serviceName() string
-}
-
-// NewGraph creates an empty graph in Immediate dispatch mode.
+// NewGraph creates an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		mode:     Immediate,
-		nodes:    make(map[string]*Node),
-		topics:   make(map[string]topicHandle),
-		services: make(map[string]serviceHandle),
-	}
+	return &Graph{nodes: make(map[string]struct{}), topics: make(map[string]any)}
 }
-
-// SetMode switches the dispatch mode. Switching to Immediate with messages
-// still pending panics; drain with Spin first.
-func (g *Graph) SetMode(m DispatchMode) {
-	if m == Immediate && len(g.pending) > 0 {
-		panic("ros: cannot switch to Immediate with pending queued messages")
-	}
-	g.mode = m
-}
-
-// Mode returns the current dispatch mode.
-func (g *Graph) Mode() DispatchMode { return g.mode }
 
 // NewNode registers a node with the master. Node names must be unique.
 func (g *Graph) NewNode(name string) *Node {
 	if _, dup := g.nodes[name]; dup {
 		panic(fmt.Sprintf("ros: duplicate node name %q", name))
 	}
-	n := &Node{name: name, graph: g}
-	g.nodes[name] = n
-	g.order = append(g.order, n)
-	return n
-}
-
-// Node returns the registered node with the given name, or nil.
-func (g *Graph) Node(name string) *Node {
-	return g.nodes[name]
-}
-
-// Nodes returns all registered node names in sorted order.
-func (g *Graph) Nodes() []string {
-	names := make([]string, 0, len(g.nodes))
-	for name := range g.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Topics returns all topic names in sorted order.
-func (g *Graph) Topics() []string {
-	names := make([]string, 0, len(g.topics))
-	for name := range g.topics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Services returns all service names in sorted order.
-func (g *Graph) Services() []string {
-	names := make([]string, 0, len(g.services))
-	for name := range g.services {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SpinOnce delivers every message queued so far (Queued mode). Messages
-// published during delivery are queued for the next SpinOnce, mirroring a
-// single executor iteration. It returns the number of deliveries made.
-func (g *Graph) SpinOnce() int {
-	batch := g.pending
-	g.pending = nil
-	for _, deliver := range batch {
-		deliver()
-	}
-	return len(batch)
-}
-
-// Spin repeatedly calls SpinOnce until no messages remain or maxIters
-// iterations have run. It returns the total number of deliveries.
-func (g *Graph) Spin(maxIters int) int {
-	total := 0
-	for i := 0; i < maxIters; i++ {
-		n := g.SpinOnce()
-		total += n
-		if n == 0 {
-			break
-		}
-	}
-	return total
-}
-
-// PendingDeliveries returns the number of queued deliveries awaiting
-// SpinOnce.
-func (g *Graph) PendingDeliveries() int { return len(g.pending) }
-
-// recordCrash logs a recovered crash and bumps the node's restart counter,
-// implementing the master's automatic node restart.
-func (g *Graph) recordCrash(n *Node, reason string) {
-	g.CrashLog = append(g.CrashLog, CrashRecord{Node: n.name, Reason: reason})
-	n.restarts++
-	if n.onRestart != nil {
-		n.onRestart()
-	}
+	g.nodes[name] = struct{}{}
+	return &Node{name: name}
 }

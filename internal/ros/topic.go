@@ -5,29 +5,21 @@ import "fmt"
 // Topic is a typed one-to-many communication channel. Messages flow through
 // the interceptor chain (in registration order) before reaching subscribers.
 // Interceptors are how the MAVFI injector corrupts inter-kernel states in
-// transit and how the anomaly-detection node observes them.
+// transit.
 type Topic[T any] struct {
 	name         string
 	graph        *Graph
 	subs         []subscription[T]
 	interceptors []Interceptor[T]
-	latched      bool
-	last         T
-	hasLast      bool
-	published    int
-	dropped      int
 }
 
 // Interceptor transforms (or merely observes) a message in transit. The
-// returned message is what downstream interceptors and subscribers see. The
-// drop result, when true, suppresses delivery entirely.
-type Interceptor[T any] func(msg T) (out T, drop bool)
+// returned message is what downstream interceptors and subscribers see.
+type Interceptor[T any] func(msg T) T
 
 type subscription[T any] struct {
-	node  *Node
-	cb    func(T)
-	queue []T
-	depth int // max queue depth in Queued mode; oldest dropped on overflow
+	node *Node
+	cb   func(T)
 }
 
 // OpenTopic returns the topic with the given name, creating it on first use.
@@ -46,41 +38,11 @@ func OpenTopic[T any](g *Graph, name string) *Topic[T] {
 	return t
 }
 
-// SetLatched makes the topic retain its last message and replay it to new
-// subscribers, like a latched ROS topic.
-func (t *Topic[T]) SetLatched(latched bool) { t.latched = latched }
-
-// Name returns the topic name.
-func (t *Topic[T]) Name() string { return t.name }
-
-func (t *Topic[T]) topicName() string { return t.name }
-
-func (t *Topic[T]) messageCount() int { return t.published }
-
-// Published returns how many messages have been published on this topic.
-func (t *Topic[T]) Published() int { return t.published }
-
-// Dropped returns how many deliveries were lost to queue overflow or
-// interceptor drops.
-func (t *Topic[T]) Dropped() int { return t.dropped }
-
 // Subscribe registers cb to receive every message published on the topic.
 // The subscribing node is the crash domain: a panic inside cb is recovered
-// by the master and counted against node. The default queue depth in Queued
-// mode is 16.
+// by the master and logged against node.
 func (t *Topic[T]) Subscribe(node *Node, cb func(T)) {
-	t.SubscribeQueued(node, 16, cb)
-}
-
-// SubscribeQueued is Subscribe with an explicit queue depth for Queued mode.
-func (t *Topic[T]) SubscribeQueued(node *Node, depth int, cb func(T)) {
-	if depth < 1 {
-		depth = 1
-	}
-	t.subs = append(t.subs, subscription[T]{node: node, cb: cb, depth: depth})
-	if t.latched && t.hasLast {
-		t.deliver(&t.subs[len(t.subs)-1], t.last)
-	}
+	t.subs = append(t.subs, subscription[T]{node: node, cb: cb})
 }
 
 // Intercept appends an interceptor to the topic's chain.
@@ -88,49 +50,30 @@ func (t *Topic[T]) Intercept(ic Interceptor[T]) {
 	t.interceptors = append(t.interceptors, ic)
 }
 
-// ClearInterceptors removes all interceptors, used between campaign runs.
-func (t *Topic[T]) ClearInterceptors() { t.interceptors = nil }
-
-// Publish sends msg through the interceptor chain and delivers it to every
-// subscriber according to the graph's dispatch mode.
+// Publish sends msg through the interceptor chain and then delivers it to
+// every subscriber, synchronously and in subscription order.
 func (t *Topic[T]) Publish(msg T) {
-	t.published++
 	for _, ic := range t.interceptors {
-		var drop bool
-		msg, drop = ic(msg)
-		if drop {
-			t.dropped++
-			return
-		}
-	}
-	if t.latched {
-		t.last = msg
-		t.hasLast = true
+		msg = ic(msg)
 	}
 	for i := range t.subs {
 		t.deliver(&t.subs[i], msg)
 	}
 }
 
+// deliver runs one subscriber callback inside its node's crash guard. A
+// panic is recovered and logged against the node with the reason
+// "topic <name>: <panic>", and Publish goes on to the next subscriber. The
+// reason is formatted only in the recover branch, so a delivery that does
+// not panic allocates nothing.
 func (t *Topic[T]) deliver(s *subscription[T], msg T) {
-	switch t.graph.mode {
-	case Immediate:
-		s.node.guard("topic "+t.name, func() { s.cb(msg) })
-	case Queued:
-		if len(s.queue) >= s.depth {
-			// Drop oldest, like a full ROS subscriber queue.
-			s.queue = s.queue[1:]
-			t.dropped++
+	defer func() {
+		if r := recover(); r != nil {
+			t.graph.CrashLog = append(t.graph.CrashLog, CrashRecord{
+				Node:   s.node.name,
+				Reason: fmt.Sprintf("topic %s: %v", t.name, r),
+			})
 		}
-		s.queue = append(s.queue, msg)
-		sub := s
-		t.graph.pending = append(t.graph.pending, func() {
-			if len(sub.queue) == 0 {
-				return
-			}
-			m := sub.queue[0]
-			sub.queue = sub.queue[1:]
-			sub.node.guard("topic "+t.name, func() { sub.cb(m) })
-		})
-	}
+	}()
+	s.cb(msg)
 }

@@ -205,7 +205,9 @@ type Job struct {
 	// Cell is the job's matrix cell (identity, seed, CSV naming).
 	Cell matrix.Cell
 
-	// recordDir is the job's recording directory ("" = unrecorded).
+	// recordDir is the job's recording directory ("" = unrecorded). It is
+	// set by newJob and never written again, so the executor reads it
+	// without j.mu.
 	recordDir string
 
 	mu        sync.Mutex

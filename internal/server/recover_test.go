@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -169,4 +170,34 @@ func recordingMTimes(t *testing.T, dir string) map[string]time.Time {
 		out[e.Name()] = info.ModTime()
 	}
 	return out
+}
+
+// TestUnwritableManifestRunsUnrecorded pins what a recorded job does when its
+// manifest cannot be written: it runs unrecorded and ends done, never failed.
+// A regular file squats on each job's record directory, so the manifest's
+// MkdirAll fails. Each job is submitted to an idle executor, which dequeues
+// it at once: the window in which the executor could see a record directory
+// the submission is about to drop.
+func TestUnwritableManifestRunsUnrecorded(t *testing.T) {
+	const jobs = 10
+	dir := t.TempDir()
+	for i := 1; i <= jobs; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("job-%04d", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _ := newTestServer(t, Config{Workers: 1, RecordDir: dir})
+	spec := testSpec()
+	spec.Runs = 1
+	spec.Record = true
+	for i := 0; i < jobs; i++ {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.finished
+		if st := j.status(); st.State != JobDone || st.Error != "" {
+			t.Fatalf("%s ended %q (error %q), want done with no error", j.ID, st.State, st.Error)
+		}
+	}
 }

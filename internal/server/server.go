@@ -194,30 +194,30 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
+	// Submit is the queue's only sender and holds s.mu, so the room seen
+	// here is still there at the send below. The manifest is written before
+	// the job exists: its recordDir is settled before the executor can
+	// dequeue it, and is never written again.
+	if len(s.queue) == cap(s.queue) {
+		s.metrics.jobsRejected.Add(1)
+		return nil, errQueueFull
+	}
 	id := fmt.Sprintf("job-%04d", s.next+1)
 	var recordDir string
 	if spec.Record {
 		recordDir = filepath.Join(s.cfg.RecordDir, id)
+		if err := writeManifest(recordDir, manifest{ID: id, Spec: spec}); err != nil {
+			// The job still runs; it just won't be recorded or recoverable.
+			fmt.Fprintf(os.Stderr, "server: %s runs unrecorded: %v\n", id, err)
+			recordDir = ""
+		}
 	}
 	j := newJob(id, spec, cells[0], recordDir)
-	select {
-	case s.queue <- j:
-	default:
-		s.metrics.jobsRejected.Add(1)
-		return nil, errQueueFull
-	}
+	s.queue <- j
 	s.next++
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.metrics.jobsQueued.Add(1)
-	if recordDir != "" {
-		if err := s.writeManifest(j); err != nil {
-			// The job still runs; it just won't be recoverable.
-			j.mu.Lock()
-			j.recordDir = ""
-			j.mu.Unlock()
-		}
-	}
 	return j, nil
 }
 
@@ -361,17 +361,17 @@ type manifest struct {
 	Spec JobSpec `json:"spec"`
 }
 
-// writeManifest creates the job's recording directory and persists its
+// writeManifest creates a job's recording directory and persists its
 // manifest crash-safely: the atomic temp-file + rename protocol guarantees
 // restart recovery sees either no job.json or a complete one, never a torn
 // prefix — so a server killed mid-submit cannot poison its own recovery.
-func (s *Server) writeManifest(j *Job) error {
-	if err := os.MkdirAll(j.recordDir, 0o755); err != nil {
+func writeManifest(dir string, m manifest) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(manifest{ID: j.ID, Spec: j.Spec}, "", "  ")
+	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return atomicfile.WriteFile(filepath.Join(j.recordDir, "job.json"), append(b, '\n'), 0o644)
+	return atomicfile.WriteFile(filepath.Join(dir, "job.json"), append(b, '\n'), 0o644)
 }
