@@ -42,7 +42,7 @@ race-freelist:
 # engine scaling curve, and the perception micro-benchmarks, and records the
 # machine-readable perf trajectory in $(BENCH_JSON) (benchmark → ns/op,
 # allocs/op, custom metrics). Scale campaigns with MAVFI_BENCH_RUNS.
-BENCH_JSON ?= BENCH_PR14.json
+BENCH_JSON ?= BENCH_PR15.json
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./... > $(BENCH_JSON).raw
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < $(BENCH_JSON).raw
@@ -62,12 +62,13 @@ bench-plan:
 # bench-insert is the mapping-kernel smoke: one iteration each of the fused
 # scan insertion into the brick store, the test-only map oracle it is
 # checked against, the cold (exact-map) campaign cell whose missions Reset
-# recycled trees, and the memo + near-stride 2 cell whose missions ForkInto
-# them, so a regression in the carve, the store or either tree lifecycle
-# path fails as its own CI step.
+# recycled trees, the memo + near-stride 2 cell whose missions ForkInto
+# them, and the four preset worlds' golden-map build (one walk per sweep
+# scan, replayed), so a regression in the carve, the store, the replay or
+# either tree lifecycle path fails as its own CI step.
 bench-insert:
 	$(GO) test -bench 'Benchmark(InsertCloud|InsertRayReference)$$' -benchtime=1x -run '^$$' ./internal/octomap
-	$(GO) test -bench 'BenchmarkCampaignCell/(cold|memo-near2)$$' -benchtime=1x -run '^$$' ./internal/pipeline
+	$(GO) test -bench 'BenchmarkCampaignCell/(cold|memo-near2)$$|BenchmarkBuildMapSeed$$' -benchtime=1x -run '^$$' ./internal/pipeline
 
 # bench-seed is the PR 9 golden-map headline: one campaign cell flown cold /
 # seeded / seeded+stride / memo / memo+stride (BenchmarkCampaignCell), the

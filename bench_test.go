@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -56,13 +57,22 @@ func BenchmarkMission(b *testing.B) {
 // parallel engine at increasing worker counts. On an N-core host the
 // per-iteration time should fall roughly N-fold from workers=1 to
 // workers=N; the reported success rate is identical at every width
-// (bit-identical results are the engine's core guarantee).
+// (bit-identical results are the engine's core guarantee). Only widths up
+// to GOMAXPROCS run, since a wider row measures contention rather than
+// scaling, and with GOMAXPROCS 1 there is no curve at all, so it skips.
 func BenchmarkCampaignRunnerScaling(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		b.Skip("scaling needs GOMAXPROCS > 1")
+	}
 	o := benchOpts()
 	ctx := experiments.NewContext(o)
 	w := ctx.World("Sparse")
 	n := 2 * o.Runs
 	for _, workers := range []int{1, 2, 4, 8} {
+		if workers > procs {
+			break
+		}
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			r := campaign.New(campaign.WithWorkers(workers))
 			for i := 0; i < b.N; i++ {

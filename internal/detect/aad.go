@@ -33,6 +33,10 @@ type AAD struct {
 	Margin float64
 
 	trained bool
+
+	// in is reconError's standardised-input buffer. Clone copies it by
+	// value, so every clone owns its own.
+	in [NumStates]float64
 }
 
 // AADConfig configures the autoencoder architecture and training.
@@ -166,9 +170,10 @@ func (a *AAD) standardize(s [NumStates]float64, out []float64) {
 	}
 }
 
-// reconError returns the reconstruction MSE for one sample.
+// reconError returns the reconstruction MSE for one sample, allocating
+// nothing.
 func (a *AAD) reconError(s [NumStates]float64) float64 {
-	x := make([]float64, NumStates)
+	x := a.in[:]
 	a.standardize(s, x)
 	y := a.net.Forward(x)
 	return nn.MSE(y, x)

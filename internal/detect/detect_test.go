@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mavfi/internal/faultinject"
+	"mavfi/internal/testutil"
 )
 
 func TestSignExp(t *testing.T) {
@@ -401,5 +402,30 @@ func TestAADCloneMatchesOriginal(t *testing.T) {
 	}
 	for w := 0; w < 4; w++ {
 		<-done
+	}
+}
+
+// TestObserveAllocFree pins the per-tick detector contract: once trained,
+// GAD and AAD Observe on a sample that raises no alarm allocate nothing, on
+// the detector itself and on the inference clones missions carry.
+func TestObserveAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are meaningless under -race instrumentation")
+	}
+	cfg := DefaultAADConfig()
+	cfg.Epochs = 5
+	a := trainAADOnCalm(t, cfg)
+	g := trainedGAD(t)
+	var calm [NumStates]float64
+	calm[0] = 0.1
+	for name, d := range map[string]Detector{
+		"gad": g, "gad clone": g.Clone(), "aad": a, "aad clone": a.Clone(),
+	} {
+		if recs := d.Observe(0, calm); len(recs) != 0 {
+			t.Fatalf("%s: calm sample alarmed: %v", name, recs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { d.Observe(1, calm) }); allocs != 0 {
+			t.Errorf("%s: Observe allocates %v objects per call, want 0", name, allocs)
+		}
 	}
 }

@@ -142,14 +142,15 @@ func (idx *obstacleIndex) anyWithin(obstacles []geom.AABB, p geom.Vec3, radius f
 // raycast returns min(best, first obstacle intersection along origin+t*dir),
 // walking grid cells front-to-back with a 3-D DDA and stopping as soon as
 // the running minimum precedes the next cell. Candidates go through the same
-// geom.AABB.RayIntersection as the linear scan, so the returned distance is
-// bit-identical to scanning every obstacle.
+// geom.AABB.Hit on the same prepared ray as the linear scan, so the returned
+// distance is bit-identical to scanning every obstacle.
 func (idx *obstacleIndex) raycast(obstacles []geom.AABB, origin, dir geom.Vec3, best float64) float64 {
 	end := origin.Add(dir.Scale(best))
 	ok, t0, t1 := idx.box.SegmentIntersection(origin, end)
 	if !ok {
 		return best
 	}
+	ray := geom.NewRay(origin, dir) // prepared once for every candidate test
 	// Enter slightly inside the box so the starting cell is unambiguous.
 	p0 := origin.Add(dir.Scale(best * (t0 + 1e-12)))
 	enter, exit := best*t0, best*t1
@@ -176,7 +177,7 @@ func (idx *obstacleIndex) raycast(obstacles []geom.AABB, origin, dir geom.Vec3, 
 	for {
 		cell := (z*idx.ny+y)*idx.nx + x
 		for _, oi := range idx.items[idx.cellStart[cell]:idx.cellStart[cell+1]] {
-			if hit, t := obstacles[oi].RayIntersection(origin, dir); hit && t >= 0 && t < best {
+			if hit, t := obstacles[oi].Hit(ray); hit && t >= 0 && t < best {
 				best = t
 			}
 		}

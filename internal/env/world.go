@@ -126,8 +126,9 @@ func (w *World) Raycast(origin, dir geom.Vec3, maxRange float64) float64 {
 	if idx := w.index(); idx != nil {
 		return idx.raycast(w.Obstacles, origin, dir, best)
 	}
+	ray := geom.NewRay(origin, dir) // prepared once for every obstacle test
 	for _, ob := range w.Obstacles {
-		if hit, t := ob.RayIntersection(origin, dir); hit && t >= 0 && t < best {
+		if hit, t := ob.Hit(ray); hit && t >= 0 && t < best {
 			best = t
 		}
 	}

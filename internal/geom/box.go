@@ -85,7 +85,12 @@ func (b AABB) SegmentIntersects(p0, p1 Vec3) bool {
 // tEnter and tExit are the clamped parameters in [0,1] where the segment is
 // inside the box.
 func (b AABB) SegmentIntersection(p0, p1 Vec3) (hit bool, tEnter, tExit float64) {
-	d := p1.Sub(p0)
+	return b.slab(p0, p1.Sub(p0))
+}
+
+// slab is the slab test of the segment p0→p0+d against b, the body of
+// SegmentIntersection taking the segment's delta ready-made.
+func (b AABB) slab(p0, d Vec3) (hit bool, tEnter, tExit float64) {
 	tmin, tmax := 0.0, 1.0
 	for axis := 0; axis < 3; axis++ {
 		var o, dir, lo, hi float64
@@ -121,15 +126,33 @@ func (b AABB) SegmentIntersection(p0, p1 Vec3) (hit bool, tEnter, tExit float64)
 	return true, tmin, tmax
 }
 
+// rayRange is the length of the segment a ray is slab-tested as; it bounds
+// sensing distances in this codebase by a wide margin.
+const rayRange = 1e6
+
+// Ray is the ray origin+t*dir (t >= 0) prepared for tests against many
+// boxes: its direction is normalised and its rayRange-long test segment
+// built once, where RayIntersection does both per box.
+type Ray struct {
+	origin Vec3
+	d      Vec3 // the test segment's delta: end minus origin
+}
+
+// NewRay prepares the ray origin+t*dir for Hit.
+func NewRay(origin, dir Vec3) Ray {
+	return Ray{origin: origin, d: origin.Add(dir.Normalize().Scale(rayRange)).Sub(origin)}
+}
+
+// Hit is RayIntersection for a prepared ray: the same arithmetic, so the
+// same result bit for bit. A miss is (false, 0): slab reports tEnter 0.
+func (b AABB) Hit(r Ray) (hit bool, t float64) {
+	ok, tEnter, _ := b.slab(r.origin, r.d)
+	return ok, tEnter * rayRange
+}
+
 // RayIntersection computes the first intersection of the ray origin+t*dir
-// (t >= 0) with the box. It returns hit=false when the ray misses.
+// (t >= 0) with the box. It returns hit=false when the ray misses. Testing
+// one ray against many boxes, prepare it once with NewRay and call Hit.
 func (b AABB) RayIntersection(origin, dir Vec3) (hit bool, t float64) {
-	// Reuse the slab test with a long segment; maxRange bounds sensing
-	// distances in this codebase by a wide margin.
-	const maxRange = 1e6
-	ok, tEnter, _ := b.SegmentIntersection(origin, origin.Add(dir.Normalize().Scale(maxRange)))
-	if !ok {
-		return false, 0
-	}
-	return true, tEnter * maxRange
+	return b.Hit(NewRay(origin, dir))
 }

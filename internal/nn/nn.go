@@ -72,6 +72,9 @@ type Dense struct {
 	input  []float64
 	output []float64
 
+	// gradIn is Backward's result buffer, reused across calls.
+	gradIn []float64
+
 	// Gradients accumulated by Backward, same layout as W / B.
 	gW []float64
 	gB []float64
@@ -122,9 +125,14 @@ func (d *Dense) Forward(x []float64) []float64 {
 }
 
 // Backward consumes dL/dOut, accumulates weight gradients, and returns
-// dL/dIn.
+// dL/dIn. The result aliases a buffer the layer reuses: it is valid until
+// the layer's next Backward call.
 func (d *Dense) Backward(gradOut []float64) []float64 {
-	gradIn := make([]float64, d.In)
+	if d.gradIn == nil {
+		d.gradIn = make([]float64, d.In)
+	}
+	gradIn := d.gradIn
+	clear(gradIn)
 	for i := 0; i < d.Out; i++ {
 		g := gradOut[i] * d.Act.derivFromOut(d.output[i])
 		d.gB[i] += g
@@ -141,7 +149,8 @@ func (d *Dense) Backward(gradOut []float64) []float64 {
 // Network is a feed-forward stack of dense layers.
 type Network struct {
 	Layers []*Dense
-	step   int // Adam time step
+	step   int       // Adam time step
+	grad   []float64 // BackwardMSE's dL/dOut buffer, reused across calls
 }
 
 // NewNetwork builds a stack where sizes gives the neuron count per layer
@@ -197,7 +206,10 @@ func (n *Network) BackwardMSE(t []float64) float64 {
 	last := n.Layers[len(n.Layers)-1]
 	y := last.output
 	loss := MSE(y, t)
-	grad := make([]float64, len(y))
+	if n.grad == nil {
+		n.grad = make([]float64, len(y))
+	}
+	grad := n.grad
 	for i := range y {
 		grad[i] = 2 * (y[i] - t[i]) / float64(len(y))
 	}

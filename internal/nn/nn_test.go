@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mavfi/internal/testutil"
 )
 
 func TestDenseForwardShape(t *testing.T) {
@@ -210,5 +212,30 @@ func TestCloneForInferenceConcurrent(t *testing.T) {
 				t.Fatalf("clone %d output[%d] = %v, want %v", c, i, out[i], want[i])
 			}
 		}
+	}
+}
+
+// TestTrainStepAllocFree pins that a training step (Forward, BackwardMSE,
+// AdamStep) allocates nothing once the network's buffers exist: Backward
+// and BackwardMSE reuse per-layer and per-network gradient buffers.
+func TestTrainStepAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc counts are meaningless under -race instrumentation")
+	}
+	rng := rand.New(rand.NewSource(4))
+	net := aadShape(rng)
+	cfg := DefaultAdam()
+	x := make([]float64, 13)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	step := func() {
+		net.Forward(x)
+		net.BackwardMSE(x)
+		net.AdamStep(cfg, 1)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("training step allocates %v objects, want 0", allocs)
 	}
 }

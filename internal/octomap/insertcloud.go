@@ -31,11 +31,82 @@ type RayPoint struct {
 // loads; the bytes never changed, and an independent map oracle in the
 // package tests pins them. Steady-state calls allocate nothing beyond
 // amortised brick-slab growth when the scan observes new space, and a tree
-// recycled through Reset keeps its grown slab.
+// recycled through Reset keeps its grown slab. InsertCloud never records
+// its updates; a scan integrated several times in a row goes through
+// InsertCloudN, which walks it once.
 func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 	for i := range pts {
 		t.integrateRay(origin, pts[i].End, pts[i].Hit)
 	}
+}
+
+// voxelUpdate is one leaf evidence update InsertCloudN recorded: the slab
+// offset it landed on, the masked key reclassify needs, and whether it was
+// hit or miss evidence.
+type voxelUpdate struct {
+	off     int
+	x, y, z int32 // masked keys are below 2^maxDepth
+	hit     bool
+}
+
+// InsertCloudN integrates one scan n times over: exactly n consecutive
+// InsertCloud(origin, pts) calls, to the bit, in every voxel, summary
+// count, class-grid byte and the LeafUpdates total, so every Digest agrees.
+//
+// Which voxels a ray updates, in what order and with which delta depends
+// only on the ray and the tree geometry, never on the map content. So only
+// the first pass walks: it runs InsertCloud's fused carve and endpoint
+// update and appends every update to a record the tree keeps. The other
+// n−1 passes replay that record in order, applying the same clamped sums
+// and calling reclassify on every class change, exactly as the walk does,
+// and add the record length to the leaf-update total. The first pass has
+// allocated every brick the scan touches, so the recorded slab offsets stay
+// valid throughout.
+//
+// BuildMapSeed's confirmation passes are the caller: one walk, replayed.
+// n <= 0 is a no-op and n == 1 is InsertCloud. The record keeps its array
+// across calls, so once it has grown to the scan a call allocates nothing
+// beyond the slab growth InsertCloud itself would cause.
+func (t *Tree) InsertCloudN(origin geom.Vec3, pts []RayPoint, n int) {
+	if n <= 0 {
+		return
+	}
+	if n == 1 {
+		t.InsertCloud(origin, pts)
+		return
+	}
+	t.recBuf = t.recBuf[:0]
+	t.rec = &t.recBuf
+	t.InsertCloud(origin, pts)
+	t.rec = nil
+	for pass := 1; pass < n; pass++ {
+		t.replay(t.recBuf)
+	}
+}
+
+// replay applies the recorded updates rec again, in order: the update body
+// of carve and updateKey without the walk.
+func (t *Tree) replay(rec []voxelUpdate) {
+	hit, miss := t.params.LogOddsHit, t.params.LogOddsMiss
+	clampMin, clampMax := t.params.ClampMin, t.params.ClampMax
+	slab := t.store.slab
+	for i := range rec {
+		u := &rec[i]
+		delta := miss
+		if u.hit {
+			delta = hit
+		}
+		v := &slab[u.off]
+		old := *v
+		lo := geom.Clampf(old+delta, clampMin, clampMax)
+		*v = lo
+		if lo != old { // a clamped voxel cannot change class
+			if from, to := t.classOf(old), t.classOf(lo); from != to {
+				t.reclassify(int(u.x), int(u.y), int(u.z), from, to)
+			}
+		}
+	}
+	t.leafUpdates += len(rec)
 }
 
 // InsertCloudApprox is InsertCloud with the two opt-in approximate-mode

@@ -94,6 +94,13 @@ type Tree struct {
 
 	leafUpdates int // total leaf evidence updates, for overhead accounting
 
+	// rec is non-nil only during the first pass of InsertCloudN, where it
+	// points at recBuf: carve and integrateRay then append every voxel
+	// update they apply, in application order, for the other passes to
+	// replay. recBuf keeps its array across calls.
+	rec    *[]voxelUpdate
+	recBuf []voxelUpdate
+
 	// probeRec, when non-nil, observes every classification served from a
 	// brick rather than the grid, in probe order. Test instrumentation only
 	// (the fused-vs-sequential equivalence suite records probe sequences
@@ -254,12 +261,17 @@ func (t *Tree) Resolution() float64 { return t.resolution }
 func (t *Tree) LeafUpdates() int { return t.leafUpdates }
 
 // key converts a world point to integer voxel coordinates at leaf depth.
-// ok is false outside the root volume. Power-of-two resolutions take the
+// ok is false outside the root volume, and for a NaN coordinate: the range
+// test is written so that every comparison must hold (the form fillRayAxis
+// uses), and a comparison with NaN never does, so NaN on an axis is out of
+// range exactly as +Inf there is. Power-of-two resolutions take the
 // multiply path, which is bit-identical to the divide (see reinit).
 func (t *Tree) key(p geom.Vec3) (x, y, z int, ok bool) {
 	rel := p.Sub(t.origin)
-	if rel.X < 0 || rel.Y < 0 || rel.Z < 0 ||
-		rel.X >= t.rootSize || rel.Y >= t.rootSize || rel.Z >= t.rootSize {
+	in := rel.X >= 0 && rel.X < t.rootSize &&
+		rel.Y >= 0 && rel.Y < t.rootSize &&
+		rel.Z >= 0 && rel.Z < t.rootSize
+	if !in {
 		return 0, 0, 0, false
 	}
 	if t.mulKey {
@@ -388,6 +400,10 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool) {
 		} else {
 			t.updateKey(ex, ey, ez, t.params.LogOddsMiss)
 		}
+		if t.rec != nil {
+			off := t.store.brick(t.cell(ex, ey, ez)) + voxelOffset(ex, ey, ez)
+			*t.rec = append(*t.rec, voxelUpdate{off: off, x: int32(ex), y: int32(ey), z: int32(ez), hit: hit})
+		}
 	}
 }
 
@@ -403,8 +419,10 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool) {
 // equivalence test against an independent map oracle pins this.
 //
 // Overshoot keys outside [0, maxKey) are masked like every other key (see
-// Tree).
+// Tree). While InsertCloudN records (t.rec non-nil), every update is also
+// appended to the record; the check is one predictable branch per voxel.
 func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
+	rec := t.rec
 	miss := t.params.LogOddsMiss
 	clampMin, clampMax := t.params.ClampMin, t.params.ClampMax
 	mask := t.keyMask
@@ -422,7 +440,8 @@ func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
 				slab = t.store.slab
 				bx, by, bz = mx, my, mz
 			}
-			v := &slab[base+voxelOffset(mx, my, mz)]
+			off := base + voxelOffset(mx, my, mz)
+			v := &slab[off]
 			old := *v
 			lo := geom.Clampf(old+miss, clampMin, clampMax)
 			*v = lo
@@ -430,6 +449,9 @@ func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
 				if from, to := t.classOf(old), t.classOf(lo); from != to {
 					t.reclassify(mx, my, mz, from, to)
 				}
+			}
+			if rec != nil {
+				*rec = append(*rec, voxelUpdate{off: off, x: int32(mx), y: int32(my), z: int32(mz)})
 			}
 			updates++
 		}

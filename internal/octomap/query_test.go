@@ -1,8 +1,10 @@
 package octomap
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mavfi/internal/geom"
@@ -433,5 +435,82 @@ func TestSegmentQueriesLeavingVolume(t *testing.T) {
 	// Starting outside is an immediate collision.
 	if frac, ok := tr.FirstBlocked(geom.V(-1, 8, 8), geom.V(5, 8, 8), q); !ok || frac != 0 {
 		t.Fatalf("segment starting outside volume = (%v, %v), want (0, true)", frac, ok)
+	}
+}
+
+// withAxis returns p with its coordinate on axis (0 x, 1 y, 2 z) set to v.
+func withAxis(p geom.Vec3, axis int, v float64) geom.Vec3 {
+	switch axis {
+	case 0:
+		p.X = v
+	case 1:
+		p.Y = v
+	default:
+		p.Z = v
+	}
+	return p
+}
+
+// TestNaNCoordinateIsOutOfVolume pins that a NaN coordinate on any axis is
+// out of the mapped volume at every entry point, exactly as +Inf on that
+// axis is, where a NaN used to key as int(NaN) and index out of range or
+// through a wrapped index: At reads Occupied, PointFree and SegmentFree
+// report blocked, FirstBlocked reports a collision (never "nothing ahead")
+// at a fraction in [0, 1], and InsertCloud leaves the tree exactly as the
+// same scan with +Inf there does, whether the NaN is in a ray's endpoint or
+// in the scan origin.
+func TestNaNCoordinateIsOutOfVolume(t *testing.T) {
+	bounds := geom.Box(geom.V(0, 0, 0), geom.V(16, 16, 16))
+	tr := New(bounds, 0.5, DefaultParams())
+	rng := rand.New(rand.NewSource(3))
+	origin := geom.V(8, 8, 8)
+	tr.InsertCloud(origin, randomScan(rng, origin, 200))
+	a, b := geom.V(3, 4, 5), geom.V(12, 11, 9)
+	policies := []QueryPolicy{
+		{UnknownIsFree: true, Radius: 0.55},
+		{UnknownIsFree: true},
+		{Radius: 0.55},
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for axis := 0; axis < 3; axis++ {
+		name := fmt.Sprintf("axis %d", axis)
+		if got := tr.At(withAxis(a, axis, nan)); got != Occupied {
+			t.Errorf("%s: At = %v, want Occupied", name, got)
+		}
+		for _, q := range policies {
+			if tr.PointFree(withAxis(a, axis, nan), q) {
+				t.Errorf("%s %+v: PointFree reported a NaN point free", name, q)
+			}
+			for _, seg := range [][2]geom.Vec3{
+				{withAxis(a, axis, nan), b}, {a, withAxis(b, axis, nan)},
+			} {
+				if tr.SegmentFree(seg[0], seg[1], q) {
+					t.Errorf("%s %+v: SegmentFree(%v, %v) reported free", name, q, seg[0], seg[1])
+				}
+				f, ok := tr.FirstBlocked(seg[0], seg[1], q)
+				if !ok || !(f >= 0 && f <= 1) {
+					t.Errorf("%s %+v: FirstBlocked(%v, %v) = (%v, %v), want a collision in [0, 1]",
+						name, q, seg[0], seg[1], f, ok)
+				}
+			}
+		}
+
+		// A NaN endpoint inside a scan drops that ray and keeps the rest.
+		scan := randomScan(rng, origin, 30)
+		withNaN, withInf := slices.Clone(scan), slices.Clone(scan)
+		withNaN[7].End = withAxis(scan[7].End, axis, nan)
+		withInf[7].End = withAxis(scan[7].End, axis, inf)
+		got, want := New(bounds, 0.5, DefaultParams()), New(bounds, 0.5, DefaultParams())
+		got.InsertCloud(origin, withNaN)
+		want.InsertCloud(origin, withInf)
+		assertTwinsEqual(t, got, want, name+" endpoint")
+		compareTrees(t, got, want)
+
+		// A NaN origin carves nothing; the endpoints still land.
+		got, want = New(bounds, 0.5, DefaultParams()), New(bounds, 0.5, DefaultParams())
+		got.InsertCloud(withAxis(origin, axis, nan), scan)
+		want.InsertCloud(withAxis(origin, axis, inf), scan)
+		assertTwinsEqual(t, got, want, name+" origin")
+		compareTrees(t, got, want)
 	}
 }

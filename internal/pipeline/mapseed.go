@@ -15,7 +15,8 @@ import (
 // change the map geometry a mission sees.
 const mapResolution = 0.5
 
-// seedConfirm is how many times BuildMapSeed re-inserts each sweep scan.
+// seedConfirm is how many times BuildMapSeed integrates each sweep scan
+// (one walk, replayed: see octomap.Tree.InsertCloudN).
 // Five consistent observations drive a voxel from unknown to either clamp
 // (5 misses = 5·logit(0.4) ≤ ClampMin, 5 hits = 5·logit(0.7) ≥ ClampMax),
 // so the golden map is a full-confidence prior: everything the sweep saw is
@@ -95,9 +96,7 @@ func BuildMapSeed(w *env.World) *MapSeed {
 			for _, p := range cloud.Points {
 				scan = append(scan, octomap.RayPoint{End: p.P, Hit: p.Hit})
 			}
-			for rep := 0; rep < seedConfirm; rep++ {
-				tree.InsertCloud(cloud.Origin, scan)
-			}
+			tree.InsertCloudN(cloud.Origin, scan, seedConfirm)
 		}
 	}
 	s, err := NewMapSeed(w, tree.Snapshot())

@@ -4,9 +4,32 @@ import (
 	"math/rand"
 	"testing"
 
+	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/env"
 	"mavfi/internal/pipeline"
 )
+
+// BenchmarkBuildMapSeed times the golden-map build a campaign pays once per
+// world before it forks any mission (setup_s in the sweep-memo benchmark):
+// one op builds the seeds of the four preset worlds, each generated as the
+// campaign matrix generates it. make bench-insert runs it once.
+func BenchmarkBuildMapSeed(b *testing.B) {
+	var worlds []*env.World
+	for _, name := range []string{"sparse", "dense", "factory", "farm"} {
+		w, err := matrix.World(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		worlds = append(worlds, w)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range worlds {
+			pipeline.BuildMapSeed(w)
+		}
+	}
+}
 
 // BenchmarkCampaignCell is the PR 9 headline: one campaign cell's worth of
 // missions (six seeds on the sparse world) flown cold (every mission builds

@@ -2,7 +2,10 @@ package record
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"math"
+	"math/rand"
 	"testing"
 
 	"mavfi/internal/geom"
@@ -43,5 +46,57 @@ func TestAppendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Append allocates %.1f times per sample on the tick path, want 0", allocs)
+	}
+}
+
+// TestPooledGzipWriterMatchesNew pins what compressor reuse rests on: a
+// pooled compressor that has already compressed other data writes exactly
+// the bytes a new one at the same level writes, at every level, and an
+// invalid level still reports gzip's error.
+func TestPooledGzipWriterMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	payload := make([]byte, 64<<10)
+	for i := range payload {
+		payload[i] = byte(rng.Intn(16)) // compressible, like a tick chunk
+	}
+	other := make([]byte, 16<<10)
+	for i := range other {
+		other[i] = byte(rng.Intn(256))
+	}
+	compress := func(zw *gzip.Writer, data []byte) {
+		t.Helper()
+		if _, err := zw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for level := gzip.HuffmanOnly; level <= gzip.BestCompression; level++ {
+		var fresh, used, pooled bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&fresh, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compress(zw, payload)
+
+		zw, err = getGzipWriter(&used, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compress(zw, other)
+		putGzipWriter(zw, level)
+		zw, err = getGzipWriter(&pooled, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compress(zw, payload)
+		putGzipWriter(zw, level)
+		if !bytes.Equal(fresh.Bytes(), pooled.Bytes()) {
+			t.Errorf("level %d: pooled compressor wrote %d bytes unlike a new one's %d", level, pooled.Len(), fresh.Len())
+		}
+	}
+	if _, err := getGzipWriter(io.Discard, gzip.BestCompression+1); err == nil {
+		t.Error("invalid gzip level accepted")
 	}
 }

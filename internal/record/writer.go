@@ -239,15 +239,42 @@ func (w *Writer) snapshot() Snapshot {
 	}
 }
 
+// gzipWriters pools chunk compressors per level, indexed by level minus
+// gzip.HuffmanOnly: a compressor's state runs to hundreds of kilobytes, and
+// a Reset one writes exactly the bytes a new one would, so missions share
+// them instead of each allocating its own.
+var gzipWriters [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
+
+// getGzipWriter returns a compressor at level writing to dst, from the pool
+// when it holds one; an invalid level reports gzip's error.
+func getGzipWriter(dst io.Writer, level int) (*gzip.Writer, error) {
+	if level >= gzip.HuffmanOnly && level <= gzip.BestCompression {
+		if zw, ok := gzipWriters[level-gzip.HuffmanOnly].Get().(*gzip.Writer); ok {
+			zw.Reset(dst)
+			return zw, nil
+		}
+	}
+	return gzip.NewWriterLevel(dst, level)
+}
+
+// putGzipWriter returns a compressor from getGzipWriter to the pool,
+// detached from its last destination.
+func putGzipWriter(zw *gzip.Writer, level int) {
+	zw.Reset(io.Discard)
+	gzipWriters[level-gzip.HuffmanOnly].Put(zw)
+}
+
 // compressLoop is the background goroutine: compress chunks, frame
 // snapshots, recycle buffers. On a write error it latches failure and keeps
 // draining (recycling buffers) so the tick path can never deadlock.
 func (w *Writer) compressLoop() {
 	defer w.wg.Done()
 	var buf bytes.Buffer
-	zw, zerr := gzip.NewWriterLevel(&buf, w.opts.GzipLevel)
+	zw, zerr := getGzipWriter(&buf, w.opts.GzipLevel)
 	if zerr != nil {
 		w.fail(zerr)
+	} else {
+		defer putGzipWriter(zw, w.opts.GzipLevel)
 	}
 	for j := range w.work {
 		if !w.failed.Load() {

@@ -23,6 +23,9 @@ type DepthImage struct {
 	// so downstream kernels (point-cloud generation) reuse them instead of
 	// redoing the trigonometry.
 	dirs []geom.Vec3
+	// azTrig is capture scratch: the cosine and sine of each column's
+	// azimuth at this frame's yaw, computed once per column.
+	azTrig [][2]float64
 }
 
 // Ray returns the unit direction of the (row, col) pixel's ray in the world
@@ -120,22 +123,19 @@ func (c *DepthCamera) CaptureInto(img *DepthImage, w *env.World, pos geom.Vec3, 
 	img.MaxRange = c.MaxRange
 	img.Pos, img.Yaw = pos, yaw
 	n := c.Rows * c.Cols
-	if cap(img.Depth) < n {
-		img.Depth = make([]float64, n)
-	} else {
-		img.Depth = img.Depth[:n]
-	}
-	if cap(img.dirs) < n {
-		img.dirs = make([]geom.Vec3, n)
-	} else {
-		img.dirs = img.dirs[:n]
-	}
+	img.Depth = resized(img.Depth, n)
+	img.dirs = resized(img.dirs, n)
+	img.azTrig = resized(img.azTrig, c.Cols)
 	tab := c.tables()
+	for col, off := range tab.azOff {
+		az := yaw + off
+		img.azTrig[col] = [2]float64{math.Cos(az), math.Sin(az)}
+	}
 	for r := 0; r < c.Rows; r++ {
 		se, ce := tab.sinEl[r], tab.cosEl[r]
 		for col := 0; col < c.Cols; col++ {
-			az := yaw + tab.azOff[col]
-			dir := geom.V(ce*math.Cos(az), ce*math.Sin(az), se)
+			cs := img.azTrig[col]
+			dir := geom.V(ce*cs[0], ce*cs[1], se)
 			img.dirs[r*c.Cols+col] = dir
 			dist := w.Raycast(pos, dir, c.MaxRange)
 			if rng != nil && c.NoiseStd > 0 && dist < c.MaxRange {
@@ -150,6 +150,15 @@ func (c *DepthCamera) CaptureInto(img *DepthImage, w *env.World, pos geom.Vec3, 
 			img.Depth[r*c.Cols+col] = dist
 		}
 	}
+}
+
+// resized returns s with length n, reusing its array when the capacity
+// suffices; elements are left for the caller to overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // IMUReading is one inertial sample.
