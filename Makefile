@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check test test-full test-race race-freelist bench bench-smoke bench-plan bench-probes bench-insert bench-seed docs-check record replay replay-verify matrix-smoke server-smoke dispatch-smoke approx-smoke fuzz-smoke cover staticcheck vulncheck
+.PHONY: build vet fmt fmt-check test test-full test-race race-freelist bench bench-smoke bench-plan bench-probes bench-insert bench-seed docs-check record replay replay-verify matrix-smoke server-smoke dispatch-smoke approx-smoke hang-smoke fuzz-smoke cover staticcheck vulncheck
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,7 @@ race-freelist:
 # engine scaling curve, and the perception micro-benchmarks, and records the
 # machine-readable perf trajectory in $(BENCH_JSON) (benchmark → ns/op,
 # allocs/op, custom metrics). Scale campaigns with MAVFI_BENCH_RUNS.
-BENCH_JSON ?= BENCH_PR15.json
+BENCH_JSON ?= BENCH_PR16.json
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./... > $(BENCH_JSON).raw
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < $(BENCH_JSON).raw
@@ -64,7 +64,7 @@ bench-plan:
 # checked against, the cold (exact-map) campaign cell whose missions Reset
 # recycled trees, the memo + near-stride 2 cell whose missions ForkInto
 # them, and the four preset worlds' golden-map build (one walk per sweep
-# scan, replayed), so a regression in the carve, the store, the replay or
+# scan, folded), so a regression in the carve, the store, the fold or
 # either tree lifecycle path fails as its own CI step.
 bench-insert:
 	$(GO) test -bench 'Benchmark(InsertCloud|InsertRayReference)$$' -benchtime=1x -run '^$$' ./internal/octomap
@@ -224,6 +224,21 @@ approx-smoke:
 	@echo "approximate-mode worker-width byte-identity: ok"
 	$(GO) test -run 'TestEmptySeedReproducesGoldenDigests|TestZeroStrideBitIdentical' -count=1 ./internal/pipeline
 	$(GO) test -run 'TestFidelity|TestSeededMatrix' -count=1 ./internal/campaign/matrix
+
+# hang-smoke runs, each under a 120 s wall-clock cap, the commands that
+# never finished while geom.WrapAngle reduced a huge yaw by 2π steps: the
+# two `mavfi matrix` repros in bench/README.md and a wp_yaw state-fault
+# recording. The binaries are built first, so the cap times the runs alone
+# and `timeout` stops the process that hangs.
+hang-smoke:
+	rm -rf data/hang && mkdir -p data/hang
+	$(GO) build -o data/hang/mavfi ./cmd/mavfi
+	$(GO) build -o data/hang/mavfi-replay ./cmd/mavfi-replay
+	timeout 120 data/hang/mavfi matrix -worlds farm -families kernel -severities high -runs 8 -seed 19
+	timeout 120 data/hang/mavfi matrix -worlds sparse -families kernel -severities med0=0.6 \
+		-detectors aad -recoveries off -train 50 -runs 2 -seed 29
+	timeout 120 data/hang/mavfi-replay -record -o data/hang/wp_yaw -state wp_yaw -runs 6 -seed 1
+	@echo "former WrapAngle hangs finish: ok"
 
 # fuzz-smoke gives each fuzz target a short budget on every PR, so the
 # corpus-regression entries always replay and the targets cannot rot. Real

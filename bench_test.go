@@ -164,14 +164,9 @@ func BenchmarkFig6(b *testing.B) {
 		f := ctx.Fig6()
 		// Report the Sparse worst-case flight-time recovery fractions.
 		ec := f.Envs[2]
-		gMax := ec.Golden.FlightTimeSummary().Max
-		iMax := ec.Injected.FlightTimeSummary().Max
-		if iMax > gMax {
-			rec := func(c *qof.Campaign) float64 {
-				return (iMax - c.FlightTimeSummary().Max) / (iMax - gMax) * 100
-			}
-			b.ReportMetric(rec(ec.GAD), "GAD-recov%")
-			b.ReportMetric(rec(ec.AAD), "AAD-recov%")
+		if ec.Injected.FlightTimeSummary().Max > ec.Golden.FlightTimeSummary().Max {
+			b.ReportMetric(experiments.WorstCaseRecovered(ec.Golden, ec.Injected, ec.GAD)*100, "GAD-recov%")
+			b.ReportMetric(experiments.WorstCaseRecovered(ec.Golden, ec.Injected, ec.AAD)*100, "AAD-recov%")
 		}
 	}
 }

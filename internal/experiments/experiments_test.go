@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -220,6 +221,46 @@ func TestRecoveredFractionShape(t *testing.T) {
 	}
 	if ec.AAD.SuccessRate() < inj-0.15 {
 		t.Errorf("AAD success %.2f well below unprotected %.2f", ec.AAD.SuccessRate(), inj)
+	}
+}
+
+// flights returns a campaign of successful missions with the given flight
+// times.
+func flights(times ...float64) *qof.Campaign {
+	c := &qof.Campaign{}
+	for _, s := range times {
+		c.Add(qof.Metrics{Outcome: qof.Success, FlightTimeS: s})
+	}
+	return c
+}
+
+// TestWorstCaseRecoveredClamped pins the clamp Fig. 6 and Fig. 9 share. Over
+// a small gap a protected worst case far above the injected one gave Fig. 6
+// a recovery of −3547.6% at paper scale (Dense); it must read 0, one below
+// golden must read 1, and a worst case that injection did not raise reads
+// 1.
+func TestWorstCaseRecoveredClamped(t *testing.T) {
+	golden, injected := flights(60, 100), flights(70, 102.1)
+	cases := []struct {
+		name      string
+		injected  *qof.Campaign
+		protected *qof.Campaign
+		want      float64
+	}{
+		{"protected far above injected", injected, flights(80, 176.6), 0},
+		{"protected below golden", injected, flights(50, 90), 1},
+		{"protected halfway", injected, flights(101.05), 0.5},
+		{"injection raised nothing", flights(100), flights(176.6), 1},
+	}
+	for _, c := range cases {
+		if got := WorstCaseRecovered(golden, c.injected, c.protected); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("%s: recovered %v, want %v", c.name, got, c.want)
+		}
+	}
+	f := &Fig6Result{Envs: []*EnvCampaign{{Env: "Dense", Golden: golden, Injected: injected,
+		GAD: flights(80, 176.6), AAD: flights(50, 90)}}}
+	if s := f.String(); !strings.Contains(s, "recovered GAD 0.0%, AAD 100.0%") {
+		t.Errorf("Fig. 6 does not clamp its recovery:\n%s", s)
 	}
 }
 

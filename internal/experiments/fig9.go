@@ -58,20 +58,18 @@ func (c *Context) Fig9() *Fig9Result {
 // increase a scheme recovers on study s (the paper reports 79.3% Gaussian
 // and 88.0% autoencoder on the TX2).
 func (s *PlatformStudy) Recovered(camp *qof.Campaign) float64 {
-	gMax := s.Golden.FlightTimeSummary().Max
-	iMax := s.Injected.FlightTimeSummary().Max
-	m := camp.FlightTimeSummary().Max
-	if iMax <= gMax {
-		return 1
-	}
-	r := (iMax - m) / (iMax - gMax)
-	if r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
+	return WorstCaseRecovered(s.Golden, s.Injected, camp)
+}
+
+// WorstCaseRecovered is the worst-case flight-time recovery that Fig. 6,
+// Fig. 9 and their benchmarks report: the share of the rise in the longest
+// successful flight, golden to injected, that the protected campaign wins
+// back, clamped to [0, 1], and 1 when injection raised nothing. It is
+// qof.RecoveredFraction over the negated maxima, because the shorter flight
+// is the better one.
+func WorstCaseRecovered(golden, injected, protected *qof.Campaign) float64 {
+	return qof.RecoveredFraction(-golden.FlightTimeSummary().Max,
+		-injected.FlightTimeSummary().Max, -protected.FlightTimeSummary().Max)
 }
 
 // String renders the platform spec/QoF table and the recovery summary.

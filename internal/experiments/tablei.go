@@ -120,12 +120,10 @@ func (f *Fig6Result) String() string {
 		gMax := ec.Golden.FlightTimeSummary().Max
 		iMax := ec.Injected.FlightTimeSummary().Max
 		if iMax > gMax && gMax > 0 {
-			rec := func(camp *qof.Campaign) float64 {
-				m := camp.FlightTimeSummary().Max
-				return (iMax - m) / (iMax - gMax) * 100
-			}
 			fmt.Fprintf(&b, "  worst-case flight time: FI %+.1f%% vs golden; recovered GAD %.1f%%, AAD %.1f%%\n",
-				(iMax/gMax-1)*100, rec(ec.GAD), rec(ec.AAD))
+				(iMax/gMax-1)*100,
+				WorstCaseRecovered(ec.Golden, ec.Injected, ec.GAD)*100,
+				WorstCaseRecovered(ec.Golden, ec.Injected, ec.AAD)*100)
 		}
 	}
 	return b.String()

@@ -140,8 +140,20 @@ func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // Clampf clamps x to [lo, hi].
 func Clampf(x, lo, hi float64) float64 { return clamp(x, lo, hi) }
 
-// WrapAngle wraps an angle in radians to (-π, π].
+// wrapLoopBound is the largest |angle| WrapAngle reduces by repeated 2π
+// steps: at most 32 of them.
+const wrapLoopBound = 64 * math.Pi
+
+// WrapAngle wraps an angle in radians to (-π, π], in constant time for every
+// float. Angles within wrapLoopBound take repeated 2π steps, the arithmetic
+// every recorded flight was computed with. Beyond it the steps would take
+// time in proportion to |a|, and forever once a−2π rounds back to a (a yaw
+// an exponent bit flip made huge), so such an angle is first reduced with
+// math.Remainder. ±Inf and NaN give NaN.
 func WrapAngle(a float64) float64 {
+	if !(math.Abs(a) <= wrapLoopBound) {
+		a = math.Remainder(a, 2*math.Pi)
+	}
 	for a > math.Pi {
 		a -= 2 * math.Pi
 	}

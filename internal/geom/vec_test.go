@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,82 @@ func TestWrapAngle(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// wrapLoop is WrapAngle's 2π-step loop alone, the reference for every angle
+// within wrapLoopBound.
+func wrapLoop(a float64) float64 {
+	for a > math.Pi {
+		a -= 2 * math.Pi
+	}
+	for a <= -math.Pi {
+		a += 2 * math.Pi
+	}
+	return a
+}
+
+// TestWrapAngleEdges pins the ±π edges, the loop bound, and the
+// constant-time reduction past it: a huge finite angle, where a−2π rounds
+// back to a and the loop alone never returned, wraps to its IEEE remainder
+// in (−π, π], an angle just past the bound wraps to nearly the direction of
+// the bound itself, and ±Inf and NaN give NaN.
+func TestWrapAngleEdges(t *testing.T) {
+	exact := []struct{ in, want float64 }{
+		{math.Pi, math.Pi},
+		{-math.Pi, math.Pi},
+		{math.Nextafter(-math.Pi, 0), math.Nextafter(-math.Pi, 0)},
+		{wrapLoopBound, wrapLoop(wrapLoopBound)},
+		{-wrapLoopBound, wrapLoop(-wrapLoopBound)},
+	}
+	for _, c := range exact {
+		if got := WrapAngle(c.in); got != c.want {
+			t.Errorf("WrapAngle(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	for _, a := range []float64{wrapLoopBound, -wrapLoopBound} {
+		past := math.Nextafter(a, 2*a)
+		if d := math.Abs(WrapAngle(past) - WrapAngle(a)); d > 1e-12 && d < 2*math.Pi-1e-12 {
+			t.Errorf("WrapAngle across the loop bound %v jumps by %v", a, d)
+		}
+	}
+	for _, a := range []float64{1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, 1e17, -3e16,
+		math.Nextafter(wrapLoopBound, math.Inf(1)), math.Nextafter(-wrapLoopBound, math.Inf(-1))} {
+		got := WrapAngle(a)
+		if !(got > -math.Pi && got <= math.Pi) {
+			t.Errorf("WrapAngle(%g) = %v, outside (-π, π]", a, got)
+		}
+		if want := math.Remainder(a, 2*math.Pi); got != want && !(want == -math.Pi && got == math.Pi) {
+			t.Errorf("WrapAngle(%g) = %v, want the IEEE remainder %v", a, got, want)
+		}
+	}
+	for _, a := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got := WrapAngle(a); !math.IsNaN(got) {
+			t.Errorf("WrapAngle(%v) = %v, want NaN", a, got)
+		}
+	}
+}
+
+// TestWrapAngleMatchesLoopWithinBound is the property that keeps recorded
+// flights byte-identical: within wrapLoopBound WrapAngle returns the loop's
+// bits exactly.
+func TestWrapAngleMatchesLoopWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	angles := []float64{wrapLoopBound, -wrapLoopBound, 0, math.Copysign(0, -1)}
+	for k := -64; k <= 64; k++ { // the multiples of π and their neighbours
+		a := float64(k) * math.Pi
+		angles = append(angles, a, math.Nextafter(a, math.Inf(1)), math.Nextafter(a, math.Inf(-1)))
+	}
+	for i := 0; i < 100000; i++ {
+		angles = append(angles, (2*rng.Float64()-1)*wrapLoopBound)
+	}
+	for _, a := range angles {
+		if math.Abs(a) > wrapLoopBound {
+			continue
+		}
+		if got, want := WrapAngle(a), wrapLoop(a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WrapAngle(%v) = %v, the loop gives %v", a, got, want)
+		}
 	}
 }
 

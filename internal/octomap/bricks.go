@@ -38,12 +38,16 @@ type brickStore struct {
 	index []int32       // per cell: 0 = unallocated, else 1 + brick number; nil over maxDenseCells
 	big   map[int]int32 // the same mapping for a volume over maxDenseCells
 	slab  []float64     // brickVoxels values per brick, in allocation order
+	// copied is the slab length the last copyFrom filled in, 0 after reset:
+	// the slab grows in proportion to what was added since (see brick).
+	copied int
 }
 
 // reset empties the store for a volume of cells cells (0 when the volume is
 // over maxDenseCells), reusing the index and the slab.
 func (s *brickStore) reset(cells int) {
 	s.slab = s.slab[:0]
+	s.copied = 0
 	s.index = zeroed(s.index, cells)
 	switch {
 	case s.index != nil:
@@ -64,6 +68,7 @@ func (s *brickStore) copyFrom(src *brickStore) {
 		s.slab = make([]float64, 0, len(src.slab)+len(src.slab)/4)
 	}
 	s.slab = append(s.slab[:0], src.slab...)
+	s.copied = len(s.slab)
 }
 
 // slot is the store's one lookup: the brick slot of cell, 0 when the cell
@@ -76,12 +81,20 @@ func (s *brickStore) slot(cell int) int32 {
 }
 
 // brick returns the slab offset of cell's brick, allocating a zeroed one on
-// first write.
+// first write. A full slab grows by at least what was added since the last
+// reset or copyFrom. So a map built from empty, as a golden map is, doubles
+// its slab instead of growing it by append's 1.25×, which copies a multi-MB
+// slab every few bricks. A forked map grows at append's pace: its copied
+// bricks say nothing about how far a mission will extend them, and a
+// recycled tree keeps whatever it grew.
 func (s *brickStore) brick(cell int) int {
 	b := s.slot(cell)
 	if b == 0 {
 		n := len(s.slab)
-		s.slab = slices.Grow(s.slab, brickVoxels)[:n+brickVoxels]
+		if cap(s.slab)-n < brickVoxels {
+			s.slab = slices.Grow(s.slab, n-s.copied+brickVoxels)
+		}
+		s.slab = s.slab[:n+brickVoxels]
 		clear(s.slab[n:])
 		b = int32(n/brickVoxels) + 1
 		if s.index != nil {

@@ -31,42 +31,41 @@ type RayPoint struct {
 // loads; the bytes never changed, and an independent map oracle in the
 // package tests pins them. Steady-state calls allocate nothing beyond
 // amortised brick-slab growth when the scan observes new space, and a tree
-// recycled through Reset keeps its grown slab. InsertCloud never records
-// its updates; a scan integrated several times in a row goes through
-// InsertCloudN, which walks it once.
+// recycled through Reset keeps its grown slab. A scan integrated several
+// times in a row goes through InsertCloudN, which walks it once.
 func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 	for i := range pts {
 		t.integrateRay(origin, pts[i].End, pts[i].Hit)
 	}
 }
 
-// voxelUpdate is one leaf evidence update InsertCloudN recorded: the slab
-// offset it landed on, the masked key reclassify needs, and whether it was
-// hit or miss evidence.
-type voxelUpdate struct {
-	off     int
-	x, y, z int32 // masked keys are below 2^maxDepth
-	hit     bool
-}
-
 // InsertCloudN integrates one scan n times over: exactly n consecutive
 // InsertCloud(origin, pts) calls, to the bit, in every voxel, summary
 // count, class-grid byte and the LeafUpdates total, so every Digest agrees.
 //
-// Which voxels a ray updates, in what order and with which delta depends
-// only on the ray and the tree geometry, never on the map content. So only
-// the first pass walks: it runs InsertCloud's fused carve and endpoint
-// update and appends every update to a record the tree keeps. The other
-// n−1 passes replay that record in order, applying the same clamped sums
-// and calling reclassify on every class change, exactly as the walk does,
-// and add the record length to the leaf-update total. The first pass has
-// allocated every brick the scan touches, so the recorded slab offsets stay
-// valid throughout.
+// A voxel's value depends only on its own updates, in order, and every
+// update a voxel gets from a scan is the same clamped miss unless one of
+// the scan's hit endpoints lands in it. So InsertCloudN walks the scan once,
+// folding the n passes per voxel:
+//   - before the walk it marks the voxels the scan's in-volume hit
+//     endpoints land in;
+//   - a crossing or miss endpoint in an unmarked voxel applies its n misses
+//     at once, in a register, which is exactly what the full sequence
+//     repeated n times leaves there;
+//   - every update to a marked voxel, hit or miss, is held back in walk
+//     order, and after the walk the held sequence is applied n times, which
+//     gives each marked voxel its own sequence n times over.
 //
-// BuildMapSeed's confirmation passes are the caller: one walk, replayed.
-// n <= 0 is a no-op and n == 1 is InsertCloud. The record keeps its array
-// across calls, so once it has grown to the scan a call allocates nothing
-// beyond the slab growth InsertCloud itself would cause.
+// The summary counts and grid bytes depend only on each voxel's class
+// before and after, so one reclassify per changed crossing leaves them as
+// n passes would; Digest and the snapshot format visit bricks in cell
+// order, so allocating the marked voxels' bricks first cannot show; and
+// every update still adds n to LeafUpdates.
+//
+// BuildMapSeed's confirmation passes are the caller. n <= 0 is a no-op and
+// n == 1 is InsertCloud. The marks and the held updates live in buffers
+// the tree keeps, so once they have grown to the scan a call allocates
+// nothing beyond the slab growth InsertCloud itself would cause.
 func (t *Tree) InsertCloudN(origin geom.Vec3, pts []RayPoint, n int) {
 	if n <= 0 {
 		return
@@ -75,38 +74,192 @@ func (t *Tree) InsertCloudN(origin geom.Vec3, pts []RayPoint, n int) {
 		t.InsertCloud(origin, pts)
 		return
 	}
-	t.recBuf = t.recBuf[:0]
-	t.rec = &t.recBuf
-	t.InsertCloud(origin, pts)
-	t.rec = nil
-	for pass := 1; pass < n; pass++ {
-		t.replay(t.recBuf)
+	f := &t.fold
+	f.held = f.held[:0]
+	for i := range pts {
+		if !pts[i].Hit {
+			continue
+		}
+		if x, y, z, ok := t.key(pts[i].End); ok {
+			f.mark(t.store.brick(t.cell(x, y, z)), voxelOffset(x, y, z))
+		}
+	}
+	for i := range pts {
+		t.foldRay(origin, pts[i].End, pts[i].Hit, n)
+	}
+	t.applyHeld(n)
+	f.unmark()
+}
+
+// seedFold is InsertCloudN's working state: the marked voxels of the scan
+// being folded and the updates held back for them. Marks are a per-brick
+// flag plus a 512-bit mask per marked brick, so the walk tests a voxel with
+// one load on a brick change and one bit test per crossing. Every mark is
+// cleared before InsertCloudN returns; held keeps the last scan's updates
+// until the next call.
+type seedFold struct {
+	markOf []int32      // per brick number: 0, or 1 + its index in marks
+	marks  []brickMark  // the scan's marked bricks
+	held   []heldUpdate // updates to marked voxels, in walk order
+}
+
+// brickMark is one marked brick: its number and its marked voxels.
+type brickMark struct {
+	brick int
+	bits  voxelMask
+}
+
+// voxelMask holds one bit per voxel offset of a brick.
+type voxelMask [brickVoxels / 64]uint64
+
+// has reports whether voxel offset vo is set; a nil mask has none set.
+func (m *voxelMask) has(vo int) bool { return m != nil && m[vo>>6]>>(vo&63)&1 != 0 }
+
+// heldUpdate is one update to a marked voxel: its masked key and whether it
+// is hit or miss evidence.
+type heldUpdate struct {
+	x, y, z int32 // masked keys are below 2^maxDepth
+	hit     bool
+}
+
+// mark marks voxel offset vo of the brick at slab offset base.
+func (f *seedFold) mark(base, vo int) {
+	b := base / brickVoxels
+	if b >= len(f.markOf) {
+		f.markOf = append(f.markOf, make([]int32, b+1-len(f.markOf))...)
+	}
+	m := f.markOf[b]
+	if m == 0 {
+		f.marks = append(f.marks, brickMark{brick: b})
+		m = int32(len(f.marks))
+		f.markOf[b] = m
+	}
+	f.marks[m-1].bits[vo>>6] |= 1 << (vo & 63)
+}
+
+// bitsOf returns the marks of the brick at slab offset base, nil when it
+// has none.
+func (f *seedFold) bitsOf(base int) *voxelMask {
+	if b := base / brickVoxels; b < len(f.markOf) && f.markOf[b] != 0 {
+		return &f.marks[f.markOf[b]-1].bits
+	}
+	return nil
+}
+
+// unmark clears every mark, leaving markOf all zero for the next scan.
+func (f *seedFold) unmark() {
+	for _, m := range f.marks {
+		f.markOf[m.brick] = 0
+	}
+	f.marks = f.marks[:0]
+}
+
+// foldRay is integrateRay for InsertCloudN: the same walk and endpoint,
+// with n misses folded into every unmarked voxel and every update to a
+// marked voxel held back.
+func (t *Tree) foldRay(origin, end geom.Vec3, hit bool, n int) {
+	ex, ey, ez, endOK := t.key(end)
+	var w rayWalker
+	t.startWalk(&w, origin, end)
+	if w.valid {
+		t.foldCarve(&w, ex, ey, ez, endOK, n)
+	}
+	if !endOK {
+		return
+	}
+	base := t.store.brick(t.cell(ex, ey, ez))
+	vo := voxelOffset(ex, ey, ez)
+	if hit || t.fold.bitsOf(base).has(vo) {
+		t.fold.held = append(t.fold.held, heldUpdate{int32(ex), int32(ey), int32(ez), hit})
+		return
+	}
+	t.missN(t.store.slab, base+vo, ex, ey, ez, n)
+	t.leafUpdates += n
+}
+
+// missN applies n clamped misses at once to the voxel at offset off of
+// slab, masked key (x, y, z), stopping at a fixed point, where every
+// further miss would leave it as it is.
+func (t *Tree) missN(slab []float64, off, x, y, z, n int) {
+	old := slab[off]
+	lo := old
+	for ; n > 0; n-- {
+		next := geom.Clampf(lo+t.params.LogOddsMiss, t.params.ClampMin, t.params.ClampMax)
+		if next == lo {
+			break
+		}
+		lo = next
+	}
+	if lo != old {
+		slab[off] = lo
+		if from, to := t.classOf(old), t.classOf(lo); from != to {
+			t.reclassify(x, y, z, from, to)
+		}
 	}
 }
 
-// replay applies the recorded updates rec again, in order: the update body
-// of carve and updateKey without the walk.
-func (t *Tree) replay(rec []voxelUpdate) {
-	hit, miss := t.params.LogOddsHit, t.params.LogOddsMiss
-	clampMin, clampMax := t.params.ClampMin, t.params.ClampMax
+// foldCarve is carve for InsertCloudN: the same DDA loop over the same
+// voxels, where a crossing of an unmarked voxel applies n misses at once
+// and a crossing of a marked one is held back. It is a loop of its own
+// because missions run carve once per scan and pay for every branch in it.
+func (t *Tree) foldCarve(w *rayWalker, ex, ey, ez int, endOK bool, n int) {
+	f := &t.fold
+	mask := t.keyMask
 	slab := t.store.slab
-	for i := range rec {
-		u := &rec[i]
-		delta := miss
-		if u.hit {
-			delta = hit
-		}
-		v := &slab[u.off]
-		old := *v
-		lo := geom.Clampf(old+delta, clampMin, clampMax)
-		*v = lo
-		if lo != old { // a clamped voxel cannot change class
-			if from, to := t.classOf(old), t.classOf(lo); from != to {
-				t.reclassify(int(u.x), int(u.y), int(u.z), from, to)
+	base := -1          // slab offset of the current brick; -1 before the first
+	var bits *voxelMask // the current brick's marks, nil when it has none
+	var bx, by, bz int  // a masked key inside the current brick
+	x, y, z := w.x, w.y, w.z
+	tMaxX, tMaxY, tMaxZ := w.tMaxX, w.tMaxY, w.tMaxZ
+	folded := 0 // crossings of unmarked voxels
+	for steps := 0; steps < w.maxSteps; steps++ {
+		if !endOK || x != ex || y != ey || z != ez {
+			mx, my, mz := x&mask, y&mask, z&mask
+			if base < 0 || ((mx^bx)|(my^by)|(mz^bz))>>brickShift != 0 {
+				base = t.store.brick(t.cell(mx, my, mz))
+				slab = t.store.slab
+				bits = f.bitsOf(base)
+				bx, by, bz = mx, my, mz
+			}
+			vo := voxelOffset(mx, my, mz)
+			if bits.has(vo) {
+				f.held = append(f.held, heldUpdate{int32(mx), int32(my), int32(mz), false})
+			} else {
+				t.missN(slab, base+vo, mx, my, mz, n)
+				folded++
 			}
 		}
+		if x == w.ex && y == w.ey && z == w.ez {
+			break // end voxel reached, walk exhausted
+		}
+		switch {
+		case tMaxX <= tMaxY && tMaxX <= tMaxZ:
+			x += w.stepX
+			tMaxX += w.tDeltaX
+		case tMaxY <= tMaxZ:
+			y += w.stepY
+			tMaxY += w.tDeltaY
+		default:
+			z += w.stepZ
+			tMaxZ += w.tDeltaZ
+		}
 	}
-	t.leafUpdates += len(rec)
+	t.leafUpdates += n * folded
+}
+
+// applyHeld applies the held updates n times over, in order, so each
+// marked voxel receives its own update sequence n times.
+func (t *Tree) applyHeld(n int) {
+	hit, miss := t.params.LogOddsHit, t.params.LogOddsMiss
+	for pass := 0; pass < n; pass++ {
+		for _, u := range t.fold.held {
+			delta := miss
+			if u.hit {
+				delta = hit
+			}
+			t.updateKey(int(u.x), int(u.y), int(u.z), delta)
+		}
+	}
 }
 
 // InsertCloudApprox is InsertCloud with the two opt-in approximate-mode

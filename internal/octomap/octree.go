@@ -94,12 +94,7 @@ type Tree struct {
 
 	leafUpdates int // total leaf evidence updates, for overhead accounting
 
-	// rec is non-nil only during the first pass of InsertCloudN, where it
-	// points at recBuf: carve and integrateRay then append every voxel
-	// update they apply, in application order, for the other passes to
-	// replay. recBuf keeps its array across calls.
-	rec    *[]voxelUpdate
-	recBuf []voxelUpdate
+	fold seedFold // InsertCloudN's buffers; no mark is set between calls
 
 	// probeRec, when non-nil, observes every classification served from a
 	// brick rather than the grid, in probe order. Test instrumentation only
@@ -400,10 +395,6 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool) {
 		} else {
 			t.updateKey(ex, ey, ez, t.params.LogOddsMiss)
 		}
-		if t.rec != nil {
-			off := t.store.brick(t.cell(ex, ey, ez)) + voxelOffset(ex, ey, ez)
-			*t.rec = append(*t.rec, voxelUpdate{off: off, x: int32(ex), y: int32(ey), z: int32(ez), hit: hit})
-		}
 	}
 }
 
@@ -419,10 +410,8 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool) {
 // equivalence test against an independent map oracle pins this.
 //
 // Overshoot keys outside [0, maxKey) are masked like every other key (see
-// Tree). While InsertCloudN records (t.rec non-nil), every update is also
-// appended to the record; the check is one predictable branch per voxel.
+// Tree). InsertCloudN walks with its own copy of this loop, foldCarve.
 func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
-	rec := t.rec
 	miss := t.params.LogOddsMiss
 	clampMin, clampMax := t.params.ClampMin, t.params.ClampMax
 	mask := t.keyMask
@@ -440,8 +429,7 @@ func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
 				slab = t.store.slab
 				bx, by, bz = mx, my, mz
 			}
-			off := base + voxelOffset(mx, my, mz)
-			v := &slab[off]
+			v := &slab[base+voxelOffset(mx, my, mz)]
 			old := *v
 			lo := geom.Clampf(old+miss, clampMin, clampMax)
 			*v = lo
@@ -449,9 +437,6 @@ func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
 				if from, to := t.classOf(old), t.classOf(lo); from != to {
 					t.reclassify(mx, my, mz, from, to)
 				}
-			}
-			if rec != nil {
-				*rec = append(*rec, voxelUpdate{off: off, x: int32(mx), y: int32(my), z: int32(mz)})
 			}
 			updates++
 		}

@@ -16,7 +16,8 @@ import (
 const mapResolution = 0.5
 
 // seedConfirm is how many times BuildMapSeed integrates each sweep scan
-// (one walk, replayed: see octomap.Tree.InsertCloudN).
+// (one walk that applies all five passes per voxel: see
+// octomap.Tree.InsertCloudN).
 // Five consistent observations drive a voxel from unknown to either clamp
 // (5 misses = 5·logit(0.4) ≤ ClampMin, 5 hits = 5·logit(0.7) ≥ ClampMax),
 // so the golden map is a full-confidence prior: everything the sweep saw is

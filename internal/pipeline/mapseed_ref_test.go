@@ -39,10 +39,10 @@ func referenceMapSeedDigest(w *env.World) uint64 {
 	return tree.Digest()
 }
 
-// TestBuildMapSeedMatchesRepeatedInsertCloud pins that replaying each sweep
-// scan's recorded walk builds the same golden map as inserting the scan
-// seedConfirm times, on all four preset worlds, each generated as the
-// campaign matrix generates it.
+// TestBuildMapSeedMatchesRepeatedInsertCloud pins that folding each sweep
+// scan's seedConfirm passes into one walk builds the same golden map as
+// inserting the scan seedConfirm times, on all four preset worlds, each
+// generated as the campaign matrix generates it.
 func TestBuildMapSeedMatchesRepeatedInsertCloud(t *testing.T) {
 	worlds := []*env.World{
 		env.Sparse(rand.New(rand.NewSource(1))),
