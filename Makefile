@@ -42,7 +42,7 @@ race-freelist:
 # engine scaling curve, and the perception micro-benchmarks, and records the
 # machine-readable perf trajectory in $(BENCH_JSON) (benchmark → ns/op,
 # allocs/op, custom metrics). Scale campaigns with MAVFI_BENCH_RUNS.
-BENCH_JSON ?= BENCH_PR16.json
+BENCH_JSON ?= BENCH_PR17.json
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./... > $(BENCH_JSON).raw
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < $(BENCH_JSON).raw
@@ -137,12 +137,13 @@ matrix-smoke:
 	diff -r data/matrix/w1 data/matrix/w4
 	@echo "matrix worker-width byte-identity: ok"
 
-# server-smoke is the CI campaign-service gate: boot mavfi-server, submit one
-# job over HTTP (blocking on ?wait=1), probe /healthz and /metrics, download
-# the job's CSV artifacts, then byte-compare them against the same cell run
-# through the `mavfi matrix` CLI at a different worker width. Proves the
-# served-equals-CLI determinism contract end to end through a real TCP
-# socket, not just httptest.
+# server-smoke is the CI campaign-service gate: boot mavfi-server, submit two
+# jobs over HTTP without waiting, so both are admitted at once and share the
+# server's pool of mission slots; poll until both are done, probe /healthz
+# and /metrics, download each job's CSV artifacts, then byte-compare them
+# against the same cells run through the `mavfi matrix` CLI at a different
+# worker width. Proves the served-equals-CLI determinism contract end to end
+# through a real TCP socket, with overlapping jobs, not just httptest.
 SERVER_ADDR ?= 127.0.0.1:18080
 server-smoke:
 	rm -rf data/server && mkdir -p data/server
@@ -154,19 +155,31 @@ server-smoke:
 		curl -sf http://$(SERVER_ADDR)/healthz >/dev/null 2>&1 && break; sleep 0.1; \
 	done; \
 	curl -sf http://$(SERVER_ADDR)/healthz | grep -q ok; \
-	curl -sf -X POST 'http://$(SERVER_ADDR)/jobs?wait=1' \
-		-d '{"world":"sparse","fault":"sensor","severity":"high","runs":3,"seed":1}' \
-		> data/server/job.json; \
-	grep -q '"state": "done"' data/server/job.json; \
-	curl -sf http://$(SERVER_ADDR)/metrics | grep -q 'mavfi_jobs_done_total 1'; \
-	curl -sf http://$(SERVER_ADDR)/metrics | grep -q 'mavfi_missions_total 3'; \
-	curl -sf http://$(SERVER_ADDR)/jobs/job-0001/cell.csv > data/server/cell.csv; \
-	curl -sf http://$(SERVER_ADDR)/jobs/job-0001/summary.csv > data/server/summary.csv
+	curl -sf -X POST http://$(SERVER_ADDR)/jobs \
+		-d '{"world":"sparse","fault":"sensor","severity":"high","runs":6,"seed":1}' >/dev/null; \
+	curl -sf -X POST http://$(SERVER_ADDR)/jobs \
+		-d '{"world":"sparse","fault":"wind","severity":"high","runs":3,"seed":1}' >/dev/null; \
+	for job in job-0001 job-0002; do \
+		for i in $$(seq 1 600); do \
+			curl -sf http://$(SERVER_ADDR)/jobs/$$job > data/server/$$job.json; \
+			grep -q '"state": "\(queued\|running\)"' data/server/$$job.json || break; \
+			sleep 0.1; \
+		done; \
+		grep -q '"state": "done"' data/server/$$job.json; \
+		curl -sf http://$(SERVER_ADDR)/jobs/$$job/cell.csv > data/server/$$job-cell.csv; \
+		curl -sf http://$(SERVER_ADDR)/jobs/$$job/summary.csv > data/server/$$job-summary.csv; \
+	done; \
+	curl -sf http://$(SERVER_ADDR)/metrics | grep -q 'mavfi_jobs_done_total 2'; \
+	curl -sf http://$(SERVER_ADDR)/metrics | grep -q 'mavfi_missions_total 9'
 	$(GO) run ./cmd/mavfi matrix -worlds sparse -families sensor -severities high \
-		-runs 3 -seed 1 -workers 1 -csv-dir data/server/cli
-	cmp data/server/cell.csv data/server/cli/cell-000-sparse-sensor-high-none-norec.csv
-	cmp data/server/summary.csv data/server/cli/summary.csv
-	@echo "served-campaign byte-identity: ok"
+		-runs 6 -seed 1 -workers 1 -csv-dir data/server/cli-sensor
+	$(GO) run ./cmd/mavfi matrix -worlds sparse -families wind -severities high \
+		-runs 3 -seed 1 -workers 1 -csv-dir data/server/cli-wind
+	cmp data/server/job-0001-cell.csv data/server/cli-sensor/cell-000-sparse-sensor-high-none-norec.csv
+	cmp data/server/job-0001-summary.csv data/server/cli-sensor/summary.csv
+	cmp data/server/job-0002-cell.csv data/server/cli-wind/cell-000-sparse-wind-high-none-norec.csv
+	cmp data/server/job-0002-summary.csv data/server/cli-wind/summary.csv
+	@echo "served-campaign byte-identity with two overlapping jobs: ok"
 
 # dispatch-smoke is the CI sharded-dispatch gate: a dispatcher fans a small
 # campaign matrix out to two worker shards over real TCP sockets, one worker

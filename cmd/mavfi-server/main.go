@@ -12,8 +12,8 @@
 // With -record-dir, jobs submitted with "record": true persist their mission
 // recordings there and survive restarts: on startup the server rebuilds
 // finished jobs from the recordings without re-simulating anything. On
-// SIGTERM the server drains gracefully: the running job finishes, queued
-// jobs are marked interrupted, and the process exits 0.
+// SIGTERM the server drains gracefully: the running jobs (at most two)
+// finish, queued jobs are marked interrupted, and the process exits 0.
 //
 // -worker turns the process into a dispatch worker shard: it executes
 // single-cell work units POSTed to /exec by a dispatcher and answers
@@ -56,14 +56,14 @@ func main() {
 		dispatchMode = flag.Bool("dispatch", false, "run as a campaign dispatcher instead of the campaign service")
 
 		addr    = flag.String("addr", ":8080", "listen address")
-		workers = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS-derived default)")
+		workers = flag.Int("workers", 0, "campaign worker pool size; the service's two running jobs share this many mission slots (0 = GOMAXPROCS-derived default)")
 
 		// Campaign-service flags.
 		queue       = flag.Int("queue", 16, "job queue capacity (submissions beyond it get 429)")
 		recordDir   = flag.String("record-dir", "", "directory for recorded jobs (enables restart recovery)")
 		deadline    = flag.Duration("deadline", 0, "per-mission wall-clock budget (0 = none; breaks byte-identity when it fires)")
 		warm        = flag.String("warm", "", "comma-separated worlds to build at startup (e.g. sparse,dense)")
-		drainBudget = flag.Duration("drain-timeout", 5*time.Minute, "how long a SIGTERM drain waits for the running job")
+		drainBudget = flag.Duration("drain-timeout", 5*time.Minute, "how long a SIGTERM drain waits for the running jobs")
 
 		// Worker-mode flags.
 		register  = flag.String("register", "", "(worker) dispatcher base URL to register with at startup")

@@ -21,6 +21,10 @@
 // runner, octree, scratch buffers, and RNG streams. See
 // docs/ARCHITECTURE.md ("Campaign concurrency invariants") for the full
 // list these workers rely on.
+//
+// Runners that run at the same time may share one Slots pool, which bounds
+// the missions they fly together (WithSlots); that changes only when a
+// mission flies, never its result.
 package campaign
 
 import (
@@ -54,6 +58,51 @@ func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Slots is a pool of mission slots that several runners share: a counting
+// semaphore that serves its waiters in arrival order. A Runner built
+// WithSlots takes one slot for each mission it flies, so all the runners on
+// one pool together never fly more missions at once than the pool has
+// slots, while a runner alone on the pool may use every slot. A long-running
+// service sizes one pool to its cores and lets two campaigns share it, so
+// one campaign's tail and set-up do not leave a core idle while the other
+// has missions to fly.
+//
+// The pool is a buffered channel: a send takes a slot, a receive gives one
+// back. Blocked senders queue in FIFO order, and a released slot passes
+// straight to the oldest of them, so a newcomer cannot overtake a waiter.
+// A nil *Slots is an unbounded pool whose methods do nothing.
+type Slots struct{ c chan struct{} }
+
+// NewSlots returns a pool of n slots (at least one).
+func NewSlots(n int) *Slots {
+	return &Slots{c: make(chan struct{}, max(n, 1))}
+}
+
+// Acquire takes one slot, waiting behind earlier callers. It returns
+// ctx.Err() if ctx has ended or ends before a slot is free, and nil at once
+// on a nil pool. Every successful Acquire must be paired with one Release.
+func (s *Slots) Acquire(ctx context.Context) error {
+	if s == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case s.c <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Release gives back a slot taken by Acquire.
+func (s *Slots) Release() {
+	if s != nil {
+		<-s.c
+	}
+}
+
 // Runner executes campaigns on a fixed-size worker pool. The zero value is
 // not ready; use New.
 type Runner struct {
@@ -61,6 +110,7 @@ type Runner struct {
 	progress   func(done, total int)
 	deadline   time.Duration
 	resultHook func(i int, m qof.Metrics)
+	slots      *Slots
 }
 
 // Option configures a Runner.
@@ -114,6 +164,18 @@ func WithMissionDeadline(d time.Duration) Option {
 	}
 }
 
+// WithSlots makes every mission the Runner flies (in Run and ForEach) take
+// one slot of pool first and give it back when the mission returns. A
+// worker claims a mission index, waits for a slot, then starts the mission
+// and its deadline clock; a mission abandoned by WithMissionDeadline gives
+// its slot back with the worker while its goroutine runs on. A worker whose
+// context ends while it waits stops without flying its claimed mission.
+// Slots change when missions fly, never their results. A nil pool (the
+// default) adds no wait, channel operation or allocation.
+func WithSlots(pool *Slots) Option {
+	return func(r *Runner) { r.slots = pool }
+}
+
 // New builds a Runner with DefaultWorkers workers unless overridden.
 func New(opts ...Option) *Runner {
 	r := &Runner{workers: DefaultWorkers()}
@@ -147,7 +209,8 @@ func MissionSeed(campaignSeed int64, i int) int64 {
 // be safe for concurrent invocation and should write outputs only to
 // per-index (disjoint) storage; all writes are visible to the caller when
 // ForEach returns. When ctx is cancelled, workers stop claiming new indices
-// (missions already started run to completion) and ForEach returns ctx.Err.
+// and stop waiting for slots, missions already started run to completion,
+// and ForEach returns ctx.Err.
 func (r *Runner) ForEach(ctx context.Context, n int, fn func(i int)) error {
 	return r.forEach(ctx, n, func(_, i int) { fn(i) })
 }
@@ -173,10 +236,11 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(worker, i int)) err
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= n || r.slots.Acquire(ctx) != nil {
 					return
 				}
 				fn(worker, i)
+				r.slots.Release()
 				if r.progress != nil {
 					r.progress(int(done.Add(1)), n)
 				}

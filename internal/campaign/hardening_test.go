@@ -62,20 +62,24 @@ func TestMissionDeadline(t *testing.T) {
 		}
 		return base(i)
 	}
-	out, err := New(WithWorkers(4), WithMissionDeadline(50*time.Millisecond)).
-		Run(context.Background(), "deadlined", 8, mission)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Campaign.N() != 8 {
-		t.Fatalf("campaign recorded %d missions, want all 8", out.Campaign.N())
-	}
-	if got := out.Campaign.Results[2].Outcome; got != qof.DeadlineExceeded {
-		t.Fatalf("hung mission outcome %v, want deadline-exceeded", got)
-	}
-	for i, m := range out.Campaign.Results {
-		if i != 2 && m.Outcome == qof.DeadlineExceeded {
-			t.Errorf("fast mission %d hit the deadline", i)
+	// On a one-slot pool the abandoned mission's worker gives its slot back,
+	// so the other missions still fly.
+	for _, pool := range []*Slots{nil, NewSlots(1)} {
+		out, err := New(WithWorkers(4), WithMissionDeadline(50*time.Millisecond), WithSlots(pool)).
+			Run(context.Background(), "deadlined", 8, mission)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Campaign.N() != 8 {
+			t.Fatalf("pool %v: campaign recorded %d missions, want all 8", pool != nil, out.Campaign.N())
+		}
+		if got := out.Campaign.Results[2].Outcome; got != qof.DeadlineExceeded {
+			t.Fatalf("pool %v: hung mission outcome %v, want deadline-exceeded", pool != nil, got)
+		}
+		for i, m := range out.Campaign.Results {
+			if i != 2 && m.Outcome == qof.DeadlineExceeded {
+				t.Errorf("pool %v: fast mission %d hit the deadline", pool != nil, i)
+			}
 		}
 	}
 }

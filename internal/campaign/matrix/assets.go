@@ -33,7 +33,10 @@ import (
 //
 // All methods are safe for concurrent use. Builds happen under the Assets
 // lock, so two concurrent jobs needing the same cold asset serialize on it
-// (the second waits and gets the cache hit).
+// (the second waits and gets the cache hit). A build that flies missions
+// (calibration, detector training) may wait for a slot of a shared
+// campaign.Slots pool while it holds the lock; missions never take the
+// lock, so that order cannot deadlock.
 type Assets struct {
 	mu        sync.Mutex
 	worlds    map[string]*env.World
@@ -182,6 +185,14 @@ func (a *Assets) World(name string) (*env.World, error) {
 // mission on first use. The calibration flight is deterministic, so a cache
 // hit is bit-identical to a fresh calibration.
 func (a *Assets) Counter(world string, seed int64, maxMissionS float64) (*faultinject.Counter, error) {
+	return a.counter(context.Background(), nil, world, seed, maxMissionS)
+}
+
+// counter is Counter with the calibration flight under one slot of pool
+// (nil = no pool), taken while a.mu is held (the lock order Assets
+// documents); it gives up with ctx.Err() if ctx ends while it waits. A
+// cached counter takes no slot.
+func (a *Assets) counter(ctx context.Context, pool *campaign.Slots, world string, seed int64, maxMissionS float64) (*faultinject.Counter, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	key := counterKey{world, seed, maxMissionS}
@@ -192,8 +203,12 @@ func (a *Assets) Counter(world string, seed int64, maxMissionS float64) (*faulti
 	if err != nil {
 		return nil, err
 	}
+	if err := pool.Acquire(ctx); err != nil {
+		return nil, err
+	}
 	ctr := faultinject.NewCounter()
 	pipeline.RunMission(pipeline.Config{World: w, Seed: seed + 555, MaxMissionS: maxMissionS, Counter: ctr})
+	pool.Release()
 	a.counters[key] = ctr
 	return ctr, nil
 }

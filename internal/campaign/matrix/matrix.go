@@ -239,6 +239,12 @@ type Spec struct {
 	TrainEnvs int
 	// Workers sizes the worker pool (0 = campaign.DefaultWorkers).
 	Workers int
+	// Slots, when non-nil, is a mission-slot pool shared with other runs
+	// (campaign.WithSlots): every mission, including an uncached
+	// kernel-calibration flight and detector-training collection, flies
+	// under one of its slots. Like Progress and OnMission it is runtime-only
+	// and never changes results.
+	Slots *campaign.Slots
 	// Deadline, when positive, bounds each mission's wall-clock time
 	// (campaign.WithMissionDeadline) — robustness at the cost of the
 	// byte-identity invariant.
@@ -485,7 +491,7 @@ func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
 	for name, w := range worlds {
 		nominal[name] = pipeline.NominalDuration(pipeline.Config{World: w, MaxMissionS: spec.MaxMissionS})
 		if needKernel {
-			ctr, err := assets.Counter(name, spec.Seed, spec.MaxMissionS)
+			ctr, err := assets.counter(ctx, spec.Slots, name, spec.Seed, spec.MaxMissionS)
 			if err != nil {
 				return nil, err
 			}
@@ -497,6 +503,7 @@ func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
 		campaign.WithWorkers(spec.Workers),
 		campaign.WithMissionDeadline(spec.Deadline),
 		campaign.WithProgress(spec.Progress),
+		campaign.WithSlots(spec.Slots),
 	}
 	if spec.OnMission != nil {
 		opts = append(opts, campaign.WithResultHook(spec.OnMission))

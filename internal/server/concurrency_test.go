@@ -67,35 +67,50 @@ func TestConcurrentSubmittersShareWarmWorld(t *testing.T) {
 }
 
 // TestQueueFullAndCancellation drives the backpressure and cancellation
-// paths: a long job occupies the executor, the bounded queue fills, the next
-// submission gets 429, and both queued and running jobs cancel cleanly.
+// paths: two long jobs hold both executors, the bounded queue fills, the
+// next submission gets 429, and queued and running jobs cancel cleanly.
 func TestQueueFullAndCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real missions")
 	}
 	s, ts := newTestServer(t, Config{Queue: 1, Workers: 1})
 
-	// A big job to hold the executor; its mission count only bounds how long
-	// it *could* run — cancellation cuts it short.
+	// Two big jobs to hold both executors; their mission counts only bound
+	// how long they could run — cancellation cuts them short. On the one
+	// slot they take turns: the second job flies as soon as the first one's
+	// current mission lands.
 	long := testSpec()
 	long.Runs = 500
-	running, code := postJob(t, ts, long, false)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit long job: status %d", code)
+	var running []string
+	for k := 0; k < executors; k++ {
+		st, code := postJob(t, ts, long, false)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit long job %d: status %d", k, code)
+		}
+		waitState(t, s, st.ID, JobRunning)
+		running = append(running, st.ID)
 	}
-	waitState(t, s, running.ID, JobRunning)
+	for _, id := range running {
+		waitFor(t, id+" flies a mission", func() bool {
+			j, _ := s.Job(id)
+			return j.status().Done > 0
+		})
+	}
 
 	queued, code := postJob(t, ts, testSpec(), false)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit queued job: status %d", code)
+	}
+	if st, _ := getStatus(t, ts, queued.ID); st.State != JobQueued {
+		t.Fatalf("third job is %q with both executors busy, want queued", st.State)
 	}
 	if _, code := postJob(t, ts, testSpec(), false); code != http.StatusTooManyRequests {
 		t.Fatalf("overflow submission: status %d, want 429", code)
 	}
 
 	// Cancel the queued job first (it has no context yet), then the running
-	// one (its campaign context is canceled mid-flight).
-	for _, id := range []string{queued.ID, running.ID} {
+	// ones (their campaign contexts are canceled mid-flight).
+	for _, id := range append([]string{queued.ID}, running...) {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -106,8 +121,9 @@ func TestQueueFullAndCancellation(t *testing.T) {
 			t.Fatalf("cancel %s: status %d", id, resp.StatusCode)
 		}
 	}
-	waitState(t, s, running.ID, JobCanceled)
-	waitState(t, s, queued.ID, JobCanceled)
+	for _, id := range append([]string{queued.ID}, running...) {
+		waitState(t, s, id, JobCanceled)
+	}
 
 	// Canceling a finished job conflicts.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+queued.ID, nil)
@@ -128,7 +144,7 @@ func TestQueueFullAndCancellation(t *testing.T) {
 
 	body, _ := getBody(t, ts, "/metrics")
 	if !strings.Contains(body, "mavfi_jobs_rejected_total 1") ||
-		!strings.Contains(body, "mavfi_jobs_canceled_total 2") {
+		!strings.Contains(body, "mavfi_jobs_canceled_total 3") {
 		t.Errorf("metrics missing rejection/cancellation counts:\n%s", body)
 	}
 }

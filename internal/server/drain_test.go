@@ -35,40 +35,39 @@ func TestDrainFinishesRunningAndInterruptsQueued(t *testing.T) {
 		t.Skip("runs real missions")
 	}
 	s, ts := newTestServer(t, Config{Workers: 2})
-	j1, err := s.Submit(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until j1 is actually executing so the later submissions are
-	// guaranteed to still be queued when the drain begins.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := j1.status(); st.State == JobRunning || st.State.terminal() {
-			break
+	// With every slot held, both admitted jobs wait at their first mission,
+	// so the later submissions are guaranteed to still be queued when the
+	// drain begins.
+	release := holdSlots(t, s, 2)
+	var admitted, queued []*Job
+	for k := 0; k < executors+2; k++ {
+		j, err := s.Submit(testSpec())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("job 1 never started")
+		if k < executors {
+			waitState(t, s, j.ID, JobRunning)
+			admitted = append(admitted, j)
+		} else {
+			queued = append(queued, j)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	j2, err := s.Submit(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j3, err := s.Submit(testSpec())
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := s.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	<-s.drainc // from here on no executor takes a new job
+	release()
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
-	if st := j1.status(); st.State != JobDone {
-		t.Errorf("running job drained to %q, want done (error: %s)", st.State, st.Error)
+	for _, j := range admitted {
+		if st := j.status(); st.State != JobDone {
+			t.Errorf("admitted job %s drained to %q, want done (error: %s)", j.ID, st.State, st.Error)
+		}
 	}
-	for _, j := range []*Job{j2, j3} {
+	for _, j := range queued {
 		if st := j.status(); st.State != JobInterrupted {
 			t.Errorf("queued job %s drained to %q, want interrupted", j.ID, st.State)
 		}
@@ -76,9 +75,12 @@ func TestDrainFinishesRunningAndInterruptsQueued(t *testing.T) {
 	if n := s.metrics.jobsInterrupted.Load(); n != 2 {
 		t.Errorf("jobsInterrupted = %d, want 2", n)
 	}
+	waitNoJobGoroutines(t)
 	// The drained server still serves status and artifacts read-only.
-	if _, code := getBody(t, ts, "/jobs/"+j1.ID+"/cell.csv"); code != http.StatusOK {
-		t.Errorf("cell.csv after drain: status %d", code)
+	for _, j := range admitted {
+		if _, code := getBody(t, ts, "/jobs/"+j.ID+"/cell.csv"); code != http.StatusOK {
+			t.Errorf("%s cell.csv after drain: status %d", j.ID, code)
+		}
 	}
 }
 

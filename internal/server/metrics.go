@@ -3,7 +3,9 @@ package server
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"mavfi/internal/qof"
 )
@@ -14,7 +16,7 @@ import (
 // is simple enough that one renderer suffices.
 type metrics struct {
 	jobsQueued  atomic.Int64 // gauge: jobs waiting in the FIFO queue
-	jobsRunning atomic.Int64 // gauge: jobs currently executing (0 or 1)
+	jobsRunning atomic.Int64 // gauge: jobs currently executing (0–2)
 
 	jobsDone          atomic.Int64 // counters: terminal-state totals
 	jobsFailed        atomic.Int64
@@ -27,7 +29,42 @@ type metrics struct {
 	missions atomic.Int64                  // completed missions across all jobs
 	outcomes [qof.NumOutcomes]atomic.Int64 // per-outcome mission counters
 
-	busyMicros atomic.Int64 // cumulative job execution time, µs
+	// busyMu guards the busy clock: wall time during which at least one
+	// job runs. Two overlapping jobs count their shared seconds once.
+	busyMu    sync.Mutex
+	busy      time.Duration // closed busy stretches
+	busySince time.Time     // start of the open stretch while jobsRunning > 0
+}
+
+// jobStarted and jobEnded bracket one job's execution: they move the
+// running gauge and open or close a busy stretch when it leaves or returns
+// to zero.
+func (m *metrics) jobStarted() {
+	m.busyMu.Lock()
+	defer m.busyMu.Unlock()
+	if m.jobsRunning.Add(1) == 1 {
+		m.busySince = time.Now()
+	}
+}
+
+func (m *metrics) jobEnded() {
+	m.busyMu.Lock()
+	defer m.busyMu.Unlock()
+	if m.jobsRunning.Add(-1) == 0 {
+		m.busy += time.Since(m.busySince)
+	}
+}
+
+// busyTime is the wall time during which at least one job ran, including
+// the stretch still open.
+func (m *metrics) busyTime() time.Duration {
+	m.busyMu.Lock()
+	defer m.busyMu.Unlock()
+	d := m.busy
+	if m.jobsRunning.Load() > 0 {
+		d += time.Since(m.busySince)
+	}
+	return d
 }
 
 // countMission records one finished mission.
@@ -49,7 +86,7 @@ func (m *metrics) render() string {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	gauge("mavfi_jobs_queued", "Jobs waiting in the FIFO queue.", m.jobsQueued.Load())
-	gauge("mavfi_jobs_running", "Jobs currently executing.", m.jobsRunning.Load())
+	gauge("mavfi_jobs_running", "Jobs currently executing (0-2).", m.jobsRunning.Load())
 	counter("mavfi_jobs_done_total", "Jobs that completed successfully.", m.jobsDone.Load())
 	counter("mavfi_jobs_failed_total", "Jobs that ended in an error.", m.jobsFailed.Load())
 	counter("mavfi_jobs_canceled_total", "Jobs canceled by request.", m.jobsCanceled.Load())
@@ -65,9 +102,9 @@ func (m *metrics) render() string {
 	}
 
 	rate := 0.0
-	if busy := float64(m.busyMicros.Load()) / 1e6; busy > 0 {
+	if busy := m.busyTime().Seconds(); busy > 0 {
 		rate = float64(m.missions.Load()) / busy
 	}
-	fmt.Fprintf(&b, "# HELP mavfi_missions_per_second Missions per second of job execution time.\n# TYPE mavfi_missions_per_second gauge\nmavfi_missions_per_second %g\n", rate)
+	fmt.Fprintf(&b, "# HELP mavfi_missions_per_second Missions per second of wall time with at least one job running.\n# TYPE mavfi_missions_per_second gauge\nmavfi_missions_per_second %g\n", rate)
 	return b.String()
 }

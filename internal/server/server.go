@@ -1,8 +1,14 @@
 // Package server implements the mavfi campaign service: a long-running HTTP
-// server that accepts campaign jobs, executes them on the campaign worker
-// pool behind a bounded FIFO queue, streams per-mission results as they
-// complete, and serves the finished cell in the exact CSV schema the
-// `mavfi matrix` CLI emits.
+// server that accepts campaign jobs, executes them behind a bounded FIFO
+// queue, streams per-mission results as they complete, and serves the
+// finished cell in the exact CSV schema the `mavfi matrix` CLI emits.
+//
+// Two executors drain the queue, so at most two jobs are admitted at once,
+// in submission order. Both fly their missions on one shared pool of
+// Config.Workers mission slots (campaign.Slots): a job running alone uses
+// every slot, and while one job's last missions, calibration flight or
+// CSV epilogue leave a core idle, the other job's missions take it. The
+// two never fly more than Config.Workers missions at once.
 //
 // The service adds no simulation code of its own. A job is a single-cell
 // matrix.Spec executed by matrix.RunOn against a process-lifetime warm-asset
@@ -23,6 +29,7 @@ import (
 	"time"
 
 	"mavfi/internal/atomicfile"
+	"mavfi/internal/campaign"
 	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/qof"
 )
@@ -32,9 +39,10 @@ type Config struct {
 	// Queue bounds the FIFO job queue; submissions beyond it are rejected
 	// with 429 (default 16).
 	Queue int
-	// Workers sizes the campaign worker pool each job runs on
-	// (0 = campaign.DefaultWorkers). Worker width never changes results —
-	// the determinism-by-construction invariant — only wall-clock time.
+	// Workers sizes the one pool of mission slots the running jobs share,
+	// and each job's campaign worker pool (0 = campaign.DefaultWorkers).
+	// Worker width never changes results — the determinism-by-construction
+	// invariant — only wall-clock time.
 	Workers int
 	// RecordDir, when set, is where recorded jobs persist their mission
 	// recordings and job manifest; on startup the server recovers finished
@@ -62,6 +70,7 @@ type Server struct {
 	next  int      // next job ID ordinal
 
 	queue chan *Job
+	slots *campaign.Slots // mission slots shared by the running jobs
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -72,12 +81,20 @@ type Server struct {
 	metrics metrics
 }
 
+// executors is how many jobs run at once. Two keep every slot busy across
+// a job boundary; more would only queue more missions for the same slots.
+const executors = 2
+
 // New builds a Server: recovers recorded jobs from cfg.RecordDir (if set),
-// warms the requested worlds, and starts the single executor goroutine that
-// drains the job queue in FIFO order.
+// warms the requested worlds, and starts the executor goroutines that drain
+// the job queue in FIFO order.
 func New(cfg Config) (*Server, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 16
+	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = campaign.DefaultWorkers()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -85,6 +102,7 @@ func New(cfg Config) (*Server, error) {
 		assets: matrix.NewAssets(),
 		jobs:   make(map[string]*Job),
 		queue:  make(chan *Job, cfg.Queue),
+		slots:  campaign.NewSlots(workers),
 		ctx:    ctx,
 		cancel: cancel,
 		drainc: make(chan struct{}),
@@ -105,13 +123,16 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.wg.Add(1)
-	go s.executor()
+	s.wg.Add(executors)
+	for range executors {
+		go s.executor()
+	}
 	return s, nil
 }
 
-// Close stops the executor, cancels any running job, and waits for it to
-// unwind. Queued-but-unstarted jobs are marked canceled.
+// Close stops the executors, cancels the running jobs (also one still
+// waiting for a slot), and waits for them to unwind. Queued-but-unstarted
+// jobs are marked canceled.
 func (s *Server) Close() {
 	s.cancel()
 	s.wg.Wait()
@@ -127,12 +148,12 @@ func (s *Server) Close() {
 	}
 }
 
-// Drain is the graceful-shutdown path: it stops the executor from picking
-// up new work, lets the currently running job finish (bounded by ctx), and
-// finishes every still-queued job as interrupted — the same state restart
-// recovery uses for half-done work, so clients handle both identically by
+// Drain is the graceful-shutdown path: it stops the executors from picking
+// up new work, lets the running jobs finish (bounded by ctx), and finishes
+// every still-queued job as interrupted — the same state restart recovery
+// uses for half-done work, so clients handle both identically by
 // resubmitting. New submissions are rejected for the rest of the process's
-// life. Returns ctx.Err() if the running job outlived the drain budget.
+// life. Returns ctx.Err() if a running job outlived the drain budget.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
@@ -145,7 +166,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	// The executor has exited, so this sweep is the queue's only consumer.
+	// The executors have exited, so this sweep is the queue's only consumer.
 	// It holds s.mu so it serializes against Submit's check-then-enqueue:
 	// a submission either observes draining under the lock and is rejected,
 	// or enqueued before the sweep and interrupted here — never enqueued
@@ -196,7 +217,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	// Submit is the queue's only sender and holds s.mu, so the room seen
 	// here is still there at the send below. The manifest is written before
-	// the job exists: its recordDir is settled before the executor can
+	// the job exists: its recordDir is settled before an executor can
 	// dequeue it, and is never written again.
 	if len(s.queue) == cap(s.queue) {
 		s.metrics.jobsRejected.Add(1)
@@ -252,9 +273,9 @@ func (s *Server) Jobs() []Status {
 }
 
 // Cancel requests cancellation: a queued job is finished as canceled on
-// dequeue; a running job has its context canceled and finishes as canceled
-// when the worker pool unwinds. Returns false for unknown or already
-// terminal jobs.
+// dequeue; a running job has its context canceled — which also ends its
+// wait for a slot — and finishes as canceled when its worker pool unwinds.
+// Returns false for unknown or already terminal jobs.
 func (s *Server) Cancel(id string) bool {
 	j, ok := s.Job(id)
 	if !ok {
@@ -272,8 +293,9 @@ func (s *Server) Cancel(id string) bool {
 	return true
 }
 
-// executor is the single queue-draining goroutine: strict FIFO, one job at a
-// time, so a job owns the full worker pool while it runs.
+// executor is one of the two queue-draining goroutines: it takes jobs in
+// FIFO order and runs one at a time. The jobs the two run share s.slots,
+// so a job may fly on every slot the other job is not flying a mission on.
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for {
@@ -297,8 +319,23 @@ func (s *Server) executor() {
 }
 
 // runJob executes one dequeued job through matrix.RunOn on the shared warm
-// assets and moves it to its terminal state.
+// assets and slots, and moves it to its terminal state.
 func (s *Server) runJob(j *Job) {
+	spec, err := j.Spec.matrixSpec()
+	if err != nil { // validated at submit; unreachable in practice
+		s.metrics.jobsFailed.Add(1)
+		j.finish(JobFailed, err.Error(), nil)
+		return
+	}
+	spec.Workers = s.cfg.Workers
+	spec.Slots = s.slots
+	spec.Deadline = s.cfg.Deadline
+	spec.RecordDir = j.recordDir
+	spec.OnMission = func(i int, m qof.Metrics) {
+		s.metrics.countMission(m.Outcome)
+		j.publish(newMissionEvent(j.Cell, i, m))
+	}
+
 	j.mu.Lock()
 	if j.cancelled {
 		j.mu.Unlock()
@@ -309,31 +346,14 @@ func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	j.state = JobRunning
 	j.cancel = cancel
+	s.metrics.jobStarted()
 	j.mu.Unlock()
 	defer cancel()
 
-	s.metrics.jobsRunning.Add(1)
-	start := time.Now()
-	defer func() {
-		s.metrics.jobsRunning.Add(-1)
-		s.metrics.busyMicros.Add(time.Since(start).Microseconds())
-	}()
-
-	spec, err := j.Spec.matrixSpec()
-	if err != nil { // validated at submit; unreachable in practice
-		s.metrics.jobsFailed.Add(1)
-		j.finish(JobFailed, err.Error(), nil)
-		return
-	}
-	spec.Workers = s.cfg.Workers
-	spec.Deadline = s.cfg.Deadline
-	spec.RecordDir = j.recordDir
-	spec.OnMission = func(i int, m qof.Metrics) {
-		s.metrics.countMission(m.Outcome)
-		j.publish(newMissionEvent(j.Cell, i, m))
-	}
-
 	res, err := matrix.RunOn(ctx, spec, s.assets)
+	// Off the running gauge and the busy clock before finish wakes any
+	// waiter, so a client that sees the job end never sees it running.
+	s.metrics.jobEnded()
 	switch {
 	case err != nil && ctx.Err() != nil:
 		s.metrics.jobsCanceled.Add(1)
