@@ -32,8 +32,9 @@ const maxClassCells = 4 << 20
 const maxDepth = 24
 
 // brickStore holds the map's log-odds in 8³ bricks that are allocated, zeroed,
-// on first write and addressed by flat cell number (cz·nc + cy)·nc + cx. It is
-// the whole map content: a voxel without a brick reads 0, unknown.
+// on first write and addressed by flat cell number (cz·nc + cy)·nc + cx. It
+// holds every voxel that is not on the miss chain (chain.go); a voxel in
+// neither home reads 0, unknown.
 type brickStore struct {
 	index []int32       // per cell: 0 = unallocated, else 1 + brick number; nil over maxDenseCells
 	big   map[int]int32 // the same mapping for a volume over maxDenseCells
@@ -106,22 +107,24 @@ func (s *brickStore) brick(cell int) int {
 	return int(b-1) * brickVoxels
 }
 
-// each calls fn for every allocated brick in ascending cell order, so
-// anything built from it (Digest, the wire format) is independent of the
-// order the bricks were allocated in.
-func (s *brickStore) each(fn func(cell int, vals []float64)) {
-	at := func(b int32) []float64 { return s.slab[int(b-1)*brickVoxels:][:brickVoxels] }
-	if s.index != nil {
-		for cell, b := range s.index {
-			if b != 0 {
-				fn(cell, at(b))
-			}
+// cells returns the cells that have a brick, in ascending order.
+func (s *brickStore) cells() []int {
+	if s.index == nil {
+		return slices.Sorted(maps.Keys(s.big))
+	}
+	var out []int
+	for cell, b := range s.index {
+		if b != 0 {
+			out = append(out, cell)
 		}
-		return
 	}
-	for _, cell := range slices.Sorted(maps.Keys(s.big)) {
-		fn(cell, at(s.big[cell]))
-	}
+	return out
+}
+
+// cellOf returns the flat cell number of masked key (x, y, z) in a cell grid
+// of nc cells per axis.
+func cellOf(nc, x, y, z int) int {
+	return ((z>>brickShift)*nc+(y>>brickShift))*nc + (x >> brickShift)
 }
 
 // voxelOffset is the position of masked key (x, y, z) inside its brick.

@@ -15,10 +15,13 @@ type RayPoint struct {
 }
 
 // InsertCloud integrates one whole depth scan sharing a single sensor
-// origin. It is exactly equivalent to calling InsertRay once per point in
-// slice order — the same integrateRay evidence schedule runs for every ray,
-// so the two paths cannot drift apart — and the equivalence tests pin the
-// resulting log-odds bit-for-bit.
+// origin: for each point in slice order, miss evidence along the ray from
+// origin to the point, endpoint voxel excluded, then hit or miss evidence at
+// the endpoint voxel. Rays are walked with the Amanatides–Woo
+// voxel-stepping algorithm, clipped to the root volume; the endpoint voxel
+// is identified from the endpoint itself (not the clipped walk), so a
+// surface point landing exactly on a voxel boundary attributes its hit
+// evidence to the voxel containing the surface.
 //
 // History: PR 2 implemented this call with a per-voxel grouping layer (walk
 // all rays once, group hit/miss evidence per unique voxel, one octree descent
@@ -34,9 +37,7 @@ type RayPoint struct {
 // recycled through Reset keeps its grown slab. A scan integrated several
 // times in a row goes through InsertCloudN, which walks it once.
 func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
-	for i := range pts {
-		t.integrateRay(origin, pts[i].End, pts[i].Hit)
-	}
+	t.InsertCloudN(origin, pts, 1)
 }
 
 // InsertCloudN integrates one scan n times over: exactly n consecutive
@@ -46,57 +47,63 @@ func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 // A voxel's value depends only on its own updates, in order, and every
 // update a voxel gets from a scan is the same clamped miss unless one of
 // the scan's hit endpoints lands in it. So InsertCloudN walks the scan once,
-// folding the n passes per voxel:
-//   - before the walk it marks the voxels the scan's in-volume hit
-//     endpoints land in;
+// with the same carve InsertCloud runs, applying n passes per voxel:
+//   - before the walk it moves the voxels the scan's in-volume hit endpoints
+//     land in to their bricks, values unchanged, and marks them;
 //   - a crossing or miss endpoint in an unmarked voxel applies its n misses
-//     at once, in a register, which is exactly what the full sequence
-//     repeated n times leaves there;
+//     at once, which is exactly what the full sequence repeated n times
+//     leaves there: a chain voxel steps n along the chain, a brick voxel
+//     takes n clamped misses;
 //   - every update to a marked voxel, hit or miss, is held back in walk
 //     order, and after the walk the held sequence is applied n times, which
 //     gives each marked voxel its own sequence n times over.
 //
 // The summary counts and grid bytes depend only on each voxel's class
 // before and after, so one reclassify per changed crossing leaves them as
-// n passes would; Digest and the snapshot format visit bricks in cell
-// order, so allocating the marked voxels' bricks first cannot show; and
-// every update still adds n to LeafUpdates.
+// n passes would; Digest and the snapshot format visit cells in cell order,
+// and a marked voxel's brick is one its hit would allocate, so moving the
+// marked voxels first cannot show; and every update still adds n to
+// LeafUpdates.
 //
 // BuildMapSeed's confirmation passes are the caller. n <= 0 is a no-op and
-// n == 1 is InsertCloud. The marks and the held updates live in buffers
-// the tree keeps, so once they have grown to the scan a call allocates
-// nothing beyond the slab growth InsertCloud itself would cause.
+// n == 1 marks nothing: it is InsertCloud. The marks and the held updates
+// live in buffers the tree keeps, so once they have grown to the scan a
+// call allocates nothing beyond the slab growth InsertCloud itself would
+// cause.
 func (t *Tree) InsertCloudN(origin geom.Vec3, pts []RayPoint, n int) {
 	if n <= 0 {
 		return
 	}
-	if n == 1 {
-		t.InsertCloud(origin, pts)
-		return
-	}
 	f := &t.fold
 	f.held = f.held[:0]
-	for i := range pts {
-		if !pts[i].Hit {
-			continue
-		}
-		if x, y, z, ok := t.key(pts[i].End); ok {
-			f.mark(t.store.brick(t.cell(x, y, z)), voxelOffset(x, y, z))
+	if n > 1 {
+		for i := range pts {
+			if !pts[i].Hit {
+				continue
+			}
+			if x, y, z, ok := t.key(pts[i].End); ok {
+				f.mark(t.toBrick(x, y, z))
+			}
 		}
 	}
 	for i := range pts {
-		t.foldRay(origin, pts[i].End, pts[i].Hit, n)
+		t.integrateRay(origin, pts[i].End, pts[i].Hit, n)
 	}
-	t.applyHeld(n)
 	f.unmark()
+	for range n {
+		for _, u := range f.held {
+			t.updateKey(int(u.x), int(u.y), int(u.z), u.hit, 1)
+		}
+	}
 }
 
 // seedFold is InsertCloudN's working state: the marked voxels of the scan
 // being folded and the updates held back for them. Marks are a per-brick
-// flag plus a 512-bit mask per marked brick, so the walk tests a voxel with
-// one load on a brick change and one bit test per crossing. Every mark is
-// cleared before InsertCloudN returns; held keeps the last scan's updates
-// until the next call.
+// flag plus a 512-bit mask per marked brick, so testing a voxel costs a
+// brick lookup and a bit test, and only updateKey tests: every marked voxel
+// lives in its brick, off carve's fast path. Every mark is cleared before
+// the held updates are applied; held keeps the last scan's updates until
+// the next call.
 type seedFold struct {
 	markOf []int32      // per brick number: 0, or 1 + its index in marks
 	marks  []brickMark  // the scan's marked bricks
@@ -106,14 +113,8 @@ type seedFold struct {
 // brickMark is one marked brick: its number and its marked voxels.
 type brickMark struct {
 	brick int
-	bits  voxelMask
+	bits  [brickVoxels / 64]uint64 // one bit per voxel offset
 }
-
-// voxelMask holds one bit per voxel offset of a brick.
-type voxelMask [brickVoxels / 64]uint64
-
-// has reports whether voxel offset vo is set; a nil mask has none set.
-func (m *voxelMask) has(vo int) bool { return m != nil && m[vo>>6]>>(vo&63)&1 != 0 }
 
 // heldUpdate is one update to a marked voxel: its masked key and whether it
 // is hit or miss evidence.
@@ -122,9 +123,9 @@ type heldUpdate struct {
 	hit     bool
 }
 
-// mark marks voxel offset vo of the brick at slab offset base.
-func (f *seedFold) mark(base, vo int) {
-	b := base / brickVoxels
+// mark marks the voxel at slab offset off.
+func (f *seedFold) mark(off int) {
+	b, vo := off/brickVoxels, off%brickVoxels
 	if b >= len(f.markOf) {
 		f.markOf = append(f.markOf, make([]int32, b+1-len(f.markOf))...)
 	}
@@ -137,13 +138,18 @@ func (f *seedFold) mark(base, vo int) {
 	f.marks[m-1].bits[vo>>6] |= 1 << (vo & 63)
 }
 
-// bitsOf returns the marks of the brick at slab offset base, nil when it
-// has none.
-func (f *seedFold) bitsOf(base int) *voxelMask {
-	if b := base / brickVoxels; b < len(f.markOf) && f.markOf[b] != 0 {
-		return &f.marks[f.markOf[b]-1].bits
+// marked reports whether the voxel at masked key (x, y, z) is marked.
+func (t *Tree) marked(x, y, z int) bool {
+	f := &t.fold
+	if len(f.marks) == 0 {
+		return false
 	}
-	return nil
+	b := int(t.store.slot(t.cell(x, y, z))) - 1
+	if b < 0 || b >= len(f.markOf) || f.markOf[b] == 0 {
+		return false
+	}
+	vo := voxelOffset(x, y, z)
+	return f.marks[f.markOf[b]-1].bits[vo>>6]>>(vo&63)&1 != 0
 }
 
 // unmark clears every mark, leaving markOf all zero for the next scan.
@@ -152,114 +158,6 @@ func (f *seedFold) unmark() {
 		f.markOf[m.brick] = 0
 	}
 	f.marks = f.marks[:0]
-}
-
-// foldRay is integrateRay for InsertCloudN: the same walk and endpoint,
-// with n misses folded into every unmarked voxel and every update to a
-// marked voxel held back.
-func (t *Tree) foldRay(origin, end geom.Vec3, hit bool, n int) {
-	ex, ey, ez, endOK := t.key(end)
-	var w rayWalker
-	t.startWalk(&w, origin, end)
-	if w.valid {
-		t.foldCarve(&w, ex, ey, ez, endOK, n)
-	}
-	if !endOK {
-		return
-	}
-	base := t.store.brick(t.cell(ex, ey, ez))
-	vo := voxelOffset(ex, ey, ez)
-	if hit || t.fold.bitsOf(base).has(vo) {
-		t.fold.held = append(t.fold.held, heldUpdate{int32(ex), int32(ey), int32(ez), hit})
-		return
-	}
-	t.missN(t.store.slab, base+vo, ex, ey, ez, n)
-	t.leafUpdates += n
-}
-
-// missN applies n clamped misses at once to the voxel at offset off of
-// slab, masked key (x, y, z), stopping at a fixed point, where every
-// further miss would leave it as it is.
-func (t *Tree) missN(slab []float64, off, x, y, z, n int) {
-	old := slab[off]
-	lo := old
-	for ; n > 0; n-- {
-		next := geom.Clampf(lo+t.params.LogOddsMiss, t.params.ClampMin, t.params.ClampMax)
-		if next == lo {
-			break
-		}
-		lo = next
-	}
-	if lo != old {
-		slab[off] = lo
-		if from, to := t.classOf(old), t.classOf(lo); from != to {
-			t.reclassify(x, y, z, from, to)
-		}
-	}
-}
-
-// foldCarve is carve for InsertCloudN: the same DDA loop over the same
-// voxels, where a crossing of an unmarked voxel applies n misses at once
-// and a crossing of a marked one is held back. It is a loop of its own
-// because missions run carve once per scan and pay for every branch in it.
-func (t *Tree) foldCarve(w *rayWalker, ex, ey, ez int, endOK bool, n int) {
-	f := &t.fold
-	mask := t.keyMask
-	slab := t.store.slab
-	base := -1          // slab offset of the current brick; -1 before the first
-	var bits *voxelMask // the current brick's marks, nil when it has none
-	var bx, by, bz int  // a masked key inside the current brick
-	x, y, z := w.x, w.y, w.z
-	tMaxX, tMaxY, tMaxZ := w.tMaxX, w.tMaxY, w.tMaxZ
-	folded := 0 // crossings of unmarked voxels
-	for steps := 0; steps < w.maxSteps; steps++ {
-		if !endOK || x != ex || y != ey || z != ez {
-			mx, my, mz := x&mask, y&mask, z&mask
-			if base < 0 || ((mx^bx)|(my^by)|(mz^bz))>>brickShift != 0 {
-				base = t.store.brick(t.cell(mx, my, mz))
-				slab = t.store.slab
-				bits = f.bitsOf(base)
-				bx, by, bz = mx, my, mz
-			}
-			vo := voxelOffset(mx, my, mz)
-			if bits.has(vo) {
-				f.held = append(f.held, heldUpdate{int32(mx), int32(my), int32(mz), false})
-			} else {
-				t.missN(slab, base+vo, mx, my, mz, n)
-				folded++
-			}
-		}
-		if x == w.ex && y == w.ey && z == w.ez {
-			break // end voxel reached, walk exhausted
-		}
-		switch {
-		case tMaxX <= tMaxY && tMaxX <= tMaxZ:
-			x += w.stepX
-			tMaxX += w.tDeltaX
-		case tMaxY <= tMaxZ:
-			y += w.stepY
-			tMaxY += w.tDeltaY
-		default:
-			z += w.stepZ
-			tMaxZ += w.tDeltaZ
-		}
-	}
-	t.leafUpdates += n * folded
-}
-
-// applyHeld applies the held updates n times over, in order, so each
-// marked voxel receives its own update sequence n times.
-func (t *Tree) applyHeld(n int) {
-	hit, miss := t.params.LogOddsHit, t.params.LogOddsMiss
-	for pass := 0; pass < n; pass++ {
-		for _, u := range t.fold.held {
-			delta := miss
-			if u.hit {
-				delta = hit
-			}
-			t.updateKey(int(u.x), int(u.y), int(u.z), delta)
-		}
-	}
 }
 
 // InsertCloudApprox is InsertCloud with the two opt-in approximate-mode
@@ -276,7 +174,7 @@ func (t *Tree) applyHeld(n int) {
 // Saturated-evidence memoization (memo): a ray whose endpoint voxel is
 // already clamped in the direction of the ray's own evidence — a hit into
 // a voxel at the upper log-odds clamp, a free endpoint at the lower clamp —
-// is skipped entirely, one brick lookup instead of a full carve. On a
+// is skipped entirely, one lookup instead of a full carve. On a
 // map forked from a converged golden seed nearly every ray into already-
 // mapped space qualifies, which is what makes cross-mission memoization
 // pay: the fork carries the prior campaign evidence, and re-confirming it
@@ -301,7 +199,7 @@ func (t *Tree) InsertCloudApprox(origin geom.Vec3, pts []RayPoint, nearRadius fl
 			continue
 		}
 		if stride <= 1 || i%stride == 0 {
-			t.integrateRay(origin, pts[i].End, pts[i].Hit)
+			t.integrateRay(origin, pts[i].End, pts[i].Hit, 1)
 			continue
 		}
 		d := pts[i].End.Sub(origin)
@@ -309,16 +207,12 @@ func (t *Tree) InsertCloudApprox(origin geom.Vec3, pts []RayPoint, nearRadius fl
 		if lsq <= nearSq {
 			// The whole ray is near-field: endpoint evidence only.
 			if ex, ey, ez, ok := t.key(pts[i].End); ok {
-				if pts[i].Hit {
-					t.updateKey(ex, ey, ez, t.params.LogOddsHit)
-				} else {
-					t.updateKey(ex, ey, ez, t.params.LogOddsMiss)
-				}
+				t.updateKey(ex, ey, ez, pts[i].Hit, 1)
 			}
 			continue
 		}
 		start := origin.Add(d.Scale(nearRadius / math.Sqrt(lsq)))
-		t.integrateRay(start, pts[i].End, pts[i].Hit)
+		t.integrateRay(start, pts[i].End, pts[i].Hit, 1)
 	}
 }
 

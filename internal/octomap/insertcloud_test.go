@@ -14,11 +14,11 @@ func voxelKey(t *Tree, cell, i int) [3]int {
 	return [3]int{cell%nc*8 + i&7, cell/nc%nc*8 + (i>>3)&7, cell/nc/nc*8 + i>>6}
 }
 
-// collectLeaves flattens a tree into the log-odds of every voxel its
-// allocated bricks hold, keyed by voxel key.
+// collectLeaves flattens a tree into the log-odds of every voxel of every
+// cell the all-values iterator visits, keyed by voxel key.
 func collectLeaves(t *Tree) map[[3]int]float64 {
 	out := map[[3]int]float64{}
-	t.store.each(func(cell int, vals []float64) {
+	t.eachCell(func(cell int, vals *[brickVoxels]float64) {
 		for i, v := range vals {
 			out[voxelKey(t, cell, i)] = v
 		}
@@ -138,16 +138,16 @@ func TestInsertCloudCorruptedEndpointBoundedAndBitExact(t *testing.T) {
 	compareTrees(t, ref, bat)
 }
 
-// compareTrees asserts two trees hold bricks in the same cells with
-// bit-identical log-odds in every voxel.
+// compareTrees asserts the all-values iterator visits the same cells of
+// two trees, with bit-identical log-odds in every voxel.
 func compareTrees(t *testing.T, a, b *Tree) {
 	t.Helper()
 	type brick struct {
 		cell int
-		vals []float64
+		vals [brickVoxels]float64
 	}
 	bricks := func(tr *Tree) (out []brick) {
-		tr.store.each(func(cell int, vals []float64) { out = append(out, brick{cell, vals}) })
+		tr.eachCell(func(cell int, vals *[brickVoxels]float64) { out = append(out, brick{cell, *vals}) })
 		return out
 	}
 	ab, bb := bricks(a), bricks(b)

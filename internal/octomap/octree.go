@@ -13,9 +13,12 @@
 // irrational multiples that never cancel exactly, so the case does not
 // arise in practice.
 //
-// Storage is a bricked voxel store (bricks.go): the log-odds live in 8³
-// bricks allocated on first write and found through a dense cell index, so
-// an update or a lookup costs one or two array loads. Beside it the tree
+// Storage has two homes (chain.go). A voxel inside the world bounds whose
+// whole history is misses keeps one byte beside its classification byte:
+// its step on the miss chain, the values that many clamped misses leave.
+// Every other voxel lives in a bricked store (bricks.go): 8³ bricks
+// allocated on first write and found through a dense cell index, so an
+// update or a lookup costs one or two array loads. Beside them the tree
 // keeps two exact derived structures, both updated in the same write as the
 // voxel whenever its classification changes: the per-8³-cell occupied count
 // of the occupancy summary (summary.go) and a per-voxel classification byte
@@ -74,11 +77,12 @@ func logit(p float64) float64 { return math.Log(p / (1 - p)) }
 // the descent.
 //
 // Aliasing: the walker's defensive overshoot in a degenerate-axis case can
-// hand carve a key one or two steps outside [0, maxKey). carve masks every
-// key with keyMask before addressing, so that evidence lands on the voxel
-// the masked key names, in the bricks, the summary and the class grid
-// alike: the voxel the octree's descent reached by reading only the low
-// depth bits. Every other path receives in-range keys only.
+// hand carve a key one or two steps outside [0, maxKey). Such a key fails
+// carve's bounds test and goes to updateKey, which masks every key with
+// keyMask before addressing, so that evidence lands on the voxel the masked
+// key names, in its home, the summary and the class grid alike: the voxel
+// the octree's descent reached by reading only the low depth bits. Every
+// other path receives in-range keys only.
 type Tree struct {
 	geometry
 	params  Params
@@ -88,8 +92,10 @@ type Tree struct {
 	invRes  float64 // 1/resolution
 	mulKey  bool    // resolution is a power of two: key() may multiply
 
-	store brickStore // the log-odds
+	store brickStore // the log-odds of every voxel off the miss chain
 	grid  []uint8    // exact Occupancy per leaf key of the bounds; nil over maxClassCells
+	codes []uint8    // miss-chain step or inBrick per leaf key of the bounds; nil when the chain is off
+	chain []float64  // the miss chain of params (see missChain); read only when codes is set
 	sum   occSummary // per-cell occupied-voxel counts for the probe prescan
 
 	leafUpdates int // total leaf evidence updates, for overhead accounting
@@ -160,12 +166,18 @@ func (t *Tree) Reset(bounds geom.AABB, resolution float64, params Params) {
 }
 
 // empty clears the map of the tree's current geometry: no bricks, zero
-// summary counts, an all-Unknown classification grid, no leaf updates.
+// summary counts, an all-Unknown classification grid, every voxel at step 0
+// of the miss chain when the tree has one, no leaf updates.
 func (t *Tree) empty() {
 	cells := denseCells(t.nc)
 	t.store.reset(cells)
 	t.sum.counts = zeroed(t.sum.counts, cells)
 	t.grid = zeroed(t.grid, classCells(t.nx, t.ny, t.nz))
+	codes := 0
+	if t.chain != nil {
+		codes = len(t.grid)
+	}
+	t.codes = zeroed(t.codes, codes)
 	t.leafUpdates = 0
 }
 
@@ -175,9 +187,10 @@ func (t *Tree) empty() {
 func (t *Tree) reinit(g geometry, params Params) {
 	t.geometry = g
 	t.params = params
+	t.chain = missChain(t.chain, params)
 	t.maxKey = 1 << g.depth
 	t.keyMask = t.maxKey - 1
-	t.nc = max(t.maxKey>>brickShift, 1)
+	t.nc = g.cellsPerAxis()
 	t.invRes = 1 / g.resolution
 	// When the resolution is a power of two (the 0.5 m default), 1/resolution
 	// is exact and x*invRes == x/resolution bit-for-bit for every float, so
@@ -193,10 +206,12 @@ func (t *Tree) reinit(g geometry, params Params) {
 // the benchmark harness's collision checker still calls it per plan.
 func (t *Tree) EnableClassCache() {}
 
+// cellsPerAxis is nc, the cells per axis of the 8³ cell grid over the key
+// cube.
+func (g geometry) cellsPerAxis() int { return max((1<<g.depth)>>brickShift, 1) }
+
 // cell returns the flat cell number of masked key (x, y, z).
-func (t *Tree) cell(x, y, z int) int {
-	return ((z>>brickShift)*t.nc+(y>>brickShift))*t.nc + (x >> brickShift)
-}
+func (t *Tree) cell(x, y, z int) int { return cellOf(t.nc, x, y, z) }
 
 // classOf classifies a log-odds value (see the package comment for why 0
 // means unknown).
@@ -289,33 +304,53 @@ func (t *Tree) keyComp(rel float64) int {
 	return int(rel / t.resolution)
 }
 
-// VoxelCenter returns the centre of the leaf voxel containing p; ok is false
-// outside the volume.
-func (t *Tree) VoxelCenter(p geom.Vec3) (geom.Vec3, bool) {
-	x, y, z, ok := t.key(p)
-	if !ok {
-		return geom.Vec3{}, false
+// updateKey applies one hit or miss, n times over, to the voxel at key
+// (x, y, z), masked first (see Tree), clamping after every step, and counts
+// the n updates in LeafUpdates. It is the one write path outside carve's
+// fast path. A miss on a voxel on the miss chain advances its code; any
+// other update lands in the voxel's brick, and a hit moves a chain voxel
+// there first. While InsertCloudN folds a scan, an update to a marked voxel
+// is held back instead (see InsertCloudN), uncounted until it is applied.
+//
+// Every carve step that leaves the fast path comes here, so the compiler is
+// kept from inlining it into carve's loop.
+//
+//go:noinline
+func (t *Tree) updateKey(x, y, z int, hit bool, n int) {
+	x, y, z = x&t.keyMask, y&t.keyMask, z&t.keyMask
+	if t.marked(x, y, z) {
+		t.fold.held = append(t.fold.held, heldUpdate{int32(x), int32(y), int32(z), hit})
+		return
 	}
-	r := t.resolution
-	return t.origin.Add(geom.V((float64(x)+0.5)*r, (float64(y)+0.5)*r, (float64(z)+0.5)*r)), true
-}
-
-// updateKey applies delta log-odds evidence to the voxel at in-range key
-// (x,y,z), clamping the sum.
-func (t *Tree) updateKey(x, y, z int, delta float64) {
-	v := &t.store.slab[t.store.brick(t.cell(x, y, z))+voxelOffset(x, y, z)]
-	old := *v
-	*v = geom.Clampf(old+delta, t.params.ClampMin, t.params.ClampMax)
-	if from, to := t.classOf(old), t.classOf(*v); from != to {
+	t.leafUpdates += n
+	if i, ok := t.onChain(x, y, z); ok && !hit {
+		t.codes[i] = uint8(min(int(t.codes[i])+n, len(t.chain)-1))
+		t.grid[i] = uint8(Free)
+		return
+	}
+	delta := t.params.LogOddsMiss
+	if hit {
+		delta = t.params.LogOddsHit
+	}
+	off := t.toBrick(x, y, z)
+	old := t.store.slab[off]
+	lo := old
+	for range n {
+		lo = geom.Clampf(lo+delta, t.params.ClampMin, t.params.ClampMax)
+	}
+	t.store.slab[off] = lo
+	if from, to := t.classOf(old), t.classOf(lo); from != to {
 		t.reclassify(x, y, z, from, to)
 	}
-	t.leafUpdates++
 }
 
-// lookup returns the log-odds of the voxel at in-range key (x,y,z) and
-// whether it has ever received evidence (known ⇔ non-zero log-odds; see the
-// package comment).
+// lookup returns the log-odds of the voxel at in-range key (x,y,z), read
+// from its home, and whether it has ever received evidence (known ⇔
+// non-zero log-odds; see the package comment).
 func (t *Tree) lookup(x, y, z int) (logOdds float64, known bool) {
+	if i, ok := t.onChain(x, y, z); ok {
+		return t.chain[t.codes[i]], t.codes[i] != 0
+	}
 	b := t.store.slot(t.cell(x, y, z))
 	if b == 0 {
 		return 0, false
@@ -334,111 +369,60 @@ func (t *Tree) At(p geom.Vec3) Occupancy {
 	return t.classify(x, y, z)
 }
 
-// Prob returns the occupancy probability of the voxel containing p, and
-// whether the voxel is known.
-func (t *Tree) Prob(p geom.Vec3) (float64, bool) {
-	x, y, z, ok := t.key(p)
-	if !ok {
-		return 1, true
-	}
-	lo, known := t.lookup(x, y, z)
-	return 1 / (1 + math.Exp(-lo)), known
-}
-
-// MarkOccupied applies hit evidence at p (exposed for tests and fault
-// scenarios).
-func (t *Tree) MarkOccupied(p geom.Vec3) {
-	if x, y, z, ok := t.key(p); ok {
-		t.updateKey(x, y, z, t.params.LogOddsHit)
-	}
-}
-
-// MarkFree applies miss evidence at p.
-func (t *Tree) MarkFree(p geom.Vec3) {
-	if x, y, z, ok := t.key(p); ok {
-		t.updateKey(x, y, z, t.params.LogOddsMiss)
-	}
-}
-
-// InsertRay integrates one range measurement: miss evidence along the ray
-// from origin to end, and, when hit is true, hit evidence at the endpoint
-// voxel. Traversal uses the Amanatides–Woo voxel-stepping algorithm.
-//
-// The endpoint voxel is identified from the endpoint itself (not the
-// clipped walk), so a surface point landing exactly on a voxel boundary
-// attributes its hit evidence to the voxel containing the surface.
-//
-// InsertRay is the single-ray form of InsertCloud: both run the same fused
-// kernel (integrateRay), so one ray inserted either way leaves bit-identical
-// evidence. Whole depth scans should go through InsertCloud, the mission
-// loop's batching boundary. The independent oracle the fused kernel is
-// checked against lives in the package tests.
-func (t *Tree) InsertRay(origin, end geom.Vec3, hit bool) {
-	t.integrateRay(origin, end, hit)
-}
-
-// integrateRay is the single evidence schedule both insertion paths share:
-// miss evidence along the clipped walk (endpoint voxel excluded), then hit
-// or miss evidence at the endpoint voxel. One body means InsertRay and
-// InsertCloud cannot drift apart on the schedule their bit-identical
-// equivalence depends on.
-func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool) {
+// integrateRay is the evidence schedule of one ray, applied n times over
+// in one walk: miss evidence along the clipped walk (endpoint voxel
+// excluded), then hit or miss evidence at the endpoint voxel. InsertCloud
+// runs it with n = 1 and InsertCloudN with its n.
+func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool, n int) {
 	ex, ey, ez, endOK := t.key(end)
 	var w rayWalker
 	t.startWalk(&w, origin, end)
 	if w.valid {
-		t.carve(&w, ex, ey, ez, endOK)
+		t.carve(&w, ex, ey, ez, endOK, n)
 	}
 	if endOK {
-		if hit {
-			t.updateKey(ex, ey, ez, t.params.LogOddsHit)
-		} else {
-			t.updateKey(ex, ey, ez, t.params.LogOddsMiss)
-		}
+		t.updateKey(ex, ey, ez, hit, n)
 	}
 }
 
-// carve applies miss evidence to every voxel the seeded walk w crosses, in
-// walk order, except the endpoint voxel (ex, ey, ez) when endOK. It is the
-// rayWalker.next → updateKey chain fused into one loop, which is where a
-// sweep-exact mission spends most of its host time: the DDA state and the
-// current brick live in locals, the brick is resolved only when the walk
-// enters a new one, the summary and the class grid are touched only on
-// class transitions, and the leaf-update counter advances once per ray. It
-// visits the same voxels in the same order as the chain, so every voxel,
-// summary count and grid byte comes out bit-identical; the randomized
+// carve applies n misses to every voxel the seeded walk w crosses, in walk
+// order, except the endpoint voxel (ex, ey, ez) when endOK. It is
+// rayWalker.next and updateKey fused into one loop, which is where a
+// sweep-exact mission spends most of its host time, and it serves both
+// InsertCloud (n = 1) and InsertCloudN. The DDA state lives in locals, and
+// a crossing of a voxel on the miss chain (almost all of them) is two byte
+// stores: its code steps n along the chain, saturating at the fixed point,
+// and its class-grid byte becomes Free, the class of every chain value
+// after 0; such a voxel is never Occupied, so the summary cannot change.
+// Every other crossing (a voxel in its brick, a key outside the bounds, an
+// overshoot key, a tree without the chain) goes through updateKey, which
+// also holds back the updates to the voxels InsertCloudN marked; those are
+// all in bricks, so the fast path needs no mark test. The leaf-update
+// counter advances once per ray for the fast crossings. It visits the
+// voxels next yields, in next's order, so every value, summary count and
+// grid byte comes out as the per-voxel updates leave them; the randomized
 // equivalence test against an independent map oracle pins this.
-//
-// Overshoot keys outside [0, maxKey) are masked like every other key (see
-// Tree). InsertCloudN walks with its own copy of this loop, foldCarve.
-func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
-	miss := t.params.LogOddsMiss
-	clampMin, clampMax := t.params.ClampMin, t.params.ClampMax
-	mask := t.keyMask
-	slab := t.store.slab
-	base := -1         // slab offset of the current brick; -1 before the first
-	var bx, by, bz int // a masked key inside the current brick
+func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool, n int) {
+	codes := t.codes
+	grid := t.grid[:len(codes)]
+	nx, ny, nz := t.nx, t.ny, t.nz
+	if codes == nil {
+		nx = 0 // no chain: every crossing takes updateKey
+	}
+	last := len(t.chain) - 1 // the chain's fixed point
 	x, y, z := w.x, w.y, w.z
 	tMaxX, tMaxY, tMaxZ := w.tMaxX, w.tMaxY, w.tMaxZ
-	updates := 0
+	fast := 0
 	for steps := 0; steps < w.maxSteps; steps++ {
 		if !endOK || x != ex || y != ey || z != ez {
-			mx, my, mz := x&mask, y&mask, z&mask
-			if base < 0 || ((mx^bx)|(my^by)|(mz^bz))>>brickShift != 0 {
-				base = t.store.brick(t.cell(mx, my, mz))
-				slab = t.store.slab
-				bx, by, bz = mx, my, mz
+			i := (z*ny+y)*nx + x
+			if uint(x) < uint(nx) && uint(y) < uint(ny) && uint(z) < uint(nz) && codes[i] != inBrick {
+				codes[i] = uint8(min(int(codes[i])+n, last))
+				grid[i] = uint8(Free)
+				fast++
+			} else {
+				t.updateKey(x, y, z, false, n)
 			}
-			v := &slab[base+voxelOffset(mx, my, mz)]
-			old := *v
-			lo := geom.Clampf(old+miss, clampMin, clampMax)
-			*v = lo
-			if lo != old { // a clamped voxel cannot change class
-				if from, to := t.classOf(old), t.classOf(lo); from != to {
-					t.reclassify(mx, my, mz, from, to)
-				}
-			}
-			updates++
 		}
 		if x == w.ex && y == w.ey && z == w.ez {
 			break // end voxel reached, walk exhausted
@@ -455,12 +439,12 @@ func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool) {
 			tMaxZ += w.tDeltaZ
 		}
 	}
-	t.leafUpdates += updates
+	t.leafUpdates += n * fast
 }
 
 // rayWalker streams the leaf voxel keys a segment crosses, in order, without
-// a per-ray closure allocation. The insertion paths (InsertRay, InsertCloud)
-// and the DDA collision queries (SegmentFree, FirstBlocked) all seed their
+// a per-ray closure allocation. The insertion paths (InsertCloud,
+// InsertCloudN) and the DDA collision queries (SegmentFree, FirstBlocked) all seed their
 // walks through it, and the loops that step the DDA on locals (carve,
 // rayFree and the fused walkers) copy next's stepping rule verbatim, so every
 // segment↔voxel enumeration in the package visits bit-identical voxel
@@ -627,7 +611,3 @@ func abs(a int) int {
 	}
 	return a
 }
-
-// NumLeaves returns the number of voxel slots the allocated bricks hold
-// (512 per brick), a memory-footprint proxy.
-func (t *Tree) NumLeaves() int { return len(t.store.slab) }

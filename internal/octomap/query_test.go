@@ -16,8 +16,22 @@ var testPolicy = QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 
 // queryTestTree builds a map with a realistic occupied/free/unknown mix by
 // integrating random depth scans from a few origins.
-func queryTestTree(seed int64) *Tree {
-	tr := newTestTree()
+func queryTestTree(seed int64) *Tree { return queryScans(newTestTree(), seed) }
+
+// bricksOnly sets aside the class grid and the miss-chain codes of a tree
+// that holds no evidence yet, so every voxel it is fed lives in a brick and
+// every probe classifies from its brick: the control the grid and the chain
+// are checked against.
+func bricksOnly(tr *Tree) *Tree {
+	if tr.LeafUpdates() != 0 {
+		panic("bricksOnly: the tree already holds evidence")
+	}
+	tr.grid, tr.codes = nil, nil
+	return tr
+}
+
+// queryScans integrates queryTestTree's scans for seed into tr.
+func queryScans(tr *Tree, seed int64) *Tree {
 	rng := rand.New(rand.NewSource(seed))
 	for s := 0; s < 6; s++ {
 		origin := geom.V(rng.Float64()*28+2, rng.Float64()*28+2, rng.Float64()*12+2)
@@ -228,12 +242,12 @@ func TestFirstBlockedMatchesOracleAndReference(t *testing.T) {
 }
 
 // TestClassCacheTransparent: queries classifying from the exact grid must
-// be indistinguishable from a control tree whose grid is set aside (every
-// probe reads its brick), across interleaved map mutations of both.
+// be indistinguishable from a control tree built without the grid and the
+// miss chain (every voxel in a brick, every probe reads its brick), across
+// interleaved map mutations of both.
 func TestClassCacheTransparent(t *testing.T) {
 	cached := queryTestTree(41)
-	plain := queryTestTree(41)
-	plain.grid = nil // classify from the bricks only
+	plain := queryScans(bricksOnly(newTestTree()), 41)
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 200; i++ {

@@ -73,7 +73,7 @@ func assertMatchesOracle(t *testing.T, tr *Tree, ref *refMap, when string) {
 	// Every non-zero voxel of the tree is an oracle voxel with the same bits,
 	// and the tree has as many non-zero voxels as the oracle.
 	treeKnown, refKnown := 0, 0
-	tr.store.each(func(cell int, vals []float64) {
+	tr.eachCell(func(cell int, vals *[brickVoxels]float64) {
 		for i, g := range vals {
 			if g == 0 {
 				continue

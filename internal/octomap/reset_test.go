@@ -161,8 +161,8 @@ func TestNewRejectsHugeVolume(t *testing.T) {
 
 // TestResetKeepsAllocations pins what recycling is for: resetting a grown
 // tree to a world of the same extents, or forking a snapshot of such a world
-// into it, reuses its brick slab, brick index, summary and classification
-// grid instead of allocating new ones.
+// into it, reuses its brick slab, brick index, miss-chain codes, summary and
+// classification grid instead of allocating new ones.
 func TestResetKeepsAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts are meaningless under -race instrumentation")
@@ -172,6 +172,7 @@ func TestResetKeepsAllocations(t *testing.T) {
 	mapWorld(tr, bounds, 5)
 	snap := tr.Snapshot()
 	slab, index, grid, counts := &tr.store.slab[0], &tr.store.index[0], &tr.grid[0], &tr.sum.counts[0]
+	codes := &tr.codes[0]
 	for _, step := range []struct {
 		name string
 		fn   func()
@@ -182,8 +183,9 @@ func TestResetKeepsAllocations(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, step.fn); allocs != 0 {
 			t.Fatalf("%s allocates %v objects, want 0", step.name, allocs)
 		}
-		if &tr.store.slab[:1][0] != slab || &tr.store.index[0] != index || &tr.grid[0] != grid || &tr.sum.counts[0] != counts {
-			t.Fatalf("%s replaced the slab, the brick index, the grid or the summary", step.name)
+		if &tr.store.slab[:1][0] != slab || &tr.store.index[0] != index || &tr.grid[0] != grid ||
+			&tr.sum.counts[0] != counts || &tr.codes[0] != codes {
+			t.Fatalf("%s replaced the slab, the brick index, the grid, the summary or the codes", step.name)
 		}
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"maps"
 	"math"
 	"os"
+	"slices"
 
 	"mavfi/internal/atomicfile"
 	"mavfi/internal/geom"
 )
 
-// Snapshot is an immutable copy of a Tree's state: the brick index and slab,
+// Snapshot is an immutable copy of a Tree's state: bricks, miss-chain codes,
 // the derived summary counts and classification grid, and the geometry that
 // addresses them. It is the unit of cross-mission map memoization (the PR 9
 // golden-map seed): a campaign builds one mapping pass per world, snapshots
@@ -32,13 +33,15 @@ type Snapshot struct {
 	geometry
 
 	store       brickStore // immutable copy of the bricks
+	codes       []uint8    // immutable miss-chain codes; nil when the chain is off
 	counts      []uint16   // immutable summary counts; nil over maxDenseCells
 	grid        []uint8    // immutable classification grid; nil over maxClassCells
 	leafUpdates int
 }
 
 // Snapshot copies the tree's state: a memcpy each of the brick index, the
-// slab, the summary counts and the classification grid.
+// slab, the miss-chain codes, the summary counts and the classification
+// grid.
 func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{
 		params:   t.params,
@@ -48,6 +51,7 @@ func (t *Tree) Snapshot() *Snapshot {
 			big:   maps.Clone(t.store.big),
 			slab:  copied(nil, t.store.slab),
 		},
+		codes:       copied(nil, t.codes),
 		counts:      copied(nil, t.sum.counts),
 		grid:        copied(nil, t.grid),
 		leafUpdates: t.leafUpdates,
@@ -72,37 +76,44 @@ func (s *Snapshot) Fork() *Tree {
 }
 
 // ForkInto resets t to an exact copy of the snapshot's map, reusing t's
-// brick index, slab, summary and classification grid where they fit — the
-// cross-mission memoization path: the pipeline recycles finished trees
-// through ForkInto, so a steady-state fork is a set of memcpys with no
+// brick index, slab, codes, summary and classification grid where they fit
+// — the cross-mission memoization path: the pipeline recycles finished
+// trees through ForkInto, so a steady-state fork is a set of memcpys with no
 // allocation. The summary counts and the grid are copied, not rebuilt, and
 // are exact because the snapshot's were.
 func (s *Snapshot) ForkInto(t *Tree) {
 	t.reinit(s.geometry, s.params)
 	t.store.copyFrom(&s.store)
+	t.codes = copied(t.codes, s.codes)
 	t.sum.counts = copied(t.sum.counts, s.counts)
 	t.grid = copied(t.grid, s.grid)
 	t.leafUpdates = s.leafUpdates
 }
 
+// eachCell runs the all-values iterator over the snapshot's map.
+func (s *Snapshot) eachCell(fn func(cell int, vals *[brickVoxels]float64)) {
+	eachCell(s.geometry, s.params, &s.store, s.codes, fn)
+}
+
 // Digest returns an FNV-64a hash of the tree's map: geometry, sensor model,
-// the leaf-update total, every allocated brick (its cell number and 512
-// log-odds) in ascending cell order, and the summary counts. Visiting the
-// bricks in cell order makes the digest independent of the order they were
-// allocated in, so a forked tree, a tree rebuilt from the same insertions
-// and a decoded snapshot digest identically; that is the byte the fork
-// equivalence suite pins. The classification grid is derived from the
-// bricks and not hashed.
+// the leaf-update total, every cell eachCell visits (its cell number and 512
+// log-odds) in ascending cell order, and the summary counts. Those cells
+// are the ones a brick-only store holds bricks for, and visiting them in
+// cell order makes the digest independent of the order bricks were
+// allocated in and of which home each voxel lives in, so a forked tree, a
+// tree rebuilt from the same insertions and a decoded snapshot digest
+// identically; that is the byte the fork equivalence suite pins. The
+// classification grid is derived from the values and not hashed.
 func (t *Tree) Digest() uint64 {
-	return digest(t.geometry, t.params, t.leafUpdates, &t.store, t.sum.counts)
+	return digest(t.geometry, t.params, t.leafUpdates, t.eachCell, t.sum.counts)
 }
 
 // Digest returns the digest a tree forked from this snapshot would report.
 func (s *Snapshot) Digest() uint64 {
-	return digest(s.geometry, s.params, s.leafUpdates, &s.store, s.counts)
+	return digest(s.geometry, s.params, s.leafUpdates, s.eachCell, s.counts)
 }
 
-func digest(g geometry, p Params, leafUpdates int, store *brickStore, counts []uint16) uint64 {
+func digest(g geometry, p Params, leafUpdates int, each func(func(int, *[brickVoxels]float64)), counts []uint16) uint64 {
 	h := fnv.New64a()
 	var b []byte
 	for _, f := range []float64{g.resolution, g.origin.X, g.origin.Y, g.origin.Z, g.rootSize, float64(g.depth),
@@ -110,7 +121,7 @@ func digest(g geometry, p Params, leafUpdates int, store *brickStore, counts []u
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
 	h.Write(b)
-	store.each(func(cell int, vals []float64) {
+	each(func(cell int, vals *[brickVoxels]float64) {
 		b = binary.LittleEndian.AppendUint64(b[:0], uint64(cell))
 		for _, v := range vals {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
@@ -142,9 +153,13 @@ func digest(g geometry, p Params, leafUpdates int, store *brickStore, counts []u
 //	brick:  cell uint32 | 512 × logOdds float64   (4100 bytes; cells ascending)
 //	digest: FNV-64a over header+bricks
 //
-// The summary counts and the classification grid are derived state and are
-// not serialized; ReadSnapshot rebuilds them from the bricks, so a corrupted
-// file can never smuggle in counts or classes inconsistent with its map.
+// The bricks are the cells eachCell visits, each with its 512 values read
+// from their homes: the cells a brick-only store allocates, so the bytes do
+// not depend on which voxels live on the miss chain. The summary counts,
+// the classification grid and the miss-chain codes are derived state and
+// are not serialized; ReadSnapshot rebuilds them from the values, so a
+// corrupted file can never smuggle in counts, classes or codes inconsistent
+// with its map.
 // Version 1 carried the octree's node arena; a version-1 file fails with
 // ErrSnapshotVersion, and every caller rebuilds the map instead.
 const (
@@ -179,7 +194,8 @@ const (
 // brick whose cell number does not fit the format's uint32, which takes a
 // key cube of at least 2^14 leaves per axis (8 km at 0.5 m).
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	bricks := len(s.store.slab) / brickVoxels
+	bricks := 0
+	s.eachCell(func(int, *[brickVoxels]float64) { bricks++ })
 	buf := make([]byte, 0, len(SnapshotMagic)+1+snapshotHeaderBytes+bricks*snapshotBrickBytes+8)
 	buf = append(buf, SnapshotMagic...)
 	buf = append(buf, SnapshotVersion)
@@ -203,7 +219,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	buf = le.AppendUint64(buf, uint64(s.leafUpdates))
 	buf = le.AppendUint32(buf, uint32(bricks))
 	var err error
-	s.store.each(func(cell int, vals []float64) {
+	s.eachCell(func(cell int, vals *[brickVoxels]float64) {
 		if cell > math.MaxUint32 {
 			err = fmt.Errorf("octomap: cell %d does not fit the snapshot format", cell)
 		}
@@ -328,7 +344,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 
 	// Rebuild the map brick by brick, deriving the summary and the grid
-	// through the same reclassify every write uses.
+	// through the same reclassify every write uses. A value of the bounds
+	// equal to a miss-chain step after 0 goes on the chain, and every other
+	// value except +0 into its brick. A cell that would end up in neither
+	// home (all 512 values +0) keeps its zero brick, so eachCell visits
+	// every cell of the file and WriteTo gives back the bytes read.
 	t.empty()
 	t.store.slab = make([]float64, 0, brickCount*brickVoxels) // the payload is all there
 	raw := payload.Bytes()
@@ -340,28 +360,51 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: brick %d: cell %d out of range or order", ErrSnapshotCorrupt, i, cell)
 		}
 		prev = cell
-		base := t.store.brick(cell)
+		base, kept := -1, false
 		cx := cell % t.nc << brickShift
 		cy := cell / t.nc % t.nc << brickShift
 		cz := cell / t.nc / t.nc << brickShift
 		for j := range brickVoxels {
-			v := math.Float64frombits(le.Uint64(rec[4+8*j:]))
-			t.store.slab[base+j] = v
-			if v == 0 {
-				continue
+			bits := le.Uint64(rec[4+8*j:])
+			if bits == 0 {
+				continue // +0: unknown in either home
 			}
+			v := math.Float64frombits(bits)
 			x, y, z := cx|j&7, cy|(j>>brickShift)&7, cz|j>>(2*brickShift)
-			if math.IsInf(v, 0) || !(v >= p.ClampMin && v <= p.ClampMax) ||
-				x >= t.maxKey || y >= t.maxKey || z >= t.maxKey {
+			if v != 0 && (math.IsInf(v, 0) || !(v >= p.ClampMin && v <= p.ClampMax) ||
+				x >= t.maxKey || y >= t.maxKey || z >= t.maxKey) {
 				return nil, fmt.Errorf("%w: brick %d holds log-odds %v at key (%d,%d,%d)", ErrSnapshotCorrupt, i, v, x, y, z)
 			}
-			t.reclassify(x, y, z, Unknown, t.classOf(v))
+			kept = true
+			c, chained := t.onChain(x, y, z) // a voxel of the bounds starts at step 0
+			k := -1
+			if chained {
+				k = slices.Index(t.chain[1:], v)
+			}
+			if k >= 0 {
+				t.codes[c] = uint8(k + 1)
+			} else {
+				if base < 0 {
+					base = t.store.brick(cell)
+				}
+				t.store.slab[base+j] = v
+				if chained {
+					t.codes[c] = inBrick
+				}
+			}
+			if v != 0 {
+				t.reclassify(x, y, z, Unknown, t.classOf(v))
+			}
+		}
+		if !kept {
+			t.store.brick(cell)
 		}
 	}
 	return &Snapshot{
 		params:      p,
 		geometry:    g,
 		store:       t.store,
+		codes:       t.codes,
 		counts:      t.sum.counts,
 		grid:        t.grid,
 		leafUpdates: leafUpdates,

@@ -54,6 +54,9 @@ func FuzzSnapshotRead(f *testing.F) {
 	f.Add(testutil.EmptySnapshotV1(empty.Bytes()))
 	f.Add(forgeExtents(empty.Bytes(), 0))
 	f.Add(forgeExtents(empty.Bytes(), 22))
+	// A cell whose 512 values are all 0: valid, and a brick the reader must
+	// keep, or WriteTo would drop the cell.
+	f.Add(zeroBrick(empty.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -107,5 +110,18 @@ func forgeExtents(empty []byte, depth int) []byte {
 	putLE32(body[extentsOff+4:], 1<<21)
 	putLE32(body[extentsOff+8:], 1<<22)
 	putLE64(forged[len(forged)-8:], fnvSum64(body))
+	return forged
+}
+
+// zeroBrick rewrites a serialized empty snapshot of the 32×32×16 m test
+// world to hold one brick, of cell 3, whose 512 values are all 0, then
+// recomputes the digest.
+func zeroBrick(empty []byte) []byte {
+	const countOff = len(SnapshotMagic) + 1 + snapshotHeaderBytes - 4
+	forged := append([]byte(nil), empty[:len(empty)-8]...)
+	putLE32(forged[countOff:], 1)
+	forged = append(forged, make([]byte, snapshotBrickBytes+8)...)
+	putLE32(forged[len(forged)-8-snapshotBrickBytes:], 3)
+	putLE64(forged[len(forged)-8:], fnvSum64(forged[len(SnapshotMagic)+1:len(forged)-8]))
 	return forged
 }

@@ -104,9 +104,10 @@ func TestForkIntoRecycledTreeBitExact(t *testing.T) {
 
 // TestForkClassCacheTransparent pins the classification grid after a fork:
 // a recycled tree whose grid was full of the old map's classifications must
-// answer every post-fork query exactly as a control fork whose grid is set
-// aside (so every probe reads its brick), through further mutations of
-// both, across At, SegmentFree and FirstBlocked.
+// answer every post-fork query exactly as a control tree fed the snapshot's
+// insertions without the grid and the miss chain (so every probe reads its
+// brick), through further mutations of both, across At, SegmentFree and
+// FirstBlocked.
 func TestForkClassCacheTransparent(t *testing.T) {
 	base := newTestTree()
 	seedInsertions(base, 505, 4)
@@ -117,8 +118,8 @@ func TestForkClassCacheTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 
 	snap.ForkInto(cached)
-	control := snap.Fork()
-	control.grid = nil // classify from the bricks only
+	control := bricksOnly(newTestTree())
+	seedInsertions(control, 505, 4)
 
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 	for round := 0; round < 4; round++ {
@@ -183,16 +184,16 @@ func TestForkMidEpochWrapRegression(t *testing.T) {
 // TestForkPrescanExactUnderUnknownIsFree pins the bundleAllFree prescan on
 // forked trees: under the optimistic policy the prescan consults the summary
 // counts the fork copied, and its answers must match both a brick-only
-// control fork and the summary recount oracle while the forked tree keeps
-// mutating.
+// control tree fed the snapshot's insertions and the summary recount oracle
+// while the forked tree keeps mutating.
 func TestForkPrescanExactUnderUnknownIsFree(t *testing.T) {
 	base := newTestTree()
 	seedInsertions(base, 707, 5)
 	snap := base.Snapshot()
 
 	fork := snap.Fork()
-	control := snap.Fork()
-	control.grid = nil // classify from the bricks only
+	control := bricksOnly(newTestTree())
+	seedInsertions(control, 707, 5)
 
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 	rng := rand.New(rand.NewSource(11))
@@ -351,7 +352,9 @@ func TestSnapshotReadRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	if bricks := len(snap.store.slab) / brickVoxels; bricks < 2 {
+	bricks := 0
+	snap.eachCell(func(int, *[brickVoxels]float64) { bricks++ })
+	if bricks < 2 {
 		t.Fatalf("test snapshot holds %d bricks, want at least 2", bricks)
 	}
 

@@ -8,18 +8,24 @@ import (
 	"mavfi/internal/octomap"
 )
 
+// mark applies one hit (or miss) at p's voxel: a ray from p to p walks no
+// voxel but its endpoint.
+func mark(tr *octomap.Tree, p geom.Vec3, hit bool) {
+	tr.InsertCloud(p, []octomap.RayPoint{{End: p, Hit: hit}})
+}
+
 // wallMap builds an octomap with a wall at x=16 and free space before it.
 func wallMap() *octomap.Tree {
 	tr := octomap.New(geom.Box(geom.V(0, 0, 0), geom.V(32, 32, 16)), 0.5, octomap.DefaultParams())
 	for y := 0.0; y < 32; y += 0.5 {
 		for z := 0.0; z < 16; z += 0.5 {
-			tr.MarkOccupied(geom.V(16.25, y+0.25, z+0.25))
-			tr.MarkOccupied(geom.V(16.75, y+0.25, z+0.25))
+			mark(tr, geom.V(16.25, y+0.25, z+0.25), true)
+			mark(tr, geom.V(16.75, y+0.25, z+0.25), true)
 		}
 	}
 	for x := 2.0; x < 16; x += 0.5 {
 		for y := 6.0; y < 10; y += 0.5 {
-			tr.MarkFree(geom.V(x+0.25, y+0.25, 4.25))
+			mark(tr, geom.V(x+0.25, y+0.25, 4.25), false)
 		}
 	}
 	return tr

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"mavfi/internal/env"
+	"mavfi/internal/geom"
 	"mavfi/internal/octomap"
 	"mavfi/internal/pointcloud"
 	"mavfi/internal/sim"
@@ -80,6 +81,20 @@ func (s *MapSeed) Digest() uint64 { return s.snap.Digest() }
 // the same world always yields the same seed digest.
 func BuildMapSeed(w *env.World) *MapSeed {
 	tree := octomap.New(w.Bounds, mapResolution, octomap.DefaultParams())
+	seedSweep(w, func(origin geom.Vec3, scan []octomap.RayPoint) {
+		tree.InsertCloudN(origin, scan, seedConfirm)
+	})
+	s, err := NewMapSeed(w, tree.Snapshot())
+	if err != nil {
+		panic(err) // unreachable: the tree is built from w itself
+	}
+	return s
+}
+
+// seedSweep captures BuildMapSeed's sweep of w and calls fn with each
+// scan's origin and points, in sweep order; fn must not keep scan, whose
+// array the next scan reuses.
+func seedSweep(w *env.World, fn func(origin geom.Vec3, scan []octomap.RayPoint)) {
 	cam := sim.DefaultDepthCamera()
 	gen := pointcloud.NewGenerator()
 	rng := rand.New(rand.NewSource(7))
@@ -97,12 +112,7 @@ func BuildMapSeed(w *env.World) *MapSeed {
 			for _, p := range cloud.Points {
 				scan = append(scan, octomap.RayPoint{End: p.P, Hit: p.Hit})
 			}
-			tree.InsertCloudN(cloud.Origin, scan, seedConfirm)
+			fn(cloud.Origin, scan)
 		}
 	}
-	s, err := NewMapSeed(w, tree.Snapshot())
-	if err != nil {
-		panic(err) // unreachable: the tree is built from w itself
-	}
-	return s
 }

@@ -5,9 +5,8 @@ import (
 	"testing"
 
 	"mavfi/internal/env"
+	"mavfi/internal/geom"
 	"mavfi/internal/octomap"
-	"mavfi/internal/pointcloud"
-	"mavfi/internal/sim"
 )
 
 // referenceMapSeedDigest returns the digest of BuildMapSeed's golden map
@@ -15,27 +14,11 @@ import (
 // times by plain InsertCloud calls.
 func referenceMapSeedDigest(w *env.World) uint64 {
 	tree := octomap.New(w.Bounds, mapResolution, octomap.DefaultParams())
-	cam := sim.DefaultDepthCamera()
-	gen := pointcloud.NewGenerator()
-	rng := rand.New(rand.NewSource(7))
-	frame := &sim.DepthImage{}
-	cloud := &pointcloud.Cloud{}
-	var scan []octomap.RayPoint
-	for i := 0; i < 12; i++ {
-		pos := w.Start.Lerp(w.Goal, float64(i)/11)
-		pos.Z = 2.5
-		for _, yaw := range []float64{0, 1.6, 3.1, 4.7} {
-			cam.CaptureInto(frame, w, pos, yaw, rng)
-			gen.GenerateInto(cloud, frame, nil)
-			scan = scan[:0]
-			for _, p := range cloud.Points {
-				scan = append(scan, octomap.RayPoint{End: p.P, Hit: p.Hit})
-			}
-			for rep := 0; rep < seedConfirm; rep++ {
-				tree.InsertCloud(cloud.Origin, scan)
-			}
+	seedSweep(w, func(origin geom.Vec3, scan []octomap.RayPoint) {
+		for rep := 0; rep < seedConfirm; rep++ {
+			tree.InsertCloud(origin, scan)
 		}
-	}
+	})
 	return tree.Digest()
 }
 
