@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -121,7 +122,7 @@ func main() {
 			os.Exit(2)
 		}
 		for _, path := range expand(flag.Args()) {
-			printInfo(path)
+			printInfo(os.Stdout, path)
 		}
 	}
 }
@@ -246,11 +247,13 @@ func verifyAll(paths []string) bool {
 	return incomplete == 0 && failed == 0
 }
 
-// printInfo dumps one recording's metadata.
-func printInfo(path string) {
+// printInfo writes one recording's metadata to w. A path that cannot be
+// read as a recording, or one cut off before its header, gets one error
+// line instead.
+func printInfo(w io.Writer, path string) {
 	m, err := record.Open(path)
-	if err != nil && !m.Complete && m.Header.Version == 0 {
-		fmt.Printf("%s: %v\n", path, err)
+	if m == nil || (err != nil && !m.Complete && m.Header.Version == 0) {
+		fmt.Fprintf(w, "%s: %v\n", path, err)
 		return
 	}
 	h := m.Header
@@ -277,20 +280,20 @@ func printInfo(path string) {
 	if !m.Complete {
 		status = "INCOMPLETE (no footer)"
 	}
-	fmt.Printf("%s: %s\n", path, status)
-	fmt.Printf("  world=%s seed=%d planner=%s tick=%.3fs platform=%s\n",
+	fmt.Fprintf(w, "%s: %s\n", path, status)
+	fmt.Fprintf(w, "  world=%s seed=%d planner=%s tick=%.3fs platform=%s\n",
 		h.World.Name, h.Seed, h.PlannerName, h.TickS, h.Platform.Name)
-	fmt.Printf("  fault=%s detector=%s\n", fault, det)
+	fmt.Fprintf(w, "  fault=%s detector=%s\n", fault, det)
 	if m.Complete {
 		f := m.Footer
-		fmt.Printf("  ticks=%d payload=%dB digest=%s\n", f.Samples, f.PayloadBytes, f.Digest)
-		fmt.Printf("  result: outcome=%s flight=%.1fs injected=%v alarms=%d events=%d\n",
+		fmt.Fprintf(w, "  ticks=%d payload=%dB digest=%s\n", f.Samples, f.PayloadBytes, f.Digest)
+		fmt.Fprintf(w, "  result: outcome=%s flight=%.1fs injected=%v alarms=%d events=%d\n",
 			f.Result.OutcomeName, f.Result.FlightTimeS, f.Result.Injected, f.Result.Alarms, len(m.Events))
 	} else if n := len(m.Snapshots); n > 0 {
 		s := m.Snapshots[n-1]
-		fmt.Printf("  last snapshot: %d ticks, t=%.1fs pos=%v\n", s.Samples, s.T, s.Pos)
+		fmt.Fprintf(w, "  last snapshot: %d ticks, t=%.1fs pos=%v\n", s.Samples, s.T, s.Pos)
 	}
 	for _, e := range m.Events {
-		fmt.Printf("  event t=%7.2fs tick=%5d %s\n", e.T, e.Tick, strings.ReplaceAll(e.Tags, ";", " "))
+		fmt.Fprintf(w, "  event t=%7.2fs tick=%5d %s\n", e.T, e.Tick, strings.ReplaceAll(e.Tags, ";", " "))
 	}
 }

@@ -23,8 +23,10 @@
 //
 // -dispatch turns the process into a campaign dispatcher: it fans a whole
 // campaign matrix out to worker shards (with leases, retries, and local
-// fallback), serves golden-map seeds to its workers, and writes final CSVs
-// byte-identical to a single-process `mavfi matrix` run.
+// fallback) and writes final CSVs byte-identical to a single-process
+// `mavfi matrix` run. Every process builds the golden maps it flies itself
+// (-map-seed seed or memo), so nothing but work units and results crosses
+// the wire.
 //
 //	mavfi-server -dispatch -shards w1:9001,w2:9001 -worlds sparse \
 //	    -families sensor,wind -runs 16 -csv-dir out/ -state-dir state/
@@ -67,7 +69,7 @@ func main() {
 
 		// Worker-mode flags.
 		register  = flag.String("register", "", "(worker) dispatcher base URL to register with at startup")
-		advertise = flag.String("advertise", "", "(worker/dispatch) address other processes reach this one at (default: the bound address, with unspecified hosts rewritten to 127.0.0.1)")
+		advertise = flag.String("advertise", "", "(worker) address the dispatcher reaches this worker at when it registers (default: the bound address, with unspecified hosts rewritten to 127.0.0.1)")
 
 		// Dispatch-mode flags: the matrix axes mirror `mavfi matrix`.
 		shards     = flag.String("shards", "", "(dispatch) comma-separated worker addresses")
@@ -97,7 +99,7 @@ func main() {
 		runWorker(*addr, *advertise, *register, *workers)
 	case *dispatchMode:
 		runDispatch(dispatchFlags{
-			addr: *addr, advertise: *advertise, shards: *shards, stateDir: *stateDir,
+			addr: *addr, shards: *shards, stateDir: *stateDir,
 			csvDir: *csvDir, lease: *lease, noLocal: *noLocal, workers: *workers,
 			worlds: *worlds, families: *families, severities: *severities,
 			detectors: *detectors, recovery: *recovery, runs: *runs, seed: *seed,
@@ -123,10 +125,10 @@ func hardenedServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// advertiseAddr resolves the address peers should dial: the -advertise
-// override, or the actual bound address with an unspecified host ("" or
-// "::") rewritten to loopback — a dialable default for single-machine and
-// test topologies.
+// advertiseAddr resolves the address a worker registers with its
+// dispatcher: the -advertise override, or the actual bound address with an
+// unspecified host ("" or "::") rewritten to loopback — a dialable default
+// for single-machine and test topologies.
 func advertiseAddr(override string, bound net.Addr) string {
 	if override != "" {
 		return override
@@ -196,7 +198,7 @@ func runWorker(addr, advertise, register string, workers int) {
 		os.Exit(1)
 	}
 	self := advertiseAddr(advertise, ln.Addr())
-	w := dispatch.NewWorker(dispatch.WorkerConfig{Workers: workers, Logf: log.Printf})
+	w := dispatch.NewWorker(dispatch.WorkerConfig{Workers: workers})
 	hs := hardenedServer(addr, w.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -252,7 +254,7 @@ func registerWithDispatcher(base, self string) {
 
 // dispatchFlags carries the dispatch-mode flag values.
 type dispatchFlags struct {
-	addr, advertise, shards, stateDir, csvDir         string
+	addr, shards, stateDir, csvDir                    string
 	lease                                             time.Duration
 	noLocal                                           bool
 	workers                                           int
@@ -310,7 +312,6 @@ func runDispatch(f dispatchFlags) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	self := advertiseAddr(f.advertise, ln.Addr())
 	cfg := dispatch.Config{
 		Shards:       splitList(f.shards),
 		LeaseTTL:     f.lease,
@@ -322,14 +323,11 @@ func runDispatch(f dispatchFlags) {
 			log.Printf("mavfi-server dispatch: cells %d/%d", done, total)
 		},
 	}
-	if f.mapSeed != "off" && f.mapSeed != "" {
-		cfg.SeedURL = "http://" + self + "/seeds"
-	}
 	d := dispatch.New(cfg)
 	hs := hardenedServer(f.addr, d.Handler())
 	go hs.Serve(ln)
 	defer hs.Close()
-	log.Printf("mavfi-server dispatch listening on %s (advertised as %s)", ln.Addr(), self)
+	log.Printf("mavfi-server dispatch listening on %s", ln.Addr())
 
 	// SIGTERM/SIGINT cancel the campaign; with -state-dir, completed cells
 	// are already persisted and a re-run resumes where this one stopped.

@@ -4,11 +4,11 @@
 // recovering after a crash) only ever observes the old contents, the new
 // contents, or a stray temp file it can ignore — never a torn write.
 //
-// This is the persistence discipline the campaign server's job manifests,
-// the golden-map seed cache, and the dispatcher's campaign state all ride
-// on: their readers (record.ScanDir, server restart recovery, dispatch
-// resume) are written to skip foreign files, and atomicfile guarantees the
-// files they do read are whole.
+// This is the persistence discipline the campaign server's job manifests
+// and the dispatcher's campaign state ride on: their readers
+// (record.ScanDir, server restart recovery, dispatch resume) are written to
+// skip foreign files, and atomicfile guarantees the files they do read are
+// whole.
 package atomicfile
 
 import (

@@ -78,8 +78,8 @@ func TestWriteFileMissingDirFails(t *testing.T) {
 
 // TestTempNameNeverMatchesDestination pins the contract directory scanners
 // rely on: an in-flight temp file never carries the destination's exact
-// name, so a scan keyed on exact names (job.json, *.rec, *.mapseed) cannot
-// read a torn write.
+// name, so a scan keyed on exact names (job.json, *.rec) cannot read a
+// torn write.
 func TestTempNameNeverMatchesDestination(t *testing.T) {
 	dir := t.TempDir()
 	f, err := os.CreateTemp(dir, "job.json"+TempPattern)
@@ -95,7 +95,7 @@ func TestTempNameNeverMatchesDestination(t *testing.T) {
 	if !strings.Contains(base, ".atomic-") {
 		t.Fatalf("temp name %q does not carry the .atomic- marker", base)
 	}
-	if strings.HasSuffix(base, ".rec") || strings.HasSuffix(base, ".mapseed") || strings.HasSuffix(base, ".json") {
+	if strings.HasSuffix(base, ".rec") || strings.HasSuffix(base, ".json") {
 		t.Fatalf("temp name %q ends in a scanned suffix", base)
 	}
 }

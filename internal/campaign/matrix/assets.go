@@ -3,25 +3,25 @@ package matrix
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"mavfi/internal/campaign"
 	"mavfi/internal/detect"
 	"mavfi/internal/env"
 	"mavfi/internal/faultinject"
-	"mavfi/internal/octomap"
 	"mavfi/internal/pipeline"
 	"mavfi/internal/platform"
 )
 
 // Assets is the warm cache of everything campaign execution builds before
-// the first mission flies: environments, kernel-calibration counters, shared
-// training corpora, and trained detector factories. A long-running campaign
-// server owns one Assets across its whole lifetime so consecutive jobs skip
-// the (world build, calibration flight, detector training) setup; a one-shot
-// CLI run uses a fresh one and behaves exactly as before.
+// the first mission flies: environments, golden-map seeds, kernel-
+// calibration counters, shared training corpora, and trained detector
+// factories. A long-running campaign server, a dispatcher and each worker
+// shard own one Assets across their whole lifetime so consecutive jobs skip
+// the (world build, seed build, calibration flight, detector training)
+// setup; a one-shot CLI run uses a fresh one and behaves exactly as before.
+// Everything it holds lives in memory only and is rebuilt by each process
+// on first use.
 //
 // Sharing is safe because every cached asset is immutable or cloned at the
 // point of use: a *env.World is read-only once its obstacle index is built
@@ -44,7 +44,6 @@ type Assets struct {
 	training  map[trainKey][][detect.NumStates]float64
 	detectors map[detectorKey]func() detect.Detector
 	seeds     map[string]*pipeline.MapSeed
-	seedDir   string
 }
 
 // counterKey identifies one kernel-calibration run: the calibration mission
@@ -79,23 +78,10 @@ func NewAssets() *Assets {
 	}
 }
 
-// SetSeedDir enables golden-map persistence under dir: MapSeed loads cached
-// snapshot files from it before building, and writes freshly built seeds
-// back (best-effort — a write failure just means the next restart rebuilds).
-// The campaign server points this at <record-dir>/mapseeds so restart
-// recovery skips seed construction along with everything else.
-func (a *Assets) SetSeedDir(dir string) {
-	a.mu.Lock()
-	a.seedDir = dir
-	a.mu.Unlock()
-}
-
 // MapSeed returns the golden map for the named world, building it with
-// pipeline.BuildMapSeed on first use (or loading it from the seed directory
-// when one is set and holds a valid snapshot for the world's geometry). A
-// cache or disk hit is bit-identical to a fresh build: BuildMapSeed is a
-// deterministic pure function of the world, and loaded snapshots are
-// digest-checked by the reader and geometry-checked against the world here.
+// pipeline.BuildMapSeed on first use. A cache hit is bit-identical to a
+// fresh build: BuildMapSeed is a deterministic pure function of the world,
+// so every process that builds a world's seed builds the same one.
 func (a *Assets) MapSeed(world string) (*pipeline.MapSeed, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -106,60 +92,9 @@ func (a *Assets) MapSeed(world string) (*pipeline.MapSeed, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := ""
-	if a.seedDir != "" {
-		path = filepath.Join(a.seedDir, world+".mapseed")
-		if snap, err := octomap.ReadSnapshotFile(path); err == nil {
-			if s, err := pipeline.NewMapSeed(w, snap); err == nil {
-				a.seeds[world] = s
-				return s, nil
-			}
-			// Geometry mismatch: a stale file from an older world layout.
-			// Fall through and rebuild over it.
-		}
-	}
 	s := pipeline.BuildMapSeed(w)
-	if path != "" {
-		if err := os.MkdirAll(a.seedDir, 0o755); err == nil {
-			_ = octomap.WriteSnapshotFile(path, s.Snapshot())
-		}
-	}
 	a.seeds[world] = s
 	return s, nil
-}
-
-// HasSeed reports whether the golden map for the named world is already in
-// the cache (loaded, built, or installed) without triggering a build.
-func (a *Assets) HasSeed(world string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.seeds[world]
-	return ok
-}
-
-// InstallSeedSnapshot installs a golden-map snapshot obtained out of band —
-// a worker shard fetching the serialized seed from its dispatcher instead of
-// rebuilding it — after geometry-checking it against the named world. A
-// snapshot that fails the check (stale geometry, wrong world) is rejected
-// and the caller falls back to a local build, which is bit-identical anyway:
-// seed sharing only saves the build time, never changes bytes. An already-
-// cached world is left untouched.
-func (a *Assets) InstallSeedSnapshot(world string, snap *octomap.Snapshot) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.seeds[world]; ok {
-		return nil
-	}
-	w, err := a.worldLocked(world)
-	if err != nil {
-		return err
-	}
-	s, err := pipeline.NewMapSeed(w, snap)
-	if err != nil {
-		return err
-	}
-	a.seeds[world] = s
-	return nil
 }
 
 // World returns the named standard environment, building it on first use.

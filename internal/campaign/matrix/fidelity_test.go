@@ -3,15 +3,11 @@ package matrix
 import (
 	"context"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mavfi/internal/faultinject"
-	"mavfi/internal/octomap"
-	"mavfi/internal/pipeline"
 )
 
 // fidelitySpec is the study-sized spec the determinism and tolerance tests
@@ -19,7 +15,7 @@ import (
 func fidelitySpec(workers int) Spec {
 	return Spec{
 		Worlds:     []string{"sparse"},
-		Families:   []faultinject.Family{faultinject.FamilySensor, faultinject.FamilyWind},
+		Targets:    []Target{{Family: faultinject.FamilySensor}, {Family: faultinject.FamilyWind}},
 		Severities: []Severity{{Name: "high", Scale: 1.0}},
 		Runs:       2,
 		Seed:       1,
@@ -161,69 +157,25 @@ func TestFidelityStudyRejectsBadMode(t *testing.T) {
 	}
 }
 
-// TestAssetsMapSeedPersistence pins the server-restart path: a seed built
-// with a seed directory set is written to disk, a fresh Assets loads the
-// identical golden map from that file, and a stale file for different world
-// geometry is rebuilt rather than trusted.
+// TestAssetsMapSeedPersistence pins the seed cache: a warm hit returns the
+// cached seed itself, and a build in a fresh Assets — another process, a
+// restarted server — gives the same golden map.
 func TestAssetsMapSeedPersistence(t *testing.T) {
-	dir := t.TempDir()
-
 	a := NewAssets()
-	a.SetSeedDir(dir)
 	built, err := a.MapSeed("sparse")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "sparse.mapseed")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("seed file not persisted: %v", err)
-	}
-
-	b := NewAssets()
-	b.SetSeedDir(dir)
-	loaded, err := b.MapSeed("sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Digest() != built.Digest() {
-		t.Fatal("loaded seed digest differs from the built seed")
-	}
-
-	// Cache hit: same Assets returns the same value without touching disk.
-	again, err := b.MapSeed("sparse")
-	if err != nil || again != loaded {
+	again, err := a.MapSeed("sparse")
+	if err != nil || again != built {
 		t.Fatalf("warm MapSeed did not return the cached seed (err %v)", err)
 	}
-
-	// A stale file holding another world's geometry must be rebuilt over.
-	w, err := World("factory")
+	fresh, err := NewAssets().MapSeed("sparse")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := octomap.WriteSnapshotFile(path, pipeline.BuildMapSeed(w).Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	c := NewAssets()
-	c.SetSeedDir(dir)
-	rebuilt, err := c.MapSeed("sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Digest() != built.Digest() {
-		t.Fatal("stale geometry file was not rebuilt into the correct seed")
-	}
-	if reread, err := octomap.ReadSnapshotFile(path); err != nil || reread.Digest() != built.Digest() {
-		t.Fatalf("rebuild did not rewrite the seed file (err %v)", err)
-	}
-
-	// No seed dir: building still works, nothing is written.
-	d := NewAssets()
-	nodirSeed, err := d.MapSeed("sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nodirSeed.Digest() != built.Digest() {
-		t.Fatal("dirless build differs from persisted build")
+	if fresh.Digest() != built.Digest() {
+		t.Fatal("a fresh build differs from the cached seed")
 	}
 }
 
@@ -235,7 +187,7 @@ func TestFidelityCSVSchema(t *testing.T) {
 		t.Skip("runs real missions")
 	}
 	spec := fidelitySpec(2)
-	spec.Families = []faultinject.Family{faultinject.FamilyWind}
+	spec.Targets = []Target{{Family: faultinject.FamilyWind}}
 	study, err := FidelityStudy(context.Background(), spec,
 		[]FidelitySetting{{Name: "exact", MapSeed: "off"}, {Name: "seed", MapSeed: "seed"}}, nil)
 	if err != nil {

@@ -96,9 +96,9 @@ func ParseSeverities(s string) ([]Severity, error) {
 // Target is one coordinate of the fault axis: a family plus an optional
 // mechanism ("kind") restriction — the matrix form of the
 // faultinject.ParseTarget "family[:kind]" syntax. A kindless target sweeps
-// the whole family, which is the classic Families axis; a kinded target
-// ("sensor:ray_dropout") pins every drawn plan to that one mechanism without
-// changing the RNG schedule (the faultinject draw-count contract).
+// the whole family; a kinded target ("sensor:ray_dropout") pins every drawn
+// plan to that one mechanism without changing the RNG schedule (the
+// faultinject draw-count contract).
 type Target struct {
 	// Family is the fault family.
 	Family faultinject.Family
@@ -118,8 +118,8 @@ func (t Target) String() string {
 
 // ParseTargets parses a comma-separated fault axis where every entry is a
 // "family[:kind]" target ("sensor,actuator:thrust_loss"), or "all" for every
-// family unrestricted — the superset of ParseFamilies the CLIs and the
-// campaign server accept.
+// family unrestricted — the fault axis the CLIs and the campaign server
+// accept.
 func ParseTargets(s string) ([]Target, error) {
 	if strings.TrimSpace(s) == "all" {
 		var out []Target
@@ -143,30 +143,6 @@ func ParseTargets(s string) ([]Target, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("matrix: empty fault-target list")
-	}
-	return out, nil
-}
-
-// ParseFamilies parses a comma-separated fault-family axis ("kernel,state,
-// sensor,actuator,wind", or "all").
-func ParseFamilies(s string) ([]faultinject.Family, error) {
-	if strings.TrimSpace(s) == "all" {
-		return faultinject.Families(), nil
-	}
-	var out []faultinject.Family
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		f, ok := faultinject.ParseFamily(part)
-		if !ok || f == faultinject.FamilyNone {
-			return nil, fmt.Errorf("matrix: unknown fault family %q", part)
-		}
-		out = append(out, f)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("matrix: empty family list")
 	}
 	return out, nil
 }
@@ -200,11 +176,8 @@ func World(name string) (*env.World, error) {
 type Spec struct {
 	// Worlds are environment names for World (default ["sparse"]).
 	Worlds []string
-	// Families is the fault-family axis (default all five). Targets, when
-	// non-empty, supersedes it.
-	Families []faultinject.Family
-	// Targets is the fault axis with optional per-mechanism restrictions;
-	// when empty it derives from Families (kindless targets).
+	// Targets is the fault axis with optional per-mechanism restrictions
+	// (default every family, kindless).
 	Targets []Target
 	// Severities is the severity axis (default DefaultSeverities).
 	Severities []Severity
@@ -216,7 +189,8 @@ type Spec struct {
 	// MapSeed selects the golden-map mode: "off" (default; every mission
 	// builds its octree from scratch, bit-identical to all prior PRs),
 	// "seed" (approximate mode: one deterministic golden map per world,
-	// built before the fan-out and forked at each mission start), or
+	// built in process before the fan-out — every process that runs the
+	// spec builds its own — and forked at each mission start), or
 	// "memo" ("seed" plus saturated-evidence memoization: rays whose
 	// endpoint evidence is already clamped skip integration entirely —
 	// the headline approximate mode). The mode is deliberately NOT part
@@ -274,11 +248,8 @@ func (s Spec) normalized() Spec {
 	if len(s.Worlds) == 0 {
 		s.Worlds = []string{"sparse"}
 	}
-	if len(s.Families) == 0 {
-		s.Families = faultinject.Families()
-	}
 	if len(s.Targets) == 0 {
-		for _, f := range s.Families {
+		for _, f := range faultinject.Families() {
 			s.Targets = append(s.Targets, Target{Family: f})
 		}
 	}
@@ -469,7 +440,7 @@ func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
 		}
 		worlds[name] = w
 		if spec.MapSeed != "off" {
-			// Golden maps are built (or loaded from the asset cache)
+			// Golden maps are built (or taken from the asset cache)
 			// sequentially before the fan-out: every worker forks the same
 			// immutable snapshot, so worker width stays unobservable.
 			s, err := assets.MapSeed(name)

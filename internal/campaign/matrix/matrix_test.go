@@ -13,7 +13,7 @@ import (
 func smallSpec(workers int) Spec {
 	return Spec{
 		Worlds:     []string{"sparse"},
-		Families:   []faultinject.Family{faultinject.FamilySensor, faultinject.FamilyWind},
+		Targets:    []Target{{Family: faultinject.FamilySensor}, {Family: faultinject.FamilyWind}},
 		Severities: []Severity{{Name: "high", Scale: 1.0}},
 		Runs:       2,
 		Seed:       1,
@@ -63,7 +63,7 @@ func TestMatrixCellsSeedStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	windOnly := smallSpec(2)
-	windOnly.Families = []faultinject.Family{faultinject.FamilyWind}
+	windOnly.Targets = []Target{{Family: faultinject.FamilyWind}}
 	sub, err := Run(context.Background(), windOnly)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestMatrixCellsSeedStable(t *testing.T) {
 func TestEnumerateAxesAndCollapse(t *testing.T) {
 	spec := Spec{
 		Worlds:     []string{"sparse", "factory"},
-		Families:   []faultinject.Family{faultinject.FamilySensor},
+		Targets:    []Target{{Family: faultinject.FamilySensor}},
 		Severities: []Severity{{Name: "low", Scale: 0.35}},
 		Detectors:  []string{"none", "gad"},
 		Recoveries: []bool{true, false},
@@ -137,18 +137,27 @@ func TestParseSeverities(t *testing.T) {
 	}
 }
 
-func TestParseFamilies(t *testing.T) {
-	all, err := ParseFamilies("all")
-	if err != nil || len(all) != 5 {
-		t.Errorf("ParseFamilies(all) = %v, %v", all, err)
+func TestParseTargets(t *testing.T) {
+	all := []Target{
+		{Family: faultinject.FamilyKernel}, {Family: faultinject.FamilyState}, {Family: faultinject.FamilySensor},
+		{Family: faultinject.FamilyActuator}, {Family: faultinject.FamilyWind},
 	}
-	two, err := ParseFamilies("sensor,wind")
-	if err != nil || len(two) != 2 || two[0] != faultinject.FamilySensor {
-		t.Errorf("ParseFamilies(sensor,wind) = %v, %v", two, err)
-	}
-	for _, bad := range []string{"", "none", "bogus"} {
-		if _, err := ParseFamilies(bad); err == nil {
-			t.Errorf("ParseFamilies(%q) accepted", bad)
+	for _, c := range []struct {
+		in   string
+		want []Target // nil: rejected
+	}{
+		{"all", all},
+		{"sensor,wind", []Target{{Family: faultinject.FamilySensor}, {Family: faultinject.FamilyWind}}},
+		{"", nil},
+		{"none", nil},
+		{"bogus", nil},
+	} {
+		got, err := ParseTargets(c.in)
+		switch {
+		case c.want == nil && err == nil:
+			t.Errorf("ParseTargets(%q) accepted: %v", c.in, got)
+		case c.want != nil && (err != nil || !reflect.DeepEqual(got, c.want)):
+			t.Errorf("ParseTargets(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
 }

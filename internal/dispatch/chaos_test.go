@@ -43,8 +43,8 @@ func TestMain(m *testing.M) {
 func chaosSpec() matrix.Spec {
 	return matrix.Spec{
 		Worlds: []string{"sparse"},
-		Families: []faultinject.Family{
-			faultinject.FamilySensor, faultinject.FamilyWind, faultinject.FamilyActuator,
+		Targets: []matrix.Target{
+			{Family: faultinject.FamilySensor}, {Family: faultinject.FamilyWind}, {Family: faultinject.FamilyActuator},
 		},
 		Severities: []matrix.Severity{{Name: "low", Scale: 0.35}, {Name: "high", Scale: 1.0}},
 		Runs:       4,
@@ -66,10 +66,7 @@ func chaosWorkerMain() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "[worker %s] "+format+"\n", append([]any{addr}, args...)...)
-	}
-	w := NewWorker(WorkerConfig{Workers: 1, Logf: logf})
+	w := NewWorker(WorkerConfig{Workers: 1})
 	err = (&http.Server{Handler: w.Handler()}).Serve(ln)
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)

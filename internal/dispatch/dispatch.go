@@ -36,29 +36,17 @@ type Config struct {
 	// 200ms and 5s).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// MaxRemoteAttempts is how many failed remote attempts a cell tolerates
-	// before it falls back to local execution even while shards look healthy
-	// (default 4). Ignored when DisableLocal is set.
-	MaxRemoteAttempts int
 	// DisableLocal forbids the local-execution fallback: with it set, cells
 	// wait (with backoff) for a healthy shard forever. Chaos tests use this
 	// to force the remote path; production leaves it off so a dispatcher
 	// with zero healthy shards degrades to a slower single-process run
 	// instead of stalling.
 	DisableLocal bool
-	// PerShard is the number of concurrent units one shard may hold
-	// (default 1 — a cell already fans its missions across the shard's own
-	// worker pool).
-	PerShard int
 	// StateDir, when set, persists campaign state crash-safely: a manifest
 	// plus one atomically written JSON per completed cell. A dispatcher
 	// restarted with the same StateDir and spec resumes, re-running only
 	// missing cells.
 	StateDir string
-	// SeedURL, when set, is advertised to workers as the golden-map seed
-	// endpoint (the dispatcher's own address serving GET /seeds/...). Only
-	// meaningful for specs with MapSeed != "off".
-	SeedURL string
 	// Workers sizes the local-fallback campaign pool (0 = default).
 	Workers int
 	// Client is the shard transport (nil = NewHTTPShardClient(nil)). Tests
@@ -89,14 +77,17 @@ func (c Config) withDefaults() Config {
 	if c.RetryCap <= 0 {
 		c.RetryCap = 5 * time.Second
 	}
-	if c.MaxRemoteAttempts <= 0 {
-		c.MaxRemoteAttempts = 4
-	}
-	if c.PerShard <= 0 {
-		c.PerShard = 1
-	}
 	return c
 }
+
+// maxRemoteAttempts is how many failed remote attempts a cell tolerates
+// before it falls back to local execution even while shards look healthy
+// (unless DisableLocal is set).
+const maxRemoteAttempts = 4
+
+// perShard is the number of concurrent units one shard may hold: one, since
+// a cell already fans its missions across the shard's own worker pool.
+const perShard = 1
 
 // backoffDelay is the capped exponential retry ladder: base<<(attempt-1),
 // saturating at cap. attempt is 1-based (the first RETRY waits base).
@@ -149,7 +140,6 @@ type Status struct {
 type Dispatcher struct {
 	cfg    Config
 	client ShardClient
-	assets *matrix.Assets
 	local  *Worker
 
 	mu     sync.Mutex
@@ -174,12 +164,10 @@ func New(cfg Config) *Dispatcher {
 	if client == nil {
 		client = NewHTTPShardClient(nil)
 	}
-	assets := matrix.NewAssets()
 	d := &Dispatcher{
 		cfg:    cfg,
 		client: client,
-		assets: assets,
-		local:  NewWorkerOn(WorkerConfig{Workers: cfg.Workers, Logf: cfg.Logf}, assets),
+		local:  NewWorker(WorkerConfig{Workers: cfg.Workers}),
 		shards: make(map[string]*shard),
 		wake:   make(chan struct{}, 1),
 	}
@@ -358,7 +346,6 @@ func (d *Dispatcher) Run(ctx context.Context, spec matrix.Spec) (*matrix.Result,
 			Name:     cells[pc.idx].Name(),
 			Token:    tok,
 			Spec:     cellSpec(nspec, cells[pc.idx]),
-			SeedURL:  d.cfg.SeedURL,
 		}
 		l := &lease{token: tok, sh: sh}
 		if sh != nil {
@@ -424,7 +411,7 @@ func (d *Dispatcher) Run(ctx context.Context, spec matrix.Spec) (*matrix.Result,
 			}
 			sh := d.pickShard()
 			switch {
-			case !d.cfg.DisableLocal && pc.attempts >= d.cfg.MaxRemoteAttempts && localBsy == 0:
+			case !d.cfg.DisableLocal && pc.attempts >= maxRemoteAttempts && localBsy == 0:
 				// The cell keeps failing remotely; stop bouncing it.
 				d.logf("dispatch: cell %d failed %d remote attempts; running locally", pc.idx, pc.attempts)
 				launch(pc, nil, now)
@@ -549,7 +536,7 @@ func (d *Dispatcher) pickShard() *shard {
 	defer d.mu.Unlock()
 	var best *shard
 	for _, sh := range d.shards {
-		if !sh.healthy || sh.inflight >= d.cfg.PerShard {
+		if !sh.healthy || sh.inflight >= perShard {
 			continue
 		}
 		if best == nil || sh.inflight < best.inflight || (sh.inflight == best.inflight && sh.addr < best.addr) {

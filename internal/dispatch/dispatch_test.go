@@ -23,7 +23,7 @@ import (
 func fakeSpec() matrix.Spec {
 	return matrix.Spec{
 		Worlds:     []string{"sparse"},
-		Families:   []faultinject.Family{faultinject.FamilySensor, faultinject.FamilyWind},
+		Targets:    []matrix.Target{{Family: faultinject.FamilySensor}, {Family: faultinject.FamilyWind}},
 		Severities: []matrix.Severity{{Name: "low", Scale: 0.35}, {Name: "high", Scale: 1.0}},
 		Runs:       2,
 		Seed:       42,

@@ -1,11 +1,9 @@
 package dispatch
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 )
 
 // Handler returns the dispatcher's HTTP API:
@@ -13,13 +11,6 @@ import (
 //	GET  /healthz              liveness
 //	GET  /status               campaign progress + shard health (JSON)
 //	POST /workers              register a worker shard: {"addr":"host:port"}
-//	GET  /seeds/{world}.mapseed serialized golden-map snapshot for the world
-//
-// The seeds endpoint is how golden maps cross the process boundary: the
-// dispatcher builds (or loads) each world's seed once, and every worker
-// fetches the serialized snapshot instead of re-running the deterministic
-// build. The bytes served are the same MAVFISEED format the on-disk cache
-// uses, digest-framed so a truncated transfer is detected by the reader.
 func (d *Dispatcher) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
@@ -48,26 +39,6 @@ func (d *Dispatcher) Handler() http.Handler {
 		}
 		d.AddShard(req.Addr)
 		rw.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("GET /seeds/{file}", func(rw http.ResponseWriter, r *http.Request) {
-		world, ok := strings.CutSuffix(r.PathValue("file"), ".mapseed")
-		if !ok || world == "" {
-			http.Error(rw, "want /seeds/{world}.mapseed", http.StatusNotFound)
-			return
-		}
-		seed, err := d.assets.MapSeed(world)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusNotFound)
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := seed.Snapshot().WriteTo(&buf); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		rw.Header().Set("Content-Type", "application/octet-stream")
-		rw.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
-		rw.Write(buf.Bytes())
 	})
 	return mux
 }

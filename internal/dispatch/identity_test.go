@@ -1,19 +1,14 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/faultinject"
-	"mavfi/internal/pipeline"
-	"mavfi/internal/testutil"
 )
 
 // identitySpec is a small real-mission matrix: sensor and wind families
@@ -21,7 +16,7 @@ import (
 func identitySpec() matrix.Spec {
 	return matrix.Spec{
 		Worlds:     []string{"sparse"},
-		Families:   []faultinject.Family{faultinject.FamilySensor, faultinject.FamilyWind},
+		Targets:    []matrix.Target{{Family: faultinject.FamilySensor}, {Family: faultinject.FamilyWind}},
 		Severities: []matrix.Severity{{Name: "high", Scale: 1.0}},
 		Runs:       2,
 		Seed:       1,
@@ -44,7 +39,7 @@ func startWorkers(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		srv := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1, Logf: t.Logf}).Handler())
+		srv := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1}).Handler())
 		t.Cleanup(srv.Close)
 		addrs[i] = strings.TrimPrefix(srv.URL, "http://")
 	}
@@ -121,13 +116,11 @@ func TestDispatchLocalFallbackByteIdentity(t *testing.T) {
 	}
 }
 
+// TestDispatchSeedSharingByteIdentity pins memoized golden-map mode across
+// real worker shards: each worker builds the seed of the world it flies,
+// and the CSVs must match the single-process run. Its eight short missions
+// take under a second, so it also runs in -short mode, the mode CI runs.
 func TestDispatchSeedSharingByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real missions")
-	}
-	// Memoized golden-map mode: workers fetch the dispatcher's serialized
-	// MAVFISEED snapshot instead of rebuilding it. The fetch must actually
-	// happen, and the resulting CSVs must match the single-process run.
 	spec := identitySpec()
 	spec.MapSeed = "memo"
 	ref, err := matrix.Run(context.Background(), spec)
@@ -141,101 +134,19 @@ func TestDispatchSeedSharingByteIdentity(t *testing.T) {
 		DisableLocal: true,
 		Logf:         t.Logf,
 	})
-	var seedFetches atomic.Int64
-	handler := d.Handler()
-	dsrv := httptest.NewServer(countSeedFetches(handler, &seedFetches))
-	t.Cleanup(dsrv.Close)
-	d.cfg.SeedURL = dsrv.URL + "/seeds"
-
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	res, err := d.Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seedFetches.Load() == 0 {
-		t.Error("no worker ever fetched the golden-map seed")
-	}
 	cells, summary := resultCSVs(res)
 	for name, csv := range refCells {
 		if cells[name] != csv {
-			t.Errorf("seed sharing: cell %s CSV differs from single-process run", name)
+			t.Errorf("memo mode: cell %s CSV differs from single-process run", name)
 		}
 	}
 	if summary != refSummary {
-		t.Error("seed sharing: summary CSV differs from single-process run")
+		t.Error("memo mode: summary CSV differs from single-process run")
 	}
-}
-
-// TestDispatchV1SeedFallsBackToLocalBuild pins what a worker does with a
-// golden-map seed in the retired version-1 format, as a dispatcher from an
-// older build would serve it: the decoder refuses it, the worker builds the
-// seed locally, and the CSVs still match the single-process run. Its eight
-// short missions take under a second, so it also runs in -short mode, the
-// mode CI runs.
-func TestDispatchV1SeedFallsBackToLocalBuild(t *testing.T) {
-	spec := identitySpec()
-	spec.MapSeed = "memo"
-	ref, err := matrix.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCells, refSummary := resultCSVs(ref)
-
-	w, err := matrix.World("sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if _, err := pipeline.EmptyMapSeed(w).Snapshot().WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	v1 := testutil.EmptySnapshotV1(v2.Bytes())
-
-	d := New(Config{
-		Shards:       startWorkers(t, 2),
-		DisableLocal: true,
-		Logf:         t.Logf,
-	})
-	var v1Served atomic.Int64
-	handler := d.Handler()
-	dsrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/seeds/") {
-			v1Served.Add(1)
-			rw.Write(v1)
-			return
-		}
-		handler.ServeHTTP(rw, r)
-	}))
-	t.Cleanup(dsrv.Close)
-	d.cfg.SeedURL = dsrv.URL + "/seeds"
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	res, err := d.Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1Served.Load() == 0 {
-		t.Error("no worker ever fetched the version-1 seed")
-	}
-	cells, summary := resultCSVs(res)
-	for name, csv := range refCells {
-		if cells[name] != csv {
-			t.Errorf("version-1 seed: cell %s CSV differs from single-process run", name)
-		}
-	}
-	if summary != refSummary {
-		t.Error("version-1 seed: summary CSV differs from single-process run")
-	}
-}
-
-// countSeedFetches wraps the dispatcher handler, counting /seeds/ hits.
-func countSeedFetches(h http.Handler, n *atomic.Int64) http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/seeds/") {
-			n.Add(1)
-		}
-		h.ServeHTTP(rw, r)
-	})
 }

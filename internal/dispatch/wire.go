@@ -126,12 +126,6 @@ type WorkUnit struct {
 	Token uint64 `json:"token"`
 	// Spec is the cell to execute.
 	Spec CellSpec `json:"spec"`
-	// SeedURL, when non-empty, is the dispatcher's golden-map endpoint
-	// (GET {SeedURL}/{world}.mapseed): workers fetch each world's serialized
-	// MAVFISEED snapshot once and cache it for every later unit, closing the
-	// cross-process seed-sharing gap. Fetch failures degrade to a local
-	// build, which is bit-identical by the seed determinism contract.
-	SeedURL string `json:"seed_url,omitempty"`
 }
 
 // WorkResult is a worker's reply to one WorkUnit: the cell's mission

@@ -4,68 +4,36 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"mavfi/internal/campaign/matrix"
-	"mavfi/internal/octomap"
 )
-
-// maxSeedFetchBytes bounds a golden-map fetch: far above any real snapshot
-// (a few MB) but small enough that a misbehaving endpoint cannot make the
-// worker buffer unbounded data (the PR 8 defensive-decode rule).
-const maxSeedFetchBytes = 1 << 28
 
 // WorkerConfig configures a worker shard.
 type WorkerConfig struct {
 	// Workers sizes the campaign pool each unit runs on (0 = default).
 	// Worker width never changes result bytes, only wall-clock time.
 	Workers int
-	// Client fetches golden-map seeds from the dispatcher (nil = a default
-	// client with a 30s timeout).
-	Client *http.Client
-	// Logf receives diagnostics (nil = silent).
-	Logf func(format string, args ...any)
 }
 
 // Worker executes dispatched work units on a process-lifetime warm-asset
 // cache, exactly as the campaign server executes jobs: a unit is a
 // single-cell matrix.Spec run through matrix.RunOn, so a dispatched cell's
 // results are byte-identical to the same cell inside a single-process
-// matrix run. Safe for concurrent units — the asset cache serializes cold
-// builds and every cached asset is immutable or cloned per mission.
+// matrix run. A worker builds the golden maps its units fly itself, on
+// first use, as every other process does. Safe for concurrent units — the
+// asset cache serializes cold builds and every cached asset is immutable or
+// cloned per mission.
 type Worker struct {
 	cfg    WorkerConfig
 	assets *matrix.Assets
-	client *http.Client
 	busy   atomic.Int64
-
-	seedMu sync.Mutex // serializes seed fetches per process
 }
 
 // NewWorker builds a worker shard with a fresh warm-asset cache.
 func NewWorker(cfg WorkerConfig) *Worker {
-	return NewWorkerOn(cfg, matrix.NewAssets())
-}
-
-// NewWorkerOn builds a worker shard over a caller-owned asset cache — how
-// the dispatcher reuses its own warm assets for local-fallback execution.
-func NewWorkerOn(cfg WorkerConfig, assets *matrix.Assets) *Worker {
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	return &Worker{cfg: cfg, assets: assets, client: client}
-}
-
-// logf forwards to the configured logger.
-func (w *Worker) logf(format string, args ...any) {
-	if w.cfg.Logf != nil {
-		w.cfg.Logf(format, args...)
-	}
+	return &Worker{cfg: cfg, assets: matrix.NewAssets()}
 }
 
 // Busy reports the number of units currently executing.
@@ -90,9 +58,6 @@ func (w *Worker) Exec(ctx context.Context, unit WorkUnit) (*WorkResult, error) {
 	if unit.Name != "" && cells[0].Name() != unit.Name {
 		return nil, fmt.Errorf("dispatch: unit cell name %q does not match spec cell %q", unit.Name, cells[0].Name())
 	}
-	if spec.MapSeed != "off" && spec.MapSeed != "" && unit.SeedURL != "" {
-		w.ensureSeed(ctx, unit.SeedURL, unit.Spec.World)
-	}
 	spec.Workers = w.cfg.Workers
 
 	res, err := matrix.RunOn(ctx, spec, w.assets)
@@ -112,45 +77,6 @@ func (w *Worker) Exec(ctx context.Context, unit WorkUnit) (*WorkResult, error) {
 		Plans:    cr.Plans,
 		Panics:   res.Panics,
 	}, nil
-}
-
-// ensureSeed fetches the world's golden-map snapshot from the dispatcher
-// once per process and installs it in the asset cache. Every failure mode —
-// fetch error, truncated body, digest mismatch, stale geometry — degrades
-// to a local build inside matrix.RunOn, which is bit-identical; sharing the
-// seed only saves the build time.
-func (w *Worker) ensureSeed(ctx context.Context, seedURL, world string) {
-	w.seedMu.Lock()
-	defer w.seedMu.Unlock()
-	if w.assets.HasSeed(world) {
-		return
-	}
-	url := fmt.Sprintf("%s/%s.mapseed", seedURL, world)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		w.logf("dispatch worker: seed request %s: %v", url, err)
-		return
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		w.logf("dispatch worker: fetching seed %s: %v (building locally)", url, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		w.logf("dispatch worker: seed %s: HTTP %d (building locally)", url, resp.StatusCode)
-		return
-	}
-	snap, err := octomap.ReadSnapshot(io.LimitReader(resp.Body, maxSeedFetchBytes))
-	if err != nil {
-		w.logf("dispatch worker: decoding seed %s: %v (building locally)", url, err)
-		return
-	}
-	if err := w.assets.InstallSeedSnapshot(world, snap); err != nil {
-		w.logf("dispatch worker: installing seed %s: %v (building locally)", url, err)
-		return
-	}
-	w.logf("dispatch worker: installed golden map for %s from %s", world, seedURL)
 }
 
 // Handler returns the worker shard's HTTP API:

@@ -33,7 +33,7 @@ import (
 // Occupied, so a chain step never moves a summary count); and eachCell
 // visits exactly the cells a brick-only store would hold bricks for, since
 // every write either sets a non-zero code or allocates the brick. So every
-// value, Digest and snapshot byte is what the brick-only store produced.
+// value and every Digest is what the brick-only store produced.
 
 // inBrick is the code of a voxel whose value lives in its brick. The chain
 // has at most 255 steps, so no step is ever coded inBrick.
@@ -91,9 +91,9 @@ func (t *Tree) toBrick(x, y, z int) int {
 // order, for every cell that has a brick or a non-zero code, with the
 // cell's 512 log-odds in brick order, each read from the home that holds
 // its voxel. Those are exactly the cells a brick-only store allocates (see
-// the chain notes above), so Digest and WriteTo, which are built on it,
-// are independent of both the homes and the order bricks were allocated
-// in. vals is reused between calls.
+// the chain notes above), so Digest, which is built on it, is independent
+// of both the homes and the order bricks were allocated in. vals is reused
+// between calls.
 func eachCell(g geometry, p Params, s *brickStore, codes []uint8, fn func(cell int, vals *[brickVoxels]float64)) {
 	nc := g.cellsPerAxis()
 	cells := s.cells()

@@ -60,10 +60,9 @@ func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 //
 // The summary counts and grid bytes depend only on each voxel's class
 // before and after, so one reclassify per changed crossing leaves them as
-// n passes would; Digest and the snapshot format visit cells in cell order,
-// and a marked voxel's brick is one its hit would allocate, so moving the
-// marked voxels first cannot show; and every update still adds n to
-// LeafUpdates.
+// n passes would; Digest visits cells in cell order, and a marked voxel's
+// brick is one its hit would allocate, so moving the marked voxels first
+// cannot show; and every update still adds n to LeafUpdates.
 //
 // BuildMapSeed's confirmation passes are the caller. n <= 0 is a no-op and
 // n == 1 marks nothing: it is InsertCloud. The marks and the held updates

@@ -1,15 +1,8 @@
 package octomap
 
 import (
-	"bytes"
-	"errors"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"mavfi/internal/geom"
@@ -284,219 +277,31 @@ func TestForkRandomizedInterleavedProperty(t *testing.T) {
 	}
 }
 
-// TestSnapshotSerializationRoundTrip pins the wire format: a decoded
-// snapshot must digest identically to its source, fork into a bit-identical
-// tree (including the recounted summary), and survive the file helpers.
-func TestSnapshotSerializationRoundTrip(t *testing.T) {
-	base := newTestTree()
-	seedInsertions(base, 1111, 5)
-	snap := base.Snapshot()
-
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	if got.Digest() != snap.Digest() {
-		t.Fatal("round-tripped snapshot digest differs")
-	}
-	a, b := snap.Fork(), got.Fork()
-	compareTrees(t, a, b)
-	if a.LeafUpdates() != b.LeafUpdates() {
-		t.Fatalf("leaf updates diverge across serialization: %d vs %d", a.LeafUpdates(), b.LeafUpdates())
-	}
-	assertSummaryExact(t, b, "deserialized fork (recounted summary)")
-	assertGridExact(t, b, "deserialized fork (rebuilt grid)")
-	for i := range a.grid {
-		if a.grid[i] != b.grid[i] {
-			t.Fatalf("rebuilt grid byte %d is %d, the source's is %d", i, b.grid[i], a.grid[i])
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "seed.snap")
-	if err := WriteSnapshotFile(path, snap); err != nil {
-		t.Fatalf("WriteSnapshotFile: %v", err)
-	}
-	fromFile, err := ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("ReadSnapshotFile: %v", err)
-	}
-	if fromFile.Digest() != snap.Digest() {
-		t.Fatal("file round trip digest differs")
-	}
-	if !fromFile.Matches(geom.Box(geom.V(0, 0, 0), geom.V(32, 32, 16)), 0.5) {
-		t.Fatal("file round trip lost the world geometry")
-	}
-	if fromFile.Matches(geom.Box(geom.V(0, 0, 0), geom.V(64, 64, 16)), 0.5) {
-		t.Fatal("Matches accepted a different world")
-	}
-}
-
-// TestSnapshotReadRejectsCorrupt drives the decoder through the corruption
-// taxonomy: wrong magic, unsupported versions (version 1 included),
-// truncation at every section boundary, bit flips under the digest, brick
-// counts beyond the cell grid or beyond the payload, and — with a forged
-// (recomputed) digest, so only the structural checks can catch them — cells
-// out of range or repeated, extents beyond the key cube, broken geometry,
-// and log-odds that are non-finite or outside the clamps. Every case must
-// fail with the right typed error and none may panic or over-allocate.
-func TestSnapshotReadRejectsCorrupt(t *testing.T) {
-	base := newTestTree()
-	seedInsertions(base, 1212, 2)
-	snap := base.Snapshot()
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	bricks := 0
-	snap.eachCell(func(int, *[brickVoxels]float64) { bricks++ })
-	if bricks < 2 {
-		t.Fatalf("test snapshot holds %d bricks, want at least 2", bricks)
-	}
-
-	check := func(name string, data []byte, want error) {
-		t.Helper()
-		_, err := ReadSnapshot(bytes.NewReader(data))
-		if !errors.Is(err, want) {
-			t.Errorf("%s: got %v, want %v", name, err, want)
-		}
-	}
-
-	check("empty", nil, ErrSnapshotTruncated)
-	badMagic := append([]byte("NOTASEED!"), valid[len(SnapshotMagic):]...)
-	check("bad magic", badMagic, ErrSnapshotMagic)
-	for _, v := range []byte{1, 99} {
-		badVer := append([]byte(nil), valid...)
-		badVer[len(SnapshotMagic)] = v
-		check(fmt.Sprintf("version %d", v), badVer, ErrSnapshotVersion)
-	}
-	check("truncated header", valid[:len(SnapshotMagic)+1+10], ErrSnapshotTruncated)
-	check("truncated bricks", valid[:len(valid)/2], ErrSnapshotTruncated)
-	check("missing footer", valid[:len(valid)-8], ErrSnapshotTruncated)
-
-	flipped := append([]byte(nil), valid...)
-	flipped[len(valid)/2] ^= 0x40
-	check("digest mismatch", flipped, ErrSnapshotCorrupt)
-
-	const bodyOff = len(SnapshotMagic) + 1
-	const depthOff, extentsOff = 5 * 8, 5*8 + 4 + 5*8
-	const countOff = snapshotHeaderBytes - 4
-	brickOff := func(i int) int { return snapshotHeaderBytes + i*snapshotBrickBytes }
-	huge := append([]byte(nil), valid...)
-	putLE32(huge[bodyOff+countOff:], 0x07ffffff)
-	check("brick count above the cell grid", huge, ErrSnapshotCorrupt)
-
-	// A brick count the cell grid allows but the payload does not back must
-	// fail as truncation (the io.CopyN growth rule), never as an allocation
-	// of what the header declares: forge a 512 m cube (depth 10, 2^21 cells)
-	// that declares every cell, ~8.6 GB of bricks.
-	bigDecl := append([]byte(nil), valid...)
-	putLE64(bigDecl[bodyOff+4*8:], math.Float64bits(0.5*1024))
-	putLE32(bigDecl[bodyOff+depthOff:], 10)
-	putLE32(bigDecl[bodyOff+countOff:], 1<<21)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	check("brick count beyond the payload", bigDecl, ErrSnapshotTruncated)
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
-		t.Errorf("brick count beyond the payload: decoder allocated %d MB", grew>>20)
-	}
-
-	// Forged structural corruption: mutate the body, then recompute the
-	// digest so only the structural validation can catch it.
-	reforge := func(mutate func(body []byte)) []byte {
-		forged := append([]byte(nil), valid...)
-		body := forged[bodyOff : len(forged)-8]
-		mutate(body)
-		putLE64(forged[len(forged)-8:], fnvSum64(body))
-		return forged
-	}
-	check("cell out of range", reforge(func(body []byte) {
-		putLE32(body[brickOff(1):], 1<<20) // the 32 m world has 8³ cells
-	}), ErrSnapshotCorrupt)
-	check("duplicate cell", reforge(func(body []byte) {
-		copy(body[brickOff(1):brickOff(1)+4], body[brickOff(0):])
-	}), ErrSnapshotCorrupt)
-	check("extents beyond the key cube", reforge(func(body []byte) {
-		// The overflow repro: 2^21·2^21·2^22 wraps a 64-bit product to 0.
-		putLE32(body[extentsOff:], 1<<21)
-		putLE32(body[extentsOff+4:], 1<<21)
-		putLE32(body[extentsOff+8:], 1<<22)
-	}), ErrSnapshotCorrupt)
-	check("broken geometry", reforge(func(body []byte) {
-		putLE64(body[4*8:], 0x7ff8000000000001) // NaN rootSize
-	}), ErrSnapshotCorrupt)
-	for name, v := range map[string]float64{
-		"NaN log-odds":         math.NaN(),
-		"infinite log-odds":    math.Inf(-1),
-		"log-odds above clamp": DefaultParams().ClampMax + 0.5,
-		"log-odds below clamp": DefaultParams().ClampMin - 1e-9,
-	} {
-		check(name, reforge(func(body []byte) {
-			putLE64(body[brickOff(0)+4+8*77:], math.Float64bits(v))
-		}), ErrSnapshotCorrupt)
-	}
-}
-
 // TestSnapshotExtentsNeverOverflowGrid is the regression test for the
 // class-grid overflow: extents 2^21·2^21·2^22 wrap a 64-bit cell product to
 // 0, which once sized an empty grid that the first At indexed out of range.
-// Over a 64-leaf key cube the extents are now rejected; over a 2^22-leaf
-// cube they are legal, and the decoded snapshot must run without a grid and
-// fork, classify and re-serialize without panicking.
+// A tree over those extents (a 2^22-leaf key cube) must run without a grid,
+// classify correctly, and fork into a tree that classifies and digests the
+// same.
 func TestSnapshotExtentsNeverOverflowGrid(t *testing.T) {
-	var empty bytes.Buffer
-	if _, err := newTestTree().Snapshot().WriteTo(&empty); err != nil {
-		t.Fatal(err)
+	tr := New(geom.Box(geom.V(0, 0, 0), geom.V(1<<20, 1<<20, 1<<21)), 0.5, DefaultParams())
+	if tr.nx != 1<<21 || tr.ny != 1<<21 || tr.nz != 1<<22 || tr.depth != 22 {
+		t.Fatalf("extents %d×%d×%d at depth %d, want 2^21×2^21×2^22 at depth 22", tr.nx, tr.ny, tr.nz, tr.depth)
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(forgeExtents(empty.Bytes(), 0))); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("extents beyond the key cube: got %v, want ErrSnapshotCorrupt", err)
+	if tr.grid != nil {
+		t.Fatalf("a %d×%d×%d grid was sized", tr.nx, tr.ny, tr.nz)
 	}
-	s, err := ReadSnapshot(bytes.NewReader(forgeExtents(empty.Bytes(), 22)))
-	if err != nil {
-		t.Fatalf("extents inside a 2^22-leaf cube: %v", err)
-	}
-	if s.grid != nil {
-		t.Fatalf("a %d×%d×%d grid was sized", s.nx, s.ny, s.nz)
-	}
-	tr := s.Fork()
 	p := geom.V(10.25, 10.25, 4.25)
 	tr.MarkOccupied(p)
-	if tr.At(p) != Occupied || tr.At(geom.V(3, 3, 3)) != Unknown {
-		t.Fatal("fork of the huge-extent snapshot misclassifies")
+	fork := tr.Snapshot().Fork()
+	for name, c := range map[string]*Tree{"tree": tr, "fork": fork} {
+		if c.At(p) != Occupied || c.At(geom.V(3, 3, 3)) != Unknown {
+			t.Fatalf("%s of the huge-extent map misclassifies", name)
+		}
 	}
-	if _, err := s.WriteTo(io.Discard); err != nil {
-		t.Fatalf("re-serializing the decoded snapshot: %v", err)
+	if fork.Digest() != tr.Digest() {
+		t.Fatal("fork of the huge-extent map digests differently")
 	}
-	// A brick whose cell number passes the format's uint32 fails loudly
-	// instead of being written under a truncated cell.
-	if _, err := tr.Snapshot().WriteTo(io.Discard); err == nil {
-		t.Fatal("a brick beyond cell 2^32 was serialized")
-	}
-}
-
-// Tiny local codec helpers for the forgery cases.
-func putLE32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putLE64(b []byte, v uint64) {
-	putLE32(b, uint32(v))
-	putLE32(b[4:], uint32(v>>32))
-}
-
-func fnvSum64(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
 }
 
 // TestSnapshotForkDifferentWorldsThroughOnePool exercises ForkInto across
@@ -528,15 +333,5 @@ func TestSnapshotForkDifferentWorldsThroughOnePool(t *testing.T) {
 			t.Fatalf("iteration %d: pooled fork of big world diverges", i)
 		}
 		assertGridExact(t, pooled, "pooled fork of the big world")
-	}
-}
-
-// TestSnapshotFileBadPath covers the file-helper error paths.
-func TestSnapshotFileBadPath(t *testing.T) {
-	if _, err := ReadSnapshotFile(filepath.Join(t.TempDir(), "missing.snap")); !os.IsNotExist(err) {
-		t.Fatalf("missing file: %v", err)
-	}
-	if err := WriteSnapshotFile(filepath.Join(t.TempDir(), "no", "such", "dir", "x.snap"), newTestTree().Snapshot()); err == nil {
-		t.Fatal("WriteSnapshotFile into a missing directory succeeded")
 	}
 }

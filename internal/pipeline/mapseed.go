@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mavfi/internal/env"
@@ -11,9 +10,9 @@ import (
 	"mavfi/internal/sim"
 )
 
-// mapResolution is the octree voxel resolution every mission flies at; the
-// seed machinery validates snapshots against it so a fork can never silently
-// change the map geometry a mission sees.
+// mapResolution is the octree voxel resolution every mission flies at; a
+// mission checks its seed against it so a fork can never silently change
+// the map geometry a mission sees.
 const mapResolution = 0.5
 
 // seedConfirm is how many times BuildMapSeed integrates each sweep scan
@@ -46,27 +45,15 @@ type MapSeed struct {
 	snap *octomap.Snapshot
 }
 
-// NewMapSeed wraps snap as the golden seed for world w, rejecting snapshots
-// whose geometry does not match the octree a mission of w would build.
-func NewMapSeed(w *env.World, snap *octomap.Snapshot) (*MapSeed, error) {
-	if !snap.Matches(w.Bounds, mapResolution) {
-		return nil, fmt.Errorf("pipeline: map seed geometry does not match world %q", w.Name)
-	}
-	return &MapSeed{snap: snap}, nil
-}
-
 // EmptyMapSeed returns a seed holding an empty map of w: forking it is
 // semantically identical to octomap.New, which makes it the exact-mode
 // reference point the golden-digest transparency tests pin.
 func EmptyMapSeed(w *env.World) *MapSeed {
-	s, err := NewMapSeed(w, octomap.New(w.Bounds, mapResolution, octomap.DefaultParams()).Snapshot())
-	if err != nil {
-		panic(err) // unreachable: the snapshot is built from w itself
-	}
-	return s
+	return &MapSeed{snap: octomap.New(w.Bounds, mapResolution, octomap.DefaultParams()).Snapshot()}
 }
 
-// Snapshot returns the seed's immutable snapshot (for persistence).
+// Snapshot returns the seed's immutable snapshot, for callers that fork it
+// outside a mission.
 func (s *MapSeed) Snapshot() *octomap.Snapshot { return s.snap }
 
 // Digest returns the seed map's content digest.
@@ -76,19 +63,16 @@ func (s *MapSeed) Digest() uint64 { return s.snap.Digest() }
 // pass — depth captures through the real perception kernels from a sweep of
 // poses along the start→goal line at cruise altitude, four yaws per pose —
 // snapshotted as the seed every mission of the world forks. The sweep is
-// the same shape the planner bench uses and costs a few milliseconds, far
-// cheaper than flying a mission; its RNG is fixed (sensor noise only), so
-// the same world always yields the same seed digest.
+// the same shape the planner bench uses and costs 20–35 ms on the preset
+// worlds, far cheaper than flying a mission; its RNG is fixed (sensor noise
+// only), so the same world always yields the same seed digest, and every
+// process that flies a world builds the seed it forks.
 func BuildMapSeed(w *env.World) *MapSeed {
 	tree := octomap.New(w.Bounds, mapResolution, octomap.DefaultParams())
 	seedSweep(w, func(origin geom.Vec3, scan []octomap.RayPoint) {
 		tree.InsertCloudN(origin, scan, seedConfirm)
 	})
-	s, err := NewMapSeed(w, tree.Snapshot())
-	if err != nil {
-		panic(err) // unreachable: the tree is built from w itself
-	}
-	return s
+	return &MapSeed{snap: tree.Snapshot()}
 }
 
 // seedSweep captures BuildMapSeed's sweep of w and calls fn with each

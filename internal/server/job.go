@@ -42,10 +42,9 @@ type JobSpec struct {
 	// TrainEnvs is the training-environment count for gad/aad (default 12).
 	TrainEnvs int `json:"train_envs,omitempty"`
 	// MapSeed selects the golden-map mode: "off" (default, exact), "seed"
-	// (approximate mode: missions fork the world's golden map — built once
-	// into the server's warm assets, persisted under <record-dir>/mapseeds
-	// when recording is enabled), or "memo" ("seed" plus saturated-
-	// evidence memoization).
+	// (approximate mode: missions fork the world's golden map, built on
+	// first use into the server's warm assets), or "memo" ("seed" plus
+	// saturated-evidence memoization).
 	MapSeed string `json:"map_seed,omitempty"`
 	// NearFieldStride, when > 1, enables near-field ray subsampling
 	// (approximate mode).

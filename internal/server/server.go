@@ -114,10 +114,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.RecordDir != "" {
-		// Golden-map seeds persist next to the recordings: a restarted
-		// server reloads digest-checked snapshot files instead of
-		// rebuilding them (and instead of them dying with the process).
-		s.assets.SetSeedDir(filepath.Join(cfg.RecordDir, "mapseeds"))
 		if err := s.recoverJobs(); err != nil {
 			cancel()
 			return nil, err
