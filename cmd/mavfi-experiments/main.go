@@ -2,8 +2,11 @@
 //
 // Usage:
 //
-//	mavfi-experiments [-exp all|fig3|fig4|table1|fig6|fig7|table2|fig8|fig9|ablations]
+//	mavfi-experiments [-exp all|fig3|fig4|table1|fig6|table2|fig7|fig8|fig9|ablations]
 //	                  [-runs N] [-train N] [-seed S] [-fig7csv PATH]
+//
+// An -exp value outside that list is an error: the command names the valid
+// experiments on stderr and exits with status 2, before building anything.
 //
 // With -runs 100 -train 100 the campaigns match the paper's scale (about a
 // thousand simulated missions per environment study); smaller values scale
@@ -16,15 +19,29 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
 	"mavfi/internal/experiments"
 )
 
+// experimentNames are the values -exp accepts, each experiment in the order
+// "all" runs them.
+var experimentNames = []string{"all", "fig3", "fig4", "table1", "fig6", "table2", "fig7", "fig8", "fig9", "ablations"}
+
+// checkExperiment returns an error naming the valid experiments when name
+// is not one of them. -exp takes exactly one name.
+func checkExperiment(name string) error {
+	if slices.Contains(experimentNames, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q: -exp takes one of %s", name, strings.Join(experimentNames, ", "))
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run: all, fig3, fig4, table1, fig6, fig7, table2, fig8, fig9, ablations")
+		exp     = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames, ", "))
 		runs    = flag.Int("runs", 100, "missions per campaign cell (paper: 100)")
 		train   = flag.Int("train", 100, "error-free training environments (paper: ~100)")
 		seed    = flag.Int64("seed", 1, "campaign seed")
@@ -32,6 +49,10 @@ func main() {
 		fig7csv = flag.String("fig7csv", "", "write Fig. 7 trajectories as CSV to this path prefix")
 	)
 	flag.Parse()
+	if err := checkExperiment(*exp); err != nil {
+		fmt.Fprintln(os.Stderr, "mavfi-experiments:", err)
+		os.Exit(2)
+	}
 
 	opts := experiments.PaperOpts()
 	opts.Runs = *runs

@@ -113,26 +113,115 @@ func (w *World) SegmentFree(a, b geom.Vec3, radius float64) bool {
 // Raycast returns the distance along unit-direction dir from origin to the
 // first obstacle or the ground, capped at maxRange. A clear ray returns
 // maxRange. Large obstacle sets are traversed through the spatial index;
-// the returned distance is bit-identical either way.
+// the returned distance is bit-identical either way. It is one ray of a
+// Caster at origin; casting many rays from one origin, use the Caster.
 func (w *World) Raycast(origin, dir geom.Vec3, maxRange float64) float64 {
+	var buf [accelMinObstacles]float64 // room for every unindexed obstacle set
+	c := w.caster(origin, buf[:0])
+	return c.Raycast(dir, maxRange)
+}
+
+// cullOriginMax bounds the origin coordinates for which a Caster culls: the
+// exactness margin below holds with a wide reserve up to here (see
+// Caster.Raycast), and no world in this repository comes near it.
+const cullOriginMax = 1e9
+
+// Caster casts rays from one origin into a world: the depth camera's view
+// of it for one frame. Reset computes every obstacle's distance from the
+// origin once, and Raycast then slab-tests only the obstacles no farther
+// than the nearest hit the ray has found so far, which returns exactly the
+// distance testing every obstacle returns. Worlds with a spatial index take
+// the indexed traversal instead, unculled. The zero Caster is ready for
+// Reset, and a Caster reused across frames keeps its scratch.
+type Caster struct {
+	w      *World
+	idx    *obstacleIndex
+	origin geom.Vec3
+	// dist holds, per obstacle of an unindexed world, its distance from
+	// origin, or NaN where the cull must not use it.
+	dist []float64
+}
+
+// Reset aims c at origin in world w.
+func (c *Caster) Reset(w *World, origin geom.Vec3) { *c = w.caster(origin, c.dist) }
+
+// caster returns the Caster of rays from origin into w, keeping its
+// distances in dist's array when it is large enough (a value, not a
+// pointer, so World.Raycast's stack array stays on the stack).
+func (w *World) caster(origin geom.Vec3, dist []float64) Caster {
+	c := Caster{w: w, idx: w.index(), origin: origin, dist: dist[:0]}
+	if c.idx != nil {
+		return c
+	}
+	// The comparisons are false for a NaN coordinate, so a NaN origin
+	// stays out of the cull as a far-away one does.
+	cull := math.Abs(origin.X) <= cullOriginMax && math.Abs(origin.Y) <= cullOriginMax &&
+		math.Abs(origin.Z) <= cullOriginMax
+	for i := range w.Obstacles {
+		d := math.NaN()
+		if ob := &w.Obstacles[i]; cull && !ob.IsEmpty() {
+			d = ob.Dist(origin)
+		}
+		c.dist = append(c.dist, d)
+	}
+	return c
+}
+
+// Raycast returns the distance along unit-direction dir from the caster's
+// origin to the first obstacle or the ground, capped at maxRange: exactly
+// World.Raycast(origin, dir, maxRange).
+//
+// The cull is exact. AABB.Hit slab-tests a segment rayRange long from the
+// origin, and a hit's entry parameter times rayRange is at least the
+// Euclidean distance from the origin to the box, up to rounding far below
+// the 1e-9 relative and absolute margin for origin coordinates within
+// cullOriginMax. So an obstacle farther than best·(1+1e-9)+1e-9 can never
+// return t < best, and skipping it changes nothing. The argument needs a
+// finite direction and a well-formed box: a NaN or infinite direction
+// slab-tests every box as a hit at t = 0, so such a ray culls nothing, and
+// an inverted box, an origin that is not finite or beyond cullOriginMax,
+// or a NaN box has a NaN distance, which never skips. An infinite distance
+// from an origin within the bound belongs to a box beyond the test
+// segment's reach, which no ray hits.
+func (c *Caster) Raycast(dir geom.Vec3, maxRange float64) float64 {
 	best := maxRange
 	// Ground plane z = 0.
 	if dir.Z < -1e-12 {
-		t := -origin.Z / dir.Z
+		t := -c.origin.Z / dir.Z
 		if t >= 0 && t < best {
 			best = t
 		}
 	}
-	if idx := w.index(); idx != nil {
-		return idx.raycast(w.Obstacles, origin, dir, best)
+	if c.idx != nil {
+		return c.idx.raycast(c.w.Obstacles, c.origin, dir, best)
 	}
-	ray := geom.NewRay(origin, dir) // prepared once for every obstacle test
-	for _, ob := range w.Obstacles {
-		if hit, t := ob.Hit(ray); hit && t >= 0 && t < best {
+	finite := dir.IsFinite()
+	reach := cullReach(best, finite)
+	var ray geom.Ray
+	prepared := false
+	for i, d := range c.dist {
+		if d > reach {
+			continue // beyond the nearest hit so far: cannot come before it
+		}
+		if !prepared {
+			ray, prepared = geom.NewRay(c.origin, dir), true
+		}
+		if hit, t := c.w.Obstacles[i].Hit(ray); hit && t >= 0 && t < best {
 			best = t
+			reach = cullReach(best, finite)
 		}
 	}
 	return best
+}
+
+// cullReach is the distance beyond which an obstacle cannot hit a ray
+// before best (see Caster.Raycast); +Inf, which culls nothing, when the
+// direction is not finite.
+func cullReach(best float64, finiteDir bool) float64 {
+	if !finiteDir {
+		return math.Inf(1)
+	}
+	return best*(1+1e-9) + 1e-9
 }
 
 // ObstacleDensity returns the fraction of the ground-plane footprint covered

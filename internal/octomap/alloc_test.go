@@ -34,7 +34,7 @@ func TestInsertCloudSteadyStateAllocFree(t *testing.T) {
 // extended in PR 5 over every fused-walker regime: the DDA segment queries
 // and the classification grid allocate nothing per probe (the grid is
 // allocated with the tree), across the prescan fast
-// path, walks the prescan declines, the slab-clip delegation for offset rays
+// path, walks the prescan declines, the slab-clipped walk for offset rays
 // leaving the volume, zero-radius probes, and the pessimistic policy the
 // summary stands aside for.
 func TestCollisionQueriesAllocFree(t *testing.T) {
@@ -58,7 +58,7 @@ func TestCollisionQueriesAllocFree(t *testing.T) {
 		tr.SegmentFree(free1, free2, q) // prescan fast path in unobserved space
 		tr.FirstBlocked(free1, free2, q)
 		tr.SegmentFree(edgeA, edgeB, q)
-		tr.FirstBlocked(edgeA, edgeB, q) // slab-clip delegation
+		tr.FirstBlocked(edgeA, edgeB, q) // slab-clipped walk
 		tr.SegmentFree(a, b, qPess)
 		tr.SegmentFree(a, b, qThin)
 		tr.PointFree(a, q)

@@ -1,6 +1,10 @@
 package octomap
 
-import "mavfi/internal/geom"
+import (
+	"math"
+
+	"mavfi/internal/geom"
+)
 
 // This file implements the PR 5 fused 7-ray walker behind SegmentFree and
 // FirstBlocked. A collision query probes the centre segment a→b plus six
@@ -22,29 +26,34 @@ import "mavfi/internal/geom"
 // the +0.0 it returns is indistinguishable downstream (key comparison,
 // truncation, and the DDA arithmetic never branch on the sign of zero). The
 // recomputed axis runs the exact expression sequence of the sequential path
-// (same nudges, same division order), and the walk loops below are verbatim
-// copies of the per-ray loops. The rays are walked strictly in the sequential
-// order — centre first, then offsets in probeOffsets order, early exit on the
-// first blocked ray — so the classification-probe sequence, every result bit,
-// and FirstBlocked's earliest-crossing fraction are identical to the retained
-// per-ray reference (pinned by the fused-vs-sequential equivalence suite in
-// fusedwalk_test.go, probe sequences included).
+// (same nudges, same division order), and the walk loops below step the DDA
+// exactly as the per-ray references do (rayFree and rayFirstBlocked, kept in
+// the tests). The rays are walked strictly in the sequential order — centre
+// first, then offsets in probeOffsets order, early exit on the first blocked
+// ray — so every result bit and FirstBlocked's earliest-crossing fraction
+// are identical to the per-ray reference (pinned by the fused-vs-sequential
+// equivalence suite in fusedwalk_test.go, probe sequences included).
 //
-// On top of the fusion sits the occupancy-summary prescan (bundleAllFree,
-// backed by occSummary): before walking anything, the query checks whether
-// every 8³ block any of the seven walks could possibly classify holds zero
-// Occupied leaves. When it does — the common case for a vehicle probing open
-// space — the whole query answers without stepping a single voxel, because
-// under a policy that blocks only on Occupied voxels no classification in
-// those blocks can come back blocked. When the prescan fails, the walks run
-// voxel-for-voxel identical to the per-ray reference with no summary
-// overhead in the loop, so the result is bit-identical either way and every
-// probe the prescan elides provably lies in a zero-count block.
+// On top of the fusion sits the occupancy summary (occSummary), used two
+// ways, both only under a policy that blocks on nothing but Occupied voxels
+// (summaryView), where a block with a zero occupied count cannot block:
+//   - SegmentFree's prescan (bundleAllFree): before walking anything, the
+//     query checks whether every 8³ block any of the seven walks could
+//     possibly classify holds zero Occupied leaves. When it does — the common
+//     case for a planner edge in open space — the whole query answers without
+//     stepping a single voxel. When it fails, the walks run voxel-for-voxel
+//     identical to the per-ray reference with no summary overhead in the loop.
+//   - FirstBlocked's block exit (firstBlockedWalk, blockExit): a look-ahead
+//     ray reaches far past anything a prescan could clear, so each walk steps
+//     over every zero-count block it meets that does not hold its end voxel,
+//     without classifying its voxels, and resumes in the exact state the
+//     step-by-step walk holds past it.
+// Either way every probe the summary elides lies in a zero-count block.
 
 // rayAxis is the single-axis slice of one probe ray's endpoint checks and
-// DDA setup: everything rayFree/rayFirstBlocked derive from one coordinate
-// of (a, b). Combining three of these reproduces the sequential per-ray
-// setup bit-for-bit.
+// DDA setup: everything the per-ray references (rayFree, rayFirstBlocked)
+// derive from one coordinate of (a, b). Combining three of these
+// reproduces the sequential per-ray setup bit-for-bit.
 type rayAxis struct {
 	ak         int  // start-endpoint key component (valid when aIn)
 	aIn, bIn   bool // endpoint coordinates inside the root slab on this axis
@@ -104,10 +113,11 @@ func (m *multiWalker) init(t *Tree, a, b geom.Vec3) {
 	t.fillRayAxis(&m.z, a.Z, b.Z, t.origin.Z)
 }
 
-// summaryView returns the block counts the prescan may trust, or nil when
-// the summary is unsound for the policy: a zero count proves a block free of
-// Occupied voxels only, so only a policy that blocks on nothing but Occupied
-// (UnknownIsFree; Free never blocks) may elide classification loads.
+// summaryView returns the block counts the prescan and the block exit may
+// trust, or nil when the summary is unsound for the policy: a zero count
+// proves a block free of Occupied voxels only, so only a policy that blocks
+// on nothing but Occupied (UnknownIsFree; Free never blocks) may elide
+// classification loads.
 func (t *Tree) summaryView(q QueryPolicy) ([]uint16, int) {
 	if !q.UnknownIsFree {
 		return nil, 0
@@ -204,9 +214,10 @@ func (t *Tree) bundleAllFree(m *multiWalker, a, b geom.Vec3, q QueryPolicy) bool
 
 // walkFree reports whether every voxel crossed by the single probe ray whose
 // axis states are (ax, ay, az) is unblocked, with the whole segment inside
-// the mapped volume — rayFree rebuilt on fused axis state, mirroring it
-// statement for statement (it runs only when the bundle prescan could not
-// prove the query free, so the loop carries no summary overhead).
+// the mapped volume — the rayFree reference rebuilt on fused axis state,
+// mirroring it statement for statement (it runs only when the bundle
+// prescan could not prove the query free, so the loop carries no summary
+// overhead).
 func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy) bool {
 	if !ax.aIn || !ay.aIn || !az.aIn {
 		return false
@@ -283,19 +294,30 @@ func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy) bool {
 
 // walkFirstBlocked returns the parametric position along the single probe
 // ray a→b (whose axis states are (ax, ay, az)) at which the ray first enters
-// blocked space, and whether any such position exists — rayFirstBlocked
-// rebuilt on fused axis state. A ray whose far endpoint keys outside the
-// volume needs the slab clip; that rare case delegates to the retained
-// sequential rayFirstBlocked, which is the same code the reference runs.
+// blocked space, and whether any such position exists. Every probe ray takes
+// the one fused loop in firstBlockedWalk: a ray that stays inside the volume
+// is seeded from its axis states, and a ray whose far endpoint leaves it from
+// the slab clip startWalk computes, which then reports the clipped end as
+// its collision when the walk finds nothing blocked before it.
 func (t *Tree) walkFirstBlocked(a, b geom.Vec3, ax, ay, az *rayAxis, q QueryPolicy) (float64, bool) {
 	if !ax.aIn || !ay.aIn || !az.aIn {
 		return 0, true // starts in out-of-volume (Occupied) space
 	}
-	if !ax.bIn || !ay.bIn || !az.bIn {
-		return t.rayFirstBlocked(a, b, q) // slab-clipped walk, rare
-	}
 	if q.blocked(t.classify(ax.ak, ay.ak, az.ak)) {
 		return 0, true // starts inside a blocked voxel
+	}
+	var w rayWalker
+	if !ax.bIn || !ay.bIn || !az.bIn {
+		t.startWalk(&w, a, b)
+		if w.valid {
+			if f, blocked := t.firstBlockedWalk(&w, q); blocked {
+				return f, true
+			}
+		}
+		// The walk ran clean to the volume boundary, but the segment exits
+		// the volume there: the crossing into out-of-volume space is the
+		// first collision.
+		return w.segParam(1), true
 	}
 	if ax.eq && ay.eq && az.eq {
 		return 0, false
@@ -303,32 +325,80 @@ func (t *Tree) walkFirstBlocked(a, b geom.Vec3, ax, ay, az *rayAxis, q QueryPoli
 	if !ax.p0In || !ay.p0In || !az.p0In || !ax.p1In || !ay.p1In || !az.p1In {
 		return 0, false // walk yields no voxels; both endpoints key inside
 	}
+	// startWalk's fast path: the (0, 1) clip, seeded from the axis states.
 	t0, t1 := 0.0, 1.0
-	clipLo := t0 + 1e-9
-	clipSpan := (t1 - 1e-9) - clipLo
-	x, y, z := ax.x, ay.x, az.x
-	ex, ey, ez := ax.ex, ay.ex, az.ex
-	stepX, stepY, stepZ := ax.step, ay.step, az.step
-	tMaxX, tMaxY, tMaxZ := ax.tMax, ay.tMax, az.tMax
-	tDeltaX, tDeltaY, tDeltaZ := ax.tDelta, ay.tDelta, az.tDelta
-	maxSteps := abs(ex-x) + abs(ey-y) + abs(ez-z) + 3
+	w = rayWalker{
+		x: ax.x, y: ay.x, z: az.x,
+		ex: ax.ex, ey: ay.ex, ez: az.ex,
+		stepX: ax.step, stepY: ay.step, stepZ: az.step,
+		tMaxX: ax.tMax, tMaxY: ay.tMax, tMaxZ: az.tMax,
+		tDeltaX: ax.tDelta, tDeltaY: ay.tDelta, tDeltaZ: az.tDelta,
+		maxSteps: abs(ax.ex-ax.x) + abs(ay.ex-ay.x) + abs(az.ex-az.x) + 3,
+		valid:    true,
+		clipLo:   t0 + 1e-9,
+	}
+	w.clipSpan = (t1 - 1e-9) - w.clipLo
+	return t.firstBlockedWalk(&w, q) // both endpoints key inside: a clean walk has no crossing
+}
+
+// firstBlockedWalk walks the seeded ray w voxel by voxel and returns the
+// caller's segment parameter (w.segParam) of the entry into the first
+// blocked voxel, classifying inline as walkFree does. Where the occupancy
+// summary may answer (summaryView), the walk classifies nothing in an 8³
+// block whose occupied count is zero and that does not hold the walk's end
+// voxel: blockExit carries it to the state the step-by-step walk holds at
+// the first voxel past the block. No voxel of such a block can block the
+// ray; the walk cannot end at its end voxel inside it; and every other way
+// the step-by-step walk could stop inside it (the overshoot guard, the step
+// budget) would also end the walk unblocked, and stops it at or before the
+// exit voxel too, since crossings never decrease and a key that left the
+// volume stays out. So the answer and the fraction bits are those of
+// walking every voxel.
+func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
+	counts, nc := t.summaryView(q)
+	x, y, z := w.x, w.y, w.z
+	ex, ey, ez := w.ex, w.ey, w.ez
+	stepX, stepY, stepZ := w.stepX, w.stepY, w.stepZ
+	tMaxX, tMaxY, tMaxZ := w.tMaxX, w.tMaxY, w.tMaxZ
+	tDeltaX, tDeltaY, tDeltaZ := w.tDeltaX, w.tDeltaY, w.tDeltaZ
+	maxSteps := w.maxSteps
 	maxKey := t.maxKey
+	grid, nx, ny, nz := t.grid, t.nx, t.ny, t.nz
+	cell, endCell := -1, -1 // the block last looked up, the end voxel's block
+	if counts != nil {
+		endCell = cellOf(nc, ex, ey, ez)
+	}
 	tNext := 0.0
 	for steps := 0; steps < maxSteps; steps++ {
 		tEntry := tNext
 		if tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= maxKey || y >= maxKey || z >= maxKey {
 			break // walker overshoot artifact; see walkFree
 		}
-		if q.blocked(t.classify(x, y, z)) {
-			// segParam on the (0,1) seed: map the clipped-walk entry back to
-			// the caller's a→b parameterisation, clamped to [0,1].
-			f := clipLo + tEntry*clipSpan
-			if f < 0 {
-				f = 0
-			} else if f > 1 {
-				f = 1
+		if counts != nil {
+			if c := cellOf(nc, x, y, z); c != cell {
+				cell = c
+				if counts[c] == 0 && c != endCell {
+					var tn float64
+					var next int
+					var ok bool
+					x, y, z, tMaxX, tMaxY, tMaxZ, tn, next, ok = blockExit(w, x, y, z, tMaxX, tMaxY, tMaxZ, steps)
+					if !ok {
+						break
+					}
+					tNext, steps = tn, next-1 // the loop counts the exit voxel
+					continue
+				}
 			}
-			return f, true
+		}
+		// Manually inlined classify, as in walkFree.
+		var o Occupancy
+		if grid != nil && x < nx && y < ny && z < nz {
+			o = Occupancy(grid[(z*ny+y)*nx+x])
+		} else {
+			o = t.classifySlow(x, y, z)
+		}
+		if q.blocked(o) {
+			return w.segParam(tEntry), true
 		}
 		if x == ex && y == ey && z == ez {
 			break // end voxel classified, walk exhausted
@@ -348,5 +418,71 @@ func (t *Tree) walkFirstBlocked(a, b geom.Vec3, ax, ay, az *rayAxis, q QueryPoli
 			tMaxZ += tDeltaZ
 		}
 	}
-	return 0, false // both endpoints key inside: a clean walk has no crossing
+	return 0, false
+}
+
+// blockExit takes the walk w, standing at voxel (x, y, z) with next
+// crossings (tMaxX, tMaxY, tMaxZ) at voxel index i, to the first voxel
+// outside the 8³ block that holds (x, y, z). It returns that voxel, the
+// crossings there, its entry parameter (the walk's tNext) and its index,
+// or ok=false when the walk ends inside the block: its budget (w.maxSteps)
+// runs out first, or it leaves only at +Inf, where the walk's overshoot
+// guard would stop it. The steps and crossing spacings are w's; the state
+// travels in registers.
+//
+// It is the walk's own DDA stepping rule, run without classifying: every
+// step takes the axis with the smallest (tMax, axis), ties going X before Y
+// before Z, and adds that axis's tDelta to its tMax one addition at a time.
+// So the exit voxel is entered by the first step whose axis leaves the
+// block, and every other axis has taken exactly the steps that come before
+// it: the state the step-by-step walk holds there. An axis with step 0 has
+// tMax = tDelta = +Inf and never leaves the block.
+func blockExit(w *rayWalker, x, y, z int, tMaxX, tMaxY, tMaxZ float64, i int) (
+	ox, oy, oz int, oMaxX, oMaxY, oMaxZ, tNext float64, next int, ok bool) {
+	stepX, stepY, stepZ := w.stepX, w.stepY, w.stepZ
+	tDeltaX, tDeltaY, tDeltaZ := w.tDeltaX, w.tDeltaY, w.tDeltaZ
+	// The steps each axis can take before the one that leaves the block:
+	// 7-k&7 stepping up, k&7 stepping down.
+	inX := x&7 ^ 7&^(stepX>>1)
+	inY := y&7 ^ 7&^(stepY>>1)
+	inZ := z&7 ^ 7&^(stepZ>>1)
+	for {
+		i++
+		if i >= w.maxSteps {
+			return
+		}
+		switch {
+		case tMaxX <= tMaxY && tMaxX <= tMaxZ:
+			x += stepX
+			tNext = tMaxX
+			tMaxX += tDeltaX
+			inX--
+			if inX >= 0 {
+				continue
+			}
+		case tMaxY <= tMaxZ:
+			y += stepY
+			tNext = tMaxY
+			tMaxY += tDeltaY
+			inY--
+			if inY >= 0 {
+				continue
+			}
+		default:
+			z += stepZ
+			tNext = tMaxZ
+			tMaxZ += tDeltaZ
+			inZ--
+			if inZ >= 0 {
+				continue
+			}
+		}
+		break
+	}
+	// Crossings never decrease along a walk, so an exit at a finite
+	// parameter was preceded by finite steps only.
+	if !(tNext <= math.MaxFloat64) {
+		return
+	}
+	return x, y, z, tMaxX, tMaxY, tMaxZ, tNext, i, true
 }

@@ -46,6 +46,167 @@ func firstBlockedSeq(t *Tree, a, b geom.Vec3, q QueryPolicy) (float64, bool) {
 	return first, true
 }
 
+// seqWalker is rayWalker with the per-voxel iterator the sequential
+// references walk with: next yields one voxel per call and records the walk
+// parameter at which the walk entered it.
+type seqWalker struct {
+	rayWalker
+	steps  int     // voxels yielded so far
+	tEntry float64 // clipped-space entry of the last yielded voxel
+	tNext  float64 // clipped-space entry of the upcoming voxel
+}
+
+// next yields the next voxel key on the walk; last flags the final voxel and
+// ok is false once the walk is exhausted.
+func (w *seqWalker) next() (x, y, z int, last, ok bool) {
+	if !w.valid || w.steps >= w.maxSteps {
+		return 0, 0, 0, false, false
+	}
+	w.steps++
+	x, y, z = w.x, w.y, w.z
+	w.tEntry = w.tNext
+	if x == w.ex && y == w.ey && z == w.ez {
+		w.valid = false
+		return x, y, z, true, true
+	}
+	switch {
+	case w.tMaxX <= w.tMaxY && w.tMaxX <= w.tMaxZ:
+		w.x += w.stepX
+		w.tNext = w.tMaxX
+		w.tMaxX += w.tDeltaX
+	case w.tMaxY <= w.tMaxZ:
+		w.y += w.stepY
+		w.tNext = w.tMaxY
+		w.tMaxY += w.tDeltaY
+	default:
+		w.z += w.stepZ
+		w.tNext = w.tMaxZ
+		w.tMaxZ += w.tDeltaZ
+	}
+	return x, y, z, false, true
+}
+
+// startWalkInside is startWalk for callers that have already established
+// that both endpoints key inside the root volume (rayFree probes both before
+// walking): it seeds the walk with exactly the fast path's (0, 1) clip —
+// bit-identical voxel sequences — minus the two redundant endpoint probes
+// and the slab-clip branch.
+func (t *Tree) startWalkInside(w *rayWalker, origin, end geom.Vec3) {
+	w.valid = false
+	t.seedWalk(w, origin, end, 0, 1)
+}
+
+// rayFree reports whether every voxel crossed by the single segment a→b is
+// unblocked, with the whole segment inside the mapped volume.
+//
+// It is the per-ray reference segmentFreeSeq walks: production queries run
+// the fused walkFree, which the equivalence suite holds to it bit for bit.
+func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy) bool {
+	ax, ay, az, aIn := t.key(a)
+	if !aIn {
+		return false
+	}
+	if _, _, _, bIn := t.key(b); !bIn {
+		// The volume is convex: an endpoint outside means part of the
+		// segment crosses out-of-volume (Occupied) space.
+		return false
+	}
+	if q.blocked(t.classify(ax, ay, az)) {
+		return false
+	}
+	if a == b {
+		return true
+	}
+	var w rayWalker
+	t.startWalkInside(&w, a, b) // both endpoints key inside, checked above
+	if !w.valid {
+		return true
+	}
+	// The DDA stepping below is rayWalker.next manually inlined on locals
+	// (next is beyond the inliner's budget and this loop classifies one
+	// voxel per step across up to seven rays per query): identical yield
+	// order, identical guards, so the voxel sequence is bit-identical to
+	// the walker's.
+	x, y, z := w.x, w.y, w.z
+	tMaxX, tMaxY, tMaxZ := w.tMaxX, w.tMaxY, w.tMaxZ
+	tNext := 0.0
+	for steps := 0; steps < w.maxSteps; steps++ {
+		tEntry := tNext
+		if tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= t.maxKey || y >= t.maxKey || z >= t.maxKey {
+			// Walker overshoot artifact, not a crossed voxel: a near-zero
+			// axis delta below the DDA threshold (step 0) with endpoints
+			// straddling that axis's voxel boundary makes the end key
+			// unreachable, and the walk spends its defensive step budget
+			// drifting past the segment end (a genuinely crossed voxel is
+			// entered at parameter ≤ 1 and in-range, and the end voxel
+			// terminates the walk before either guard can trip).
+			return true
+		}
+		if q.blocked(t.classify(x, y, z)) {
+			return false
+		}
+		if x == w.ex && y == w.ey && z == w.ez {
+			return true // end voxel reached, walk exhausted
+		}
+		switch {
+		case tMaxX <= tMaxY && tMaxX <= tMaxZ:
+			x += w.stepX
+			tNext = tMaxX
+			tMaxX += w.tDeltaX
+		case tMaxY <= tMaxZ:
+			y += w.stepY
+			tNext = tMaxY
+			tMaxY += w.tDeltaY
+		default:
+			z += w.stepZ
+			tNext = tMaxZ
+			tMaxZ += w.tDeltaZ
+		}
+	}
+	return true
+}
+
+// rayFirstBlocked returns the parametric position along the single segment
+// a→b at which the ray first enters blocked (or out-of-volume) space, and
+// whether any such position exists.
+//
+// It is the per-ray reference firstBlockedSeq walks, one voxel per next()
+// call and with no summary: production queries run the fused
+// firstBlockedWalk, which the equivalence suite holds to it bit for bit.
+func (t *Tree) rayFirstBlocked(a, b geom.Vec3, q QueryPolicy) (float64, bool) {
+	ax, ay, az, aIn := t.key(a)
+	if !aIn {
+		return 0, true // starts in out-of-volume (Occupied) space
+	}
+	if q.blocked(t.classify(ax, ay, az)) {
+		return 0, true // starts inside a blocked voxel
+	}
+	if a == b {
+		return 0, false
+	}
+	var w seqWalker
+	t.startWalk(&w.rayWalker, a, b)
+	for {
+		x, y, z, _, ok := w.next()
+		if !ok {
+			break
+		}
+		if w.tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= t.maxKey || y >= t.maxKey || z >= t.maxKey {
+			break // walker overshoot artifact; see rayFree
+		}
+		if q.blocked(t.classify(x, y, z)) {
+			return w.segParam(w.tEntry), true
+		}
+	}
+	if _, _, _, bIn := t.key(b); !bIn {
+		// The walk ran clean to the volume boundary, but the segment exits
+		// the volume there: the crossing into out-of-volume space is the
+		// first collision.
+		return w.segParam(1), true
+	}
+	return 0, false
+}
+
 // fusedTestPolicies are the policies the equivalence suite sweeps: the
 // pipeline's optimistic navigation policy, a pessimistic variant (unknown
 // blocks, so the occupancy summary must stand aside), and a zero-radius
@@ -59,7 +220,7 @@ var fusedTestPolicies = []QueryPolicy{
 // fusedTestSegments draws the segment mix the suite probes: interior
 // segments like the planner's, plus near-boundary segments whose offset
 // rays leave the volume (exercising the out-of-volume early exits and the
-// slab-clip delegation) and degenerate zero-length probes.
+// slab-clipped walk) and degenerate zero-length probes.
 func fusedTestSegments(rng *rand.Rand, n int) [][2]geom.Vec3 {
 	segs := make([][2]geom.Vec3, 0, n)
 	for i := 0; i < n; i++ {
@@ -183,24 +344,27 @@ func assertSameProbes(t *testing.T, what string, si int, q QueryPolicy, fused, s
 	}
 }
 
-// TestSummaryElisionAlignment pins the prescan's elision invariant: with the
-// summary armed, the probe sequence of a query must be exactly the unarmed
-// sequence with zero or more probes elided, every elided probe must lie in a
-// summary cell with a zero occupied count, and the answers must stay
-// bit-identical. (The prescan elides either nothing or a whole query, and
-// only when every cell in the bundle's reach is zero-count — this test
-// verifies that claim probe by probe rather than trusting the range
-// analysis.) The unarmed recordings must be non-empty and some must be
-// elided, so the test cannot pass vacuously.
+// TestSummaryElisionAlignment pins the summary's elision invariant: with
+// the summary armed, the probe sequence of a query must be exactly the
+// unarmed sequence with zero or more probes elided, every elided probe must
+// lie in a summary cell with a zero occupied count, and the answers must
+// stay bit-identical. SegmentFree's prescan elides either nothing or a whole
+// query; FirstBlocked's block exit elides the runs of probes a walk makes
+// in zero-count blocks, in the middle of a walk, which the look-ahead rays
+// (10–60 m) reach. The test verifies both probe by probe rather than
+// trusting the range analysis or the block-exit argument. The unarmed
+// recordings must be non-empty, each query must have probes elided, and
+// FirstBlocked must elide some in the middle of a walk, so the test cannot
+// pass vacuously.
 func TestSummaryElisionAlignment(t *testing.T) {
 	tr := queryTestTree(61)
 	if tr.sum.counts == nil {
 		t.Fatal("test tree unexpectedly over the summary cap")
 	}
 	rng := rand.New(rand.NewSource(62))
-	segs := fusedTestSegments(rng, 400)
+	segs := append(fusedTestSegments(rng, 400), lookaheadSegments(rng, 200)...)
 	q := testPolicy // the optimistic policy is the only one the summary serves
-	plainProbes, elided := 0, 0
+	plainProbes, elidedSeg, elidedFirst, midWalk := 0, 0, 0, 0
 	for si, s := range segs {
 		savedCounts := tr.sum.counts
 
@@ -216,7 +380,7 @@ func TestSummaryElisionAlignment(t *testing.T) {
 		}
 		assertElisionAligned(t, tr, "SegmentFree", si, withSum, plain)
 		plainProbes += len(plain)
-		elided += len(plain) - len(withSum)
+		elidedSeg += len(plain) - len(withSum)
 
 		var sumF, plainF float64
 		var sumOK, plainOK bool
@@ -230,10 +394,14 @@ func TestSummaryElisionAlignment(t *testing.T) {
 		}
 		assertElisionAligned(t, tr, "FirstBlocked", si, withSum, plain)
 		plainProbes += len(plain)
-		elided += len(plain) - len(withSum)
+		elidedFirst += len(plain) - len(withSum)
+		if len(withSum) > 0 && len(withSum) < len(plain) {
+			midWalk++ // some probes kept, some elided: the walk stepped over blocks
+		}
 	}
-	if plainProbes == 0 || elided == 0 {
-		t.Fatalf("vacuous run: %d probes recorded, %d elided", plainProbes, elided)
+	if plainProbes == 0 || elidedSeg == 0 || elidedFirst == 0 || midWalk == 0 {
+		t.Fatalf("vacuous run: %d probes recorded, %d elided by SegmentFree's prescan, %d by FirstBlocked, %d FirstBlocked queries elided mid-walk",
+			plainProbes, elidedSeg, elidedFirst, midWalk)
 	}
 }
 

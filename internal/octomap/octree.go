@@ -96,7 +96,7 @@ type Tree struct {
 	grid  []uint8    // exact Occupancy per leaf key of the bounds; nil over maxClassCells
 	codes []uint8    // miss-chain step or inBrick per leaf key of the bounds; nil when the chain is off
 	chain []float64  // the miss chain of params (see missChain); read only when codes is set
-	sum   occSummary // per-cell occupied-voxel counts for the probe prescan
+	sum   occSummary // per-cell occupied-voxel counts for the probe prescan and block exit
 
 	leafUpdates int // total leaf evidence updates, for overhead accounting
 
@@ -386,8 +386,8 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool, n int) {
 }
 
 // carve applies n misses to every voxel the seeded walk w crosses, in walk
-// order, except the endpoint voxel (ex, ey, ez) when endOK. It is
-// rayWalker.next and updateKey fused into one loop, which is where a
+// order, except the endpoint voxel (ex, ey, ez) when endOK. It is the DDA
+// walk and updateKey fused into one loop, which is where a
 // sweep-exact mission spends most of its host time, and it serves both
 // InsertCloud (n = 1) and InsertCloudN. The DDA state lives in locals, and
 // a crossing of a voxel on the miss chain (almost all of them) is two byte
@@ -399,7 +399,7 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool, n int) {
 // also holds back the updates to the voxels InsertCloudN marked; those are
 // all in bricks, so the fast path needs no mark test. The leaf-update
 // counter advances once per ray for the fast crossings. It visits the
-// voxels next yields, in next's order, so every value, summary count and
+// voxels the walk crosses, in walk order, so every value, summary count and
 // grid byte comes out as the per-voxel updates leave them; the randomized
 // equivalence test against an independent map oracle pins this.
 func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool, n int) {
@@ -442,29 +442,27 @@ func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool, n int) {
 	t.leafUpdates += n * fast
 }
 
-// rayWalker streams the leaf voxel keys a segment crosses, in order, without
-// a per-ray closure allocation. The insertion paths (InsertCloud,
-// InsertCloudN) and the DDA collision queries (SegmentFree, FirstBlocked) all seed their
-// walks through it, and the loops that step the DDA on locals (carve,
-// rayFree and the fused walkers) copy next's stepping rule verbatim, so every
+// rayWalker is the seeded state of a DDA walk over the leaf voxels a
+// segment crosses, clipped to the root volume. Every walk in the package is
+// seeded through startWalk (or, for the fused collision probes, from the
+// same per-axis arithmetic; see fusedwalk.go), and every loop that steps it
+// (carve, walkFree, firstBlockedWalk) uses the one stepping rule: advance
+// the axis with the smallest tMax, ties going X before Y before Z. So every
 // segment↔voxel enumeration in the package visits bit-identical voxel
 // sequences.
 //
-// tEntry is the parametric position (in the clipped p0→p1 space) at which
-// the walk entered the voxel most recently yielded by next; segParam maps it
-// back to the caller's original origin→end parameterisation. FirstBlocked
-// uses this to report the exact boundary crossing into the first blocked
-// voxel.
+// clipLo and clipSpan map a walk parameter (0 at the clipped start, 1 at the
+// clipped end) back to the caller's origin→end parameterisation (segParam);
+// FirstBlocked uses this to report the exact boundary crossing into the
+// first blocked voxel.
 type rayWalker struct {
 	x, y, z                   int
 	ex, ey, ez                int
 	stepX, stepY, stepZ       int
 	tMaxX, tMaxY, tMaxZ       float64
 	tDeltaX, tDeltaY, tDeltaZ float64
-	steps, maxSteps           int
+	maxSteps                  int
 	valid                     bool
-	tEntry                    float64 // clipped-space entry of the last yielded voxel
-	tNext                     float64 // clipped-space entry of the upcoming voxel
 	clipLo, clipSpan          float64 // map clipped space back to origin→end space
 }
 
@@ -493,28 +491,16 @@ func (t *Tree) startWalk(w *rayWalker, origin, end geom.Vec3) {
 	t.seedWalk(w, origin, end, t0, t1)
 }
 
-// startWalkInside is startWalk for callers that have already established
-// that both endpoints key inside the root volume (rayFree probes both before
-// walking): it seeds the walk with exactly the fast path's (0, 1) clip —
-// bit-identical voxel sequences — minus the two redundant endpoint probes
-// and the slab-clip branch.
-func (t *Tree) startWalkInside(w *rayWalker, origin, end geom.Vec3) {
-	w.valid = false
-	t.seedWalk(w, origin, end, 0, 1)
-}
-
-// seedWalk is the shared tail of the walk initialisers: nudge the clipped
-// endpoints inward, key them, and set up the per-axis DDA state. Both
-// entry points above go through this one body so the seeding arithmetic
-// (the 1e-9 nudge, the Manhattan step bound) cannot drift between them.
+// seedWalk is the tail of startWalk for the clip (t0, t1): nudge the
+// clipped endpoints inward, key them, and set up the per-axis DDA state.
+// The fused collision probes derive the (0, 1) seed axis by axis with the
+// same arithmetic (fillRayAxis).
 func (t *Tree) seedWalk(w *rayWalker, origin, end geom.Vec3, t0, t1 float64) {
 	d := end.Sub(origin)
 	p0 := origin.Add(d.Scale(t0 + 1e-9))
 	p1 := origin.Add(d.Scale(t1 - 1e-9))
 	w.clipLo = t0 + 1e-9
 	w.clipSpan = (t1 - 1e-9) - w.clipLo
-	w.tEntry = 0
-	w.tNext = 0
 
 	x, y, z, ok := t.key(p0)
 	if !ok {
@@ -535,38 +521,7 @@ func (t *Tree) seedWalk(w *rayWalker, origin, end geom.Vec3, t0, t1 float64) {
 	// Bound iterations defensively: the ray cannot cross more voxels than
 	// the Manhattan key distance plus slack.
 	w.maxSteps = abs(ex-x) + abs(ey-y) + abs(ez-z) + 3
-	w.steps = 0
 	w.valid = true
-}
-
-// next yields the next voxel key on the walk; last flags the final voxel and
-// ok is false once the walk is exhausted.
-func (w *rayWalker) next() (x, y, z int, last, ok bool) {
-	if !w.valid || w.steps >= w.maxSteps {
-		return 0, 0, 0, false, false
-	}
-	w.steps++
-	x, y, z = w.x, w.y, w.z
-	w.tEntry = w.tNext
-	if x == w.ex && y == w.ey && z == w.ez {
-		w.valid = false
-		return x, y, z, true, true
-	}
-	switch {
-	case w.tMaxX <= w.tMaxY && w.tMaxX <= w.tMaxZ:
-		w.x += w.stepX
-		w.tNext = w.tMaxX
-		w.tMaxX += w.tDeltaX
-	case w.tMaxY <= w.tMaxZ:
-		w.y += w.stepY
-		w.tNext = w.tMaxY
-		w.tMaxY += w.tDeltaY
-	default:
-		w.z += w.stepZ
-		w.tNext = w.tMaxZ
-		w.tMaxZ += w.tDeltaZ
-	}
-	return x, y, z, false, true
 }
 
 // segParam maps a clipped-walk parameter (0 at the clipped start, 1 at the

@@ -113,78 +113,6 @@ func (t *Tree) SegmentFree(a, b geom.Vec3, q QueryPolicy) bool {
 	return true
 }
 
-// rayFree reports whether every voxel crossed by the single segment a→b is
-// unblocked, with the whole segment inside the mapped volume.
-//
-// Since PR 5 this is the retained per-ray reference: production queries run
-// the fused walkFree (bit-identical, pinned by the equivalence suite), and
-// this body exists so the reference cannot drift from what the fused walker
-// must reproduce.
-func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy) bool {
-	ax, ay, az, aIn := t.key(a)
-	if !aIn {
-		return false
-	}
-	if _, _, _, bIn := t.key(b); !bIn {
-		// The volume is convex: an endpoint outside means part of the
-		// segment crosses out-of-volume (Occupied) space.
-		return false
-	}
-	if q.blocked(t.classify(ax, ay, az)) {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	var w rayWalker
-	t.startWalkInside(&w, a, b) // both endpoints key inside, checked above
-	if !w.valid {
-		return true
-	}
-	// The DDA stepping below is rayWalker.next manually inlined on locals
-	// (next is beyond the inliner's budget and this loop classifies one
-	// voxel per step across up to seven rays per query): identical yield
-	// order, identical guards, so the voxel sequence is bit-identical to
-	// the walker's.
-	x, y, z := w.x, w.y, w.z
-	tMaxX, tMaxY, tMaxZ := w.tMaxX, w.tMaxY, w.tMaxZ
-	tNext := 0.0
-	for steps := 0; steps < w.maxSteps; steps++ {
-		tEntry := tNext
-		if tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= t.maxKey || y >= t.maxKey || z >= t.maxKey {
-			// Walker overshoot artifact, not a crossed voxel: a near-zero
-			// axis delta below the DDA threshold (step 0) with endpoints
-			// straddling that axis's voxel boundary makes the end key
-			// unreachable, and the walk spends its defensive step budget
-			// drifting past the segment end (a genuinely crossed voxel is
-			// entered at parameter ≤ 1 and in-range, and the end voxel
-			// terminates the walk before either guard can trip).
-			return true
-		}
-		if q.blocked(t.classify(x, y, z)) {
-			return false
-		}
-		if x == w.ex && y == w.ey && z == w.ez {
-			return true // end voxel reached, walk exhausted
-		}
-		switch {
-		case tMaxX <= tMaxY && tMaxX <= tMaxZ:
-			x += w.stepX
-			tNext = tMaxX
-			tMaxX += w.tDeltaX
-		case tMaxY <= tMaxZ:
-			y += w.stepY
-			tNext = tMaxY
-			tMaxY += w.tDeltaY
-		default:
-			z += w.stepZ
-			tNext = tMaxZ
-			tMaxZ += w.tDeltaZ
-		}
-	}
-	return true
-}
-
 // FirstBlocked walks from a toward b and returns the parametric position
 // frac ∈ [0,1] at which the vehicle first collides — the exact boundary
 // crossing into the earliest blocked voxel across the centre ray and the 6
@@ -195,14 +123,14 @@ func (t *Tree) rayFree(a, b geom.Vec3, q QueryPolicy) bool {
 // half-resolution sampling; frac is the true voxel-boundary crossing instead
 // of the first blocked sample position (which lagged the boundary by up to
 // half a sample spacing). The seven walks run fused since PR 5 (see
-// SegmentFree and fusedwalk.go); a ray whose far endpoint leaves the volume
-// still takes the sequential slab-clipped walk through rayFirstBlocked.
+// SegmentFree and fusedwalk.go), every one of them, whether it stays in the
+// volume or leaves it, in the one loop of firstBlockedWalk. FirstBlocked has
+// no prescan: a look-ahead ray reaches far past the blocks a bundle prescan
+// could clear, and the walk itself steps over every block whose occupied
+// count is zero (blockExit), which answers every query the prescan did.
 func (t *Tree) FirstBlocked(a, b geom.Vec3, q QueryPolicy) (frac float64, ok bool) {
 	var m multiWalker
 	m.init(t, a, b)
-	if q.Radius > 0 && t.bundleAllFree(&m, a, b, q) {
-		return 0, false // no walk can classify anything outside zero-count blocks
-	}
 	first := math.Inf(1)
 	if f, blocked := t.walkFirstBlocked(a, b, &m.x, &m.y, &m.z, q); blocked {
 		first = f
@@ -233,46 +161,4 @@ func (t *Tree) FirstBlocked(a, b geom.Vec3, q QueryPolicy) (frac float64, ok boo
 		return 0, false
 	}
 	return first, true
-}
-
-// rayFirstBlocked returns the parametric position along the single segment
-// a→b at which the ray first enters blocked (or out-of-volume) space, and
-// whether any such position exists.
-//
-// Since PR 5 this body serves two callers: the fused walkFirstBlocked
-// delegates rays whose far endpoint keys outside the volume here (the walk
-// then needs the slab clip), and the sequential reference of the
-// fused-vs-sequential equivalence suite (firstBlockedSeq) is built on it.
-func (t *Tree) rayFirstBlocked(a, b geom.Vec3, q QueryPolicy) (float64, bool) {
-	ax, ay, az, aIn := t.key(a)
-	if !aIn {
-		return 0, true // starts in out-of-volume (Occupied) space
-	}
-	if q.blocked(t.classify(ax, ay, az)) {
-		return 0, true // starts inside a blocked voxel
-	}
-	if a == b {
-		return 0, false
-	}
-	var w rayWalker
-	t.startWalk(&w, a, b)
-	for {
-		x, y, z, _, ok := w.next()
-		if !ok {
-			break
-		}
-		if w.tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= t.maxKey || y >= t.maxKey || z >= t.maxKey {
-			break // walker overshoot artifact; see rayFree
-		}
-		if q.blocked(t.classify(x, y, z)) {
-			return w.segParam(w.tEntry), true
-		}
-	}
-	if _, _, _, bIn := t.key(b); !bIn {
-		// The walk ran clean to the volume boundary, but the segment exits
-		// the volume there: the crossing into out-of-volume space is the
-		// first collision.
-		return w.segParam(1), true
-	}
-	return 0, false
 }

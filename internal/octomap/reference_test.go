@@ -149,8 +149,8 @@ func assertMatchesOracle(t *testing.T, tr *Tree, ref *refMap, when string) {
 // walkRay visits every leaf voxel key from origin to end in order, flagging
 // the final voxel: the walker's enumeration as a callback, for the DDA tests.
 func (t *Tree) walkRay(origin, end geom.Vec3, visit func(x, y, z int, last bool)) {
-	var w rayWalker
-	t.startWalk(&w, origin, end)
+	var w seqWalker
+	t.startWalk(&w.rayWalker, origin, end)
 	for {
 		x, y, z, last, ok := w.next()
 		if !ok {

@@ -1,17 +1,17 @@
 package octomap
 
-// occSummary is the hierarchical occupancy summary behind the PR 5 collision
+// occSummary is the hierarchical occupancy summary behind the collision
 // probes: one uint16 per 8³ cell of leaf keys counting how many voxels
-// inside the cell currently classify as Occupied. The collision queries
-// consult it through the bundle prescan (bundleAllFree in fusedwalk.go):
-// when every cell the seven probe walks could classify in holds a zero
-// count, the query is answered without walking — under a policy where only
+// inside the cell currently classify as Occupied. Under a policy where only
 // Occupied blocks the vehicle (UnknownIsFree, the pipeline's optimistic
 // navigation policy), a zero count proves every voxel in the cell
-// unblocked, so the elided probes could not have changed the answer. When
-// any cell in range is occupied, the walks run with no summary overhead at
-// all, so results are bit-identical to the per-ray reference in both
-// regimes.
+// unblocked, and the queries use that two ways (fusedwalk.go): SegmentFree's
+// bundle prescan (bundleAllFree) answers a whole query without walking when
+// every cell its seven walks could classify in holds a zero count, and
+// FirstBlocked's walks step over every zero-count cell that does not hold
+// their end voxel without classifying it (blockExit). The elided probes
+// could not have changed the answer, so results are bit-identical to the
+// per-ray reference in every regime.
 //
 // Exactness, not invalidation: the counts are maintained by reclassify on
 // every occupied↔free/unknown voxel transition, in the same write that

@@ -26,6 +26,9 @@ type DepthImage struct {
 	// azTrig is capture scratch: the cosine and sine of each column's
 	// azimuth at this frame's yaw, computed once per column.
 	azTrig [][2]float64
+	// cast is capture scratch: the frame's rays cast from Pos, with what
+	// the cull needs of every obstacle computed once per frame.
+	cast env.Caster
 }
 
 // Ray returns the unit direction of the (row, col) pixel's ray in the world
@@ -127,6 +130,7 @@ func (c *DepthCamera) CaptureInto(img *DepthImage, w *env.World, pos geom.Vec3, 
 	img.dirs = resized(img.dirs, n)
 	img.azTrig = resized(img.azTrig, c.Cols)
 	tab := c.tables()
+	img.cast.Reset(w, pos)
 	for col, off := range tab.azOff {
 		az := yaw + off
 		img.azTrig[col] = [2]float64{math.Cos(az), math.Sin(az)}
@@ -137,7 +141,7 @@ func (c *DepthCamera) CaptureInto(img *DepthImage, w *env.World, pos geom.Vec3, 
 			cs := img.azTrig[col]
 			dir := geom.V(ce*cs[0], ce*cs[1], se)
 			img.dirs[r*c.Cols+col] = dir
-			dist := w.Raycast(pos, dir, c.MaxRange)
+			dist := img.cast.Raycast(dir, c.MaxRange)
 			if rng != nil && c.NoiseStd > 0 && dist < c.MaxRange {
 				dist *= 1 + rng.NormFloat64()*c.NoiseStd
 				if dist < 0 {
