@@ -73,9 +73,8 @@ bench-insert:
 	$(GO) test -bench 'BenchmarkCampaignCell/(cold|memo-near2)$$|Benchmark(BuildMapSeed|InsertColdMap)$$' -benchtime=1x -run '^$$' ./internal/pipeline
 
 # bench-seed is the PR 9 golden-map headline: one campaign cell flown cold /
-# seeded / seeded+stride / memo / memo+stride (BenchmarkCampaignCell), the
-# wall-clock comparison BENCH_PR9.json records. The memo rows are the ones
-# that must beat cold by >= 25%.
+# memo / memo+stride (BenchmarkCampaignCell). BENCH_PR20.json has cold at
+# 68.0 ms, memo at 57.5 ms (15% faster) and memo+stride at 54.8 ms.
 bench-seed:
 	$(GO) test -bench 'BenchmarkCampaignCell' -benchmem -benchtime=6x -run '^$$' ./internal/pipeline
 
@@ -193,13 +192,19 @@ server-smoke:
 # Proves the lease/retry/fencing contract end to end through real process
 # death, not just the in-package chaos test. The campaign flies in memo
 # mode with near-field stride 2, so every worker process builds its own
-# golden maps and they must match the CLI's.
+# golden maps and they must match the CLI's. First, a dispatcher given a
+# spec the matrix check refuses (an unknown world) must exit 1 at once
+# instead of retrying its first cell; `timeout` exits 124 if it hangs.
 DISPATCH_ADDR ?= 127.0.0.1:18090
 DISPATCH_W1 ?= 127.0.0.1:18091
 DISPATCH_W2 ?= 127.0.0.1:18092
 dispatch-smoke:
 	rm -rf data/dispatch && mkdir -p data/dispatch
 	$(GO) build -o data/dispatch/mavfi-server ./cmd/mavfi-server
+	@code=0; timeout 20 data/dispatch/mavfi-server -dispatch -addr 127.0.0.1:0 \
+		-worlds bogus -families wind -severities high -runs 1 || code=$$?; \
+	if [ $$code -ne 1 ]; then echo "dispatch of an invalid spec exited $$code, want 1"; exit 1; fi; \
+	echo "dispatch refuses an invalid spec at once: ok"
 	@set -e; \
 	data/dispatch/mavfi-server -worker -addr $(DISPATCH_W1) & w1=$$!; \
 	data/dispatch/mavfi-server -worker -addr $(DISPATCH_W2) & w2=$$!; \
@@ -229,7 +234,7 @@ dispatch-smoke:
 	diff -r data/dispatch/out data/dispatch/cli
 	@echo "sharded-dispatch byte-identity under worker death: ok"
 
-# approx-smoke is the CI approximate-mode gate: (a) a seeded+strided matrix
+# approx-smoke is the CI approximate-mode gate: (a) a memo+strided matrix
 # cell run at 1 and 4 workers must be byte-identical (golden maps are built
 # before the fan-out, so worker width stays unobservable even in approximate
 # mode), and (b) the equivalence/fidelity suites that pin the exact-mode
@@ -267,6 +272,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzRecordRead$$' -fuzztime=10s ./internal/record
 	$(GO) test -run=NONE -fuzz='^FuzzParseTarget$$' -fuzztime=10s ./internal/campaign/matrix
 	$(GO) test -run=NONE -fuzz='^FuzzParseSeverities$$' -fuzztime=5s ./internal/campaign/matrix
+	$(GO) test -run=NONE -fuzz='^FuzzCellSpec$$' -fuzztime=10s ./internal/campaign/matrix
 	$(GO) test -run=NONE -fuzz='^FuzzBlockExit$$' -fuzztime=10s ./internal/octomap
 
 # cover is the CI coverage gate: short-mode statement coverage over every

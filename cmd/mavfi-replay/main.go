@@ -32,14 +32,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"mavfi/internal/campaign"
 	"mavfi/internal/campaign/matrix"
-	"mavfi/internal/faultinject"
 	"mavfi/internal/pipeline"
 	"mavfi/internal/record"
 )
@@ -127,68 +125,29 @@ func main() {
 	}
 }
 
-// recordCell records one campaign cell — nominal, or with a fault drawn per
-// mission exactly as cmd/mavfi draws them (calibration count where the family
-// needs one, then a sequential plan RNG), so a recorded cell is a faithful
-// slice of the full fault-injection campaign.
+// recordCell records one campaign cell — nominal, or with the faults
+// cmd/mavfi draws (matrix.Assets.SingleCellPlans), so a recorded cell is a
+// faithful slice of the full fault-injection campaign.
 func recordCell(dir, envName, kernel, state, fault string, severity float64, runs int, seed int64, workers int) error {
-	world, err := matrix.World(envName)
+	assets := matrix.NewAssets()
+	world, err := assets.World(envName)
 	if err != nil {
 		return err
 	}
-
-	var cfgs []pipeline.Config
-	switch {
-	case kernel != "":
-		_, target, err := faultinject.ParseTarget("kernel:" + kernel)
-		if err != nil {
-			return err
+	plans, err := assets.SingleCellPlans(envName, kernel, state, fault, severity, runs, seed)
+	if err != nil {
+		return err
+	}
+	cfg := func(i int) pipeline.Config {
+		cfg := pipeline.Config{World: world, Seed: seed + int64(i)}
+		if plans != nil {
+			cfg.SetFault(plans[i])
 		}
-		ctr := faultinject.NewCounter()
-		pipeline.RunMission(pipeline.Config{World: world, Seed: seed + 555, Counter: ctr})
-		planRNG := rand.New(rand.NewSource(seed + 42))
-		for i := 0; i < runs; i++ {
-			plan := faultinject.NewPlan(target.Kernel, ctr.Count(target.Kernel), planRNG)
-			cfgs = append(cfgs, pipeline.Config{World: world, Seed: seed + int64(i), KernelFault: &plan})
-		}
-	case state != "":
-		_, target, err := faultinject.ParseTarget("state:" + state)
-		if err != nil {
-			return err
-		}
-		nominal := pipeline.NominalDuration(pipeline.Config{World: world})
-		planRNG := rand.New(rand.NewSource(seed + 42))
-		for i := 0; i < runs; i++ {
-			plan := faultinject.NewStatePlan(target.State, nominal*0.15, nominal*0.85, planRNG)
-			cfgs = append(cfgs, pipeline.Config{World: world, Seed: seed + int64(i), StateFault: &plan})
-		}
-	case fault != "":
-		fam, spec, err := faultinject.ParseTarget(fault)
-		if err != nil {
-			return err
-		}
-		spec.NominalS = pipeline.NominalDuration(pipeline.Config{World: world})
-		spec.Severity = severity
-		var ctr *faultinject.Counter
-		if fam == faultinject.FamilyKernel {
-			ctr = faultinject.NewCounter()
-			pipeline.RunMission(pipeline.Config{World: world, Seed: seed + 555, Counter: ctr})
-		}
-		planRNG := rand.New(rand.NewSource(seed + 42))
-		for i := 0; i < runs; i++ {
-			cfg := pipeline.Config{World: world, Seed: seed + int64(i)}
-			cfg.SetFault(faultinject.DrawFault(fam, spec, ctr, planRNG))
-			cfgs = append(cfgs, cfg)
-		}
-	default:
-		for i := 0; i < runs; i++ {
-			cfgs = append(cfgs, pipeline.Config{World: world, Seed: seed + int64(i)})
-		}
+		return cfg
 	}
 
 	runner := campaign.New(campaign.WithWorkers(workers))
-	out, err := record.RunCampaign(context.Background(), runner, dir, "record", runs,
-		func(i int) pipeline.Config { return cfgs[i] })
+	out, err := record.RunCampaign(context.Background(), runner, dir, "record", runs, cfg)
 	if err != nil {
 		return err
 	}

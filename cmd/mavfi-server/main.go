@@ -24,9 +24,10 @@
 // -dispatch turns the process into a campaign dispatcher: it fans a whole
 // campaign matrix out to worker shards (with leases, retries, and local
 // fallback) and writes final CSVs byte-identical to a single-process
-// `mavfi matrix` run. Every process builds the golden maps it flies itself
-// (-map-seed seed or memo), so nothing but work units and results crosses
-// the wire.
+// `mavfi matrix` run. It takes the matrix flags `mavfi matrix` takes, and
+// refuses a spec `mavfi matrix` refuses, with the same text, before any cell
+// flies. Every process builds the golden maps it flies itself (-map-seed
+// memo), so nothing but work units and results crosses the wire.
 //
 //	mavfi-server -dispatch -shards w1:9001,w2:9001 -worlds sparse \
 //	    -families sensor,wind -runs 16 -csv-dir out/ -state-dir state/
@@ -71,23 +72,13 @@ func main() {
 		register  = flag.String("register", "", "(worker) dispatcher base URL to register with at startup")
 		advertise = flag.String("advertise", "", "(worker) address the dispatcher reaches this worker at when it registers (default: the bound address, with unspecified hosts rewritten to 127.0.0.1)")
 
-		// Dispatch-mode flags: the matrix axes mirror `mavfi matrix`.
-		shards     = flag.String("shards", "", "(dispatch) comma-separated worker addresses")
-		stateDir   = flag.String("state-dir", "", "(dispatch) campaign state directory (enables crash-safe resume)")
-		csvDir     = flag.String("csv-dir", "", "(dispatch) write per-cell and summary CSVs under DIR")
-		lease      = flag.Duration("lease", 2*time.Minute, "(dispatch) per-cell lease TTL")
-		noLocal    = flag.Bool("no-local", false, "(dispatch) never fall back to local execution; wait for healthy shards instead")
-		worlds     = flag.String("worlds", "sparse", "(dispatch) comma-separated environments")
-		families   = flag.String("families", "all", "(dispatch) comma-separated fault targets (family[:kind]) or all")
-		severities = flag.String("severities", "low,high", "(dispatch) comma-separated severity levels (low, med, high, or name=scale)")
-		detectors  = flag.String("detectors", "none", "(dispatch) comma-separated detectors: none, gad, aad")
-		recovery   = flag.String("recoveries", "on", "(dispatch) recovery axis for detector cells: on, off, or on,off")
-		runs       = flag.Int("runs", 4, "(dispatch) missions per cell")
-		seed       = flag.Int64("seed", 1, "(dispatch) matrix seed")
-		train      = flag.Int("train", 12, "(dispatch) training environments when gad/aad is on the detector axis")
-		maxMission = flag.Float64("max-mission", 0, "(dispatch) mission time budget in sim seconds (0 = pipeline default)")
-		mapSeed    = flag.String("map-seed", "off", "(dispatch) golden-map mode: off, seed, or memo")
-		nearStride = flag.Int("near-stride", 0, "(dispatch) near-field ray subsampling stride (0 or 1 = off)")
+		// Dispatch-mode flags, beside the matrix flags `mavfi matrix` shares.
+		shards   = flag.String("shards", "", "(dispatch) comma-separated worker addresses")
+		stateDir = flag.String("state-dir", "", "(dispatch) campaign state directory (enables crash-safe resume)")
+		csvDir   = flag.String("csv-dir", "", "(dispatch) write per-cell and summary CSVs under DIR")
+		lease    = flag.Duration("lease", 2*time.Minute, "(dispatch) per-cell lease TTL")
+		noLocal  = flag.Bool("no-local", false, "(dispatch) never fall back to local execution; wait for healthy shards instead")
+		axes     = matrix.AxisFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -98,12 +89,21 @@ func main() {
 	case *workerMode:
 		runWorker(*addr, *advertise, *register, *workers)
 	case *dispatchMode:
-		runDispatch(dispatchFlags{
-			addr: *addr, shards: *shards, stateDir: *stateDir,
-			csvDir: *csvDir, lease: *lease, noLocal: *noLocal, workers: *workers,
-			worlds: *worlds, families: *families, severities: *severities,
-			detectors: *detectors, recovery: *recovery, runs: *runs, seed: *seed,
-			train: *train, maxMission: *maxMission, mapSeed: *mapSeed, nearStride: *nearStride,
+		spec, err := axes()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		runDispatch(*addr, *csvDir, spec, dispatch.Config{
+			Shards:       strings.Fields(strings.ReplaceAll(*shards, ",", " ")),
+			LeaseTTL:     *lease,
+			DisableLocal: *noLocal,
+			StateDir:     *stateDir,
+			Workers:      *workers,
+			Logf:         log.Printf,
+			OnCellDone: func(done, total int) {
+				log.Printf("mavfi-server dispatch: cells %d/%d", done, total)
+			},
 		})
 	default:
 		runService(*addr, *queue, *workers, *recordDir, *deadline, *warm, *drainBudget)
@@ -252,79 +252,16 @@ func registerWithDispatcher(base, self string) {
 	log.Printf("mavfi-server worker: giving up on registration; list this worker in -shards instead")
 }
 
-// dispatchFlags carries the dispatch-mode flag values.
-type dispatchFlags struct {
-	addr, shards, stateDir, csvDir                    string
-	lease                                             time.Duration
-	noLocal                                           bool
-	workers                                           int
-	worlds, families, severities, detectors, recovery string
-	runs                                              int
-	seed                                              int64
-	train                                             int
-	maxMission                                        float64
-	mapSeed                                           string
-	nearStride                                        int
-}
-
 // runDispatch is the campaign-dispatcher mode: shard the matrix, reassemble
 // the result, write the CSVs, exit 0.
-func runDispatch(f dispatchFlags) {
-	targets, err := matrix.ParseTargets(f.families)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sevs, err := matrix.ParseSeverities(f.severities)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	var recs []bool
-	for _, part := range strings.Split(f.recovery, ",") {
-		switch strings.TrimSpace(part) {
-		case "on":
-			recs = append(recs, true)
-		case "off":
-			recs = append(recs, false)
-		case "":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown recovery mode %q (want on, off)\n", part)
-			os.Exit(2)
-		}
-	}
-	spec := matrix.Spec{
-		Worlds:          splitList(f.worlds),
-		Targets:         targets,
-		Severities:      sevs,
-		Detectors:       splitList(f.detectors),
-		Recoveries:      recs,
-		Runs:            f.runs,
-		Seed:            f.seed,
-		MaxMissionS:     f.maxMission,
-		TrainEnvs:       f.train,
-		MapSeed:         f.mapSeed,
-		NearFieldStride: f.nearStride,
-	}
-
-	ln, err := net.Listen("tcp", f.addr)
+func runDispatch(addr, csvDir string, spec matrix.Spec, cfg dispatch.Config) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cfg := dispatch.Config{
-		Shards:       splitList(f.shards),
-		LeaseTTL:     f.lease,
-		DisableLocal: f.noLocal,
-		StateDir:     f.stateDir,
-		Workers:      f.workers,
-		Logf:         log.Printf,
-		OnCellDone: func(done, total int) {
-			log.Printf("mavfi-server dispatch: cells %d/%d", done, total)
-		},
-	}
 	d := dispatch.New(cfg)
-	hs := hardenedServer(f.addr, d.Handler())
+	hs := hardenedServer(addr, d.Handler())
 	go hs.Serve(ln)
 	defer hs.Close()
 	log.Printf("mavfi-server dispatch listening on %s", ln.Addr())
@@ -341,24 +278,13 @@ func runDispatch(f dispatchFlags) {
 	st := d.Stat()
 	log.Printf("mavfi-server dispatch: campaign %s complete (%d cells, %d retries, %d expired leases, %d stale drops, %d local runs)",
 		st.Campaign, st.Done, st.Retries, st.Expired, st.StaleDrops, st.LocalRuns)
-	if f.csvDir != "" {
-		if err := res.WriteCSV(f.csvDir); err != nil {
+	if csvDir != "" {
+		if err := res.WriteCSV(csvDir); err != nil {
 			fmt.Fprintln(os.Stderr, "writing CSV:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d cell CSVs and summary.csv under %s\n", len(res.Cells), f.csvDir)
+		fmt.Printf("wrote %d cell CSVs and summary.csv under %s\n", len(res.Cells), csvDir)
 		return
 	}
 	fmt.Print(res.Table())
-}
-
-// splitList splits a comma-separated flag into trimmed non-empty parts.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -31,17 +31,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"mavfi/internal/campaign"
 	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/detect"
-	"mavfi/internal/faultinject"
 	"mavfi/internal/pipeline"
-	"mavfi/internal/platform"
 	"mavfi/internal/qof"
 	"mavfi/internal/record"
 )
@@ -67,12 +63,6 @@ func main() {
 	)
 	flag.Parse()
 
-	world, err := matrix.World(*envName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	modes := 0
 	for _, set := range []bool{*kernel != "", *state != "", *fault != ""} {
 		if set {
@@ -83,18 +73,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "specify exactly one of -kernel, -state, or -fault")
 		os.Exit(2)
 	}
-	// -kernel and -state name kernel and state targets; ParseTarget holds
-	// the one table of their spellings.
-	var fam faultinject.Family
-	var target faultinject.DrawSpec
-	switch {
-	case *kernel != "":
-		fam, target, err = faultinject.ParseTarget("kernel:" + *kernel)
-	case *state != "":
-		fam, target, err = faultinject.ParseTarget("state:" + *state)
-	default:
-		fam, target, err = faultinject.ParseTarget(*fault)
+	// The matrix check refuses an unknown detector before anything flies.
+	if err := (matrix.Spec{Detectors: []string{*detector}}).Check(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	assets := matrix.NewAssets()
+	world, err := assets.World(*envName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	// The injection campaign's whole plan schedule is drawn up front (the
+	// plan RNG is consumed sequentially), then its missions are sharded.
+	plans, err := assets.SingleCellPlans(*envName, *kernel, *state, *fault, *severity, *runs, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -104,25 +96,12 @@ func main() {
 	ctx := context.Background()
 
 	var det func() detect.Detector
-	switch *detector {
-	case "none":
-	case "gad", "aad":
+	if *detector != "none" {
 		fmt.Printf("training detectors on %d environments...\n", *train)
-		data, err := pipeline.CollectTrainingDataOn(ctx, runner, *train, *seed+1000, platform.I9())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collection interrupted:", err)
+		if det, err = assets.Detector(ctx, runner, *detector, *seed, *train); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *detector == "gad" {
-			gad := pipeline.TrainGAD(data, 4)
-			det = func() detect.Detector { return gad.Clone() }
-		} else {
-			aad := pipeline.TrainAAD(data, detect.DefaultAADConfig(), *seed+2000)
-			det = func() detect.Detector { return aad.Clone() }
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown detector %q\n", *detector)
-		os.Exit(2)
 	}
 
 	// Golden baseline.
@@ -144,32 +123,6 @@ func main() {
 		golden = goldenOut.Campaign
 	}
 
-	// Injection campaign: draw the whole plan schedule up front (the plan
-	// RNG is consumed sequentially), then shard the missions.
-	ctr := faultinject.NewCounter()
-	pipeline.RunMission(pipeline.Config{World: world, Seed: *seed + 555, Counter: ctr})
-	planRNG := rand.New(rand.NewSource(*seed + 42))
-	nominal := pipeline.NominalDuration(pipeline.Config{World: world})
-
-	target.NominalS = nominal
-	target.Severity = *severity
-
-	cfgs := make([]pipeline.Config, *runs)
-	for i := range cfgs {
-		cfg := pipeline.Config{World: world, Seed: *seed + int64(i)}
-		switch {
-		case *kernel != "":
-			plan := faultinject.NewPlan(target.Kernel, ctr.Count(target.Kernel), planRNG)
-			cfg.KernelFault = &plan
-		case *state != "":
-			plan := faultinject.NewStatePlan(target.State, nominal*0.15, nominal*0.85, planRNG)
-			cfg.StateFault = &plan
-		default:
-			cfg.SetFault(faultinject.DrawFault(fam, target, ctr, planRNG))
-		}
-		cfgs[i] = cfg
-	}
-
 	camp := &qof.Campaign{Name: "injection"}
 	fired := make([]bool, *runs)
 	results := make([]qof.Metrics, *runs)
@@ -182,7 +135,8 @@ func main() {
 		}
 	}
 	runner.ForEach(ctx, *runs, func(i int) {
-		cfg := cfgs[i]
+		cfg := pipeline.Config{World: world, Seed: *seed + int64(i)}
+		cfg.SetFault(plans[i])
 		if det != nil {
 			cfg.Detector = det()
 		}
@@ -225,68 +179,26 @@ func report(name string, c *qof.Campaign) {
 // matrix over (world × family × severity × detector × recovery).
 func runMatrix(argv []string) {
 	fs := flag.NewFlagSet("mavfi matrix", flag.ExitOnError)
+	axes := matrix.AxisFlags(fs)
 	var (
-		worlds     = fs.String("worlds", "sparse", "comma-separated environments: factory, farm, sparse, dense")
-		families   = fs.String("families", "all", "comma-separated fault targets (family[:kind], e.g. sensor,actuator:thrust_loss) or all")
-		severities = fs.String("severities", "low,high", "comma-separated severity levels (low, med, high, or name=scale)")
-		detectors  = fs.String("detectors", "none", "comma-separated detectors: none, gad, aad")
-		recovery   = fs.String("recoveries", "on", "recovery axis for detector cells: on, off, or on,off")
-		runs       = fs.Int("runs", 4, "missions per cell")
-		seed       = fs.Int64("seed", 1, "matrix seed (every cell and mission seed derives from it)")
-		workers    = fs.Int("workers", 0, "campaign worker goroutines (0 = MAVFI_WORKERS, else GOMAXPROCS)")
-		train      = fs.Int("train", 12, "training environments when gad/aad is on the detector axis")
-		maxMission = fs.Float64("max-mission", 0, "mission time budget in sim seconds (0 = pipeline default)")
-		deadline   = fs.Duration("deadline", 0, "per-mission wall-clock deadline (0 = none; breaks byte-identity)")
-		csvDir     = fs.String("csv-dir", "", "write per-cell and summary CSVs under DIR")
-		mapSeed    = fs.String("map-seed", "off", "golden-map mode: off (exact), seed (fork a precomputed map per mission), or memo (seed plus saturated-evidence ray skipping)")
-		nearStride = fs.Int("near-stride", 0, "near-field ray subsampling stride (0 or 1 = off; >1 is approximate mode)")
-		fidelity   = fs.Bool("fidelity", false, "run the fidelity study: the whole matrix at each approximate-mode ladder setting, emitting per-cell paper-figure deltas (ignores -map-seed/-near-stride)")
+		workers  = fs.Int("workers", 0, "campaign worker goroutines (0 = MAVFI_WORKERS, else GOMAXPROCS)")
+		deadline = fs.Duration("deadline", 0, "per-mission wall-clock deadline (0 = none; breaks byte-identity)")
+		csvDir   = fs.String("csv-dir", "", "write per-cell and summary CSVs under DIR")
+		fidelity = fs.Bool("fidelity", false, "run the fidelity study: the whole matrix at each approximate-mode ladder setting, emitting per-cell paper-figure deltas (ignores -map-seed/-near-stride)")
 	)
 	fs.Parse(argv)
 
-	targets, err := matrix.ParseTargets(*families)
+	spec, err := axes()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	sevs, err := matrix.ParseSeverities(*severities)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	var recs []bool
-	for _, part := range strings.Split(*recovery, ",") {
-		switch strings.TrimSpace(part) {
-		case "on":
-			recs = append(recs, true)
-		case "off":
-			recs = append(recs, false)
-		case "":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown recovery mode %q (want on, off)\n", part)
-			os.Exit(2)
+	spec.Workers = *workers
+	spec.Deadline = *deadline
+	spec.Progress = func(done, total int) {
+		if done%50 == 0 || done == total {
+			fmt.Printf("missions %d/%d\n", done, total)
 		}
-	}
-
-	spec := matrix.Spec{
-		Worlds:          splitList(*worlds),
-		Targets:         targets,
-		Severities:      sevs,
-		Detectors:       splitList(*detectors),
-		Recoveries:      recs,
-		Runs:            *runs,
-		Seed:            *seed,
-		MaxMissionS:     *maxMission,
-		TrainEnvs:       *train,
-		Workers:         *workers,
-		Deadline:        *deadline,
-		MapSeed:         *mapSeed,
-		NearFieldStride: *nearStride,
-		Progress: func(done, total int) {
-			if done%50 == 0 || done == total {
-				fmt.Printf("missions %d/%d\n", done, total)
-			}
-		},
 	}
 	if *fidelity {
 		study, err := matrix.FidelityStudy(context.Background(), spec, matrix.DefaultFidelityLadder(), nil)
@@ -321,14 +233,4 @@ func runMatrix(argv []string) {
 	for _, p := range res.Panics {
 		fmt.Fprintf(os.Stderr, "mission %d panicked: %s\n", p.Index, p.Value)
 	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -7,9 +7,7 @@
 // regardless of worker count: every mission's inputs derive only from
 // (campaign seed, mission index), each worker writes its result to the
 // mission's own slot, and the final qof.Campaign is assembled in mission
-// order. Per-worker statistics accumulate lock-free into worker-local
-// stats.Welford states that are combined with Welford.Merge (Chan et al.)
-// after the pool drains.
+// order.
 //
 // Sharing model: the one structure all shards share is the campaign's
 // env.World — its uniform-grid obstacle index is built by the first sensor
@@ -40,7 +38,6 @@ import (
 	"time"
 
 	"mavfi/internal/qof"
-	"mavfi/internal/stats"
 )
 
 // EnvWorkers is the environment variable that overrides the default worker
@@ -212,12 +209,6 @@ func MissionSeed(campaignSeed int64, i int) int64 {
 // and stop waiting for slots, missions already started run to completion,
 // and ForEach returns ctx.Err.
 func (r *Runner) ForEach(ctx context.Context, n int, fn func(i int)) error {
-	return r.forEach(ctx, n, func(_, i int) { fn(i) })
-}
-
-// forEach is ForEach with the executing worker's id passed through, the
-// primitive Run uses for worker-local accumulators.
-func (r *Runner) forEach(ctx context.Context, n int, fn func(worker, i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -230,22 +221,22 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(worker, i int)) err
 	}
 	var next, done atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n || r.slots.Acquire(ctx) != nil {
 					return
 				}
-				fn(worker, i)
+				fn(i)
 				r.slots.Release()
 				if r.progress != nil {
 					r.progress(int(done.Add(1)), n)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return ctx.Err()
@@ -267,21 +258,13 @@ type MissionPanic struct {
 	Stack string
 }
 
-// Outcome is one campaign's aggregate: the mission-ordered qof.Campaign plus
-// cheap online statistics over successful missions, accumulated per worker
-// and combined with stats.Welford.Merge.
+// Outcome is one campaign's aggregate: the mission-ordered qof.Campaign and
+// the missions that panicked.
 type Outcome struct {
 	// Campaign holds mission results in mission-index order; Results[i] is
 	// mission i. After a cancellation it is truncated to the longest
 	// contiguous prefix of completed missions, preserving that invariant.
 	Campaign *qof.Campaign
-	// FlightTime and EnergyJ summarise the Campaign's successful missions'
-	// flight seconds and energy joules (also after a cancellation, when
-	// the Campaign is a prefix). Their merge order follows worker ids, so
-	// they are equal across worker counts only up to floating-point
-	// reassociation; the Campaign itself is bit-identical.
-	FlightTime stats.Welford
-	EnergyJ    stats.Welford
 	// Panics lists the isolated mission panics in mission-index order; the
 	// corresponding Campaign results carry qof.Panicked. A healthy campaign
 	// has none.
@@ -301,10 +284,6 @@ type Outcome struct {
 func (r *Runner) Run(ctx context.Context, name string, n int, mission Mission) (*Outcome, error) {
 	results := make([]qof.Metrics, n)
 	ran := make([]bool, n)
-	type shard struct {
-		flight, energy stats.Welford
-	}
-	shards := make([]shard, r.workers)
 	var panicMu sync.Mutex
 	var panics []MissionPanic
 	onPanic := func(p MissionPanic) {
@@ -312,15 +291,11 @@ func (r *Runner) Run(ctx context.Context, name string, n int, mission Mission) (
 		panics = append(panics, p)
 		panicMu.Unlock()
 	}
-	err := r.forEach(ctx, n, func(w, i int) {
+	err := r.ForEach(ctx, n, func(i int) {
 		m := r.runGuarded(i, mission, onPanic)
 		results[i], ran[i] = m, true
 		if r.resultHook != nil {
 			r.resultHook(i, m)
-		}
-		if m.Succeeded() {
-			shards[w].flight.Add(m.FlightTimeS)
-			shards[w].energy.Add(m.EnergyJ)
 		}
 	})
 	out := &Outcome{Campaign: &qof.Campaign{Name: name}}
@@ -334,23 +309,7 @@ func (r *Runner) Run(ctx context.Context, name string, n int, mission Mission) (
 		}
 		out.Campaign.Add(results[i])
 	}
-	if err != nil {
-		// Cancelled: shards may hold missions past the truncated prefix,
-		// so rebuild the online statistics from the campaign itself to
-		// keep the two views consistent.
-		for _, m := range out.Campaign.Results {
-			if m.Succeeded() {
-				out.FlightTime.Add(m.FlightTimeS)
-				out.EnergyJ.Add(m.EnergyJ)
-			}
-		}
-		return out, err
-	}
-	for w := range shards {
-		out.FlightTime.Merge(&shards[w].flight)
-		out.EnergyJ.Merge(&shards[w].energy)
-	}
-	return out, nil
+	return out, err
 }
 
 // runGuarded executes mission(i) with panic isolation and the optional

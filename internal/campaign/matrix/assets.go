@@ -3,6 +3,7 @@ package matrix
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"mavfi/internal/campaign"
@@ -148,6 +149,62 @@ func (a *Assets) counter(ctx context.Context, pool *campaign.Slots, world string
 	return ctr, nil
 }
 
+// SingleCellPlans draws the fault plans of the single-cell campaigns that
+// mavfi and mavfi-replay -record fly over world: plan i belongs to the
+// mission seeded seed+i. At most one of kernel, state and fault is set, as
+// those commands' flags of the same names spell them; with none set there
+// are no plans. The plan RNG is seeded at seed+42. kernel and state draw the
+// paper's compute faults directly: faultinject.NewPlan over the world's
+// calibration count (Counter at seed) and NewStatePlan over 15–85% of the
+// nominal duration. fault draws from the zoo with faultinject.DrawFault at
+// severity and calibrates only for the kernel family. These are not the
+// matrix's draws, which seed each cell's plan RNG from the cell identity.
+func (a *Assets) SingleCellPlans(world, kernel, state, fault string, severity float64, runs int, seed int64) ([]faultinject.FaultPlan, error) {
+	if runs < 0 {
+		return nil, fmt.Errorf("matrix: negative mission count %d", runs)
+	}
+	target := fault
+	switch {
+	case kernel != "":
+		target = "kernel:" + kernel
+	case state != "":
+		target = "state:" + state
+	case fault == "":
+		return nil, nil
+	}
+	fam, spec, err := faultinject.ParseTarget(target)
+	if err != nil {
+		return nil, err
+	}
+	w, err := a.World(world)
+	if err != nil {
+		return nil, err
+	}
+	var ctr *faultinject.Counter
+	if fam == faultinject.FamilyKernel {
+		if ctr, err = a.Counter(world, seed, 0); err != nil {
+			return nil, err
+		}
+	}
+	nominal := pipeline.NominalDuration(pipeline.Config{World: w})
+	spec.NominalS, spec.Severity = nominal, severity
+	rng := rand.New(rand.NewSource(seed + 42))
+	plans := make([]faultinject.FaultPlan, runs)
+	for i := range plans {
+		switch {
+		case kernel != "":
+			pl := faultinject.NewPlan(spec.Kernel, ctr.Count(spec.Kernel), rng)
+			plans[i].Kernel = &pl
+		case state != "":
+			pl := faultinject.NewStatePlan(spec.State, nominal*0.15, nominal*0.85, rng)
+			plans[i].State = &pl
+		default:
+			plans[i] = faultinject.DrawFault(fam, spec, ctr, rng)
+		}
+	}
+	return plans, nil
+}
+
 // worldLocked is World for callers already holding a.mu.
 func (a *Assets) worldLocked(name string) (*env.World, error) {
 	if w, ok := a.worlds[name]; ok {
@@ -169,12 +226,8 @@ func (a *Assets) worldLocked(name string) (*env.World, error) {
 // trainEnvs) pair share a single collection pass exactly as the one-shot
 // matrix runner's trainDetectors did.
 func (a *Assets) Detector(ctx context.Context, r *campaign.Runner, name string, seed int64, trainEnvs int) (func() detect.Detector, error) {
-	switch name {
-	case "none":
-		return nil, nil
-	case "gad", "aad":
-	default:
-		return nil, fmt.Errorf("matrix: unknown detector %q (have none, gad, aad)", name)
+	if err := checkDetector(name); err != nil || name == "none" {
+		return nil, err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -201,6 +254,15 @@ func (a *Assets) Detector(ctx context.Context, r *campaign.Runner, name string, 
 	}
 	a.detectors[key] = mk
 	return mk, nil
+}
+
+// checkDetector refuses a name that is not on the detector axis.
+func checkDetector(name string) error {
+	switch name {
+	case "none", "gad", "aad":
+		return nil
+	}
+	return fmt.Errorf("matrix: unknown detector %q (have none, gad, aad)", name)
 }
 
 // detectorFactories resolves the spec's whole detector axis through the

@@ -24,8 +24,6 @@ type FidelitySetting struct {
 func DefaultFidelityLadder() []FidelitySetting {
 	return []FidelitySetting{
 		{Name: "exact", MapSeed: "off"},
-		{Name: "seed", MapSeed: "seed"},
-		{Name: "seed-near2", MapSeed: "seed", NearFieldStride: 2},
 		{Name: "memo", MapSeed: "memo"},
 		{Name: "memo-near2", MapSeed: "memo", NearFieldStride: 2},
 	}

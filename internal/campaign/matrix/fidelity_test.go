@@ -24,10 +24,10 @@ func fidelitySpec(workers int) Spec {
 }
 
 // TestSeededMatrixByteIdenticalAcrossWorkerWidths extends the matrix
-// byte-identity gate to approximate mode: with golden-map seeding (and a
-// near-field stride) on, per-cell and summary CSVs must still be identical
-// at any worker width — which worker forks which pooled arena is
-// unobservable.
+// byte-identity gate to approximate mode: with missions seeded from the
+// golden map in memo mode (and a near-field stride) on, per-cell and
+// summary CSVs must still be identical at any worker width — which worker
+// forks which pooled arena is unobservable.
 func TestSeededMatrixByteIdenticalAcrossWorkerWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real missions")
@@ -36,7 +36,7 @@ func TestSeededMatrixByteIdenticalAcrossWorkerWidths(t *testing.T) {
 	var refSummary string
 	for _, workers := range []int{1, 4} {
 		spec := fidelitySpec(workers)
-		spec.MapSeed = "seed"
+		spec.MapSeed = "memo"
 		spec.NearFieldStride = 2
 		res, err := Run(context.Background(), spec)
 		if err != nil {
@@ -145,10 +145,12 @@ func TestFidelityStudyRejectsBadMode(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "map-seed") {
 		t.Fatalf("bad map-seed mode not rejected: %v", err)
 	}
-	bad := fidelitySpec(1)
-	bad.MapSeed = "warp"
-	if _, err := Run(context.Background(), bad); err == nil {
-		t.Fatal("Run accepted an unknown map-seed mode")
+	for _, mode := range []string{"warp", "seed"} {
+		bad := fidelitySpec(1)
+		bad.MapSeed = mode
+		if _, err := Run(context.Background(), bad); err == nil {
+			t.Fatalf("Run accepted map-seed mode %q", mode)
+		}
 	}
 	neg := fidelitySpec(1)
 	neg.NearFieldStride = -2
@@ -189,7 +191,7 @@ func TestFidelityCSVSchema(t *testing.T) {
 	spec := fidelitySpec(2)
 	spec.Targets = []Target{{Family: faultinject.FamilyWind}}
 	study, err := FidelityStudy(context.Background(), spec,
-		[]FidelitySetting{{Name: "exact", MapSeed: "off"}, {Name: "seed", MapSeed: "seed"}}, nil)
+		[]FidelitySetting{{Name: "exact", MapSeed: "off"}, {Name: "memo", MapSeed: "memo"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

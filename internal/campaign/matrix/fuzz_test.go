@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -104,6 +105,62 @@ func FuzzParseSeverities(f *testing.F) {
 			if strings.ContainsAny(sev.Name, ",=") {
 				t.Fatalf("ParseSeverities(%q) kept separator in name %q", s, sev.Name)
 			}
+		}
+	})
+}
+
+// FuzzCellSpec pins the single-cell wire form's round trip: any JSON cell
+// spec that CellSpec.Spec accepts names exactly one cell, and that cell,
+// projected with Spec.CellSpec, sent through JSON and checked again, is the
+// same cell with the same knobs. The dispatcher relies on this: a worker
+// re-parses every unit it is sent and refuses one whose cell name differs.
+func FuzzCellSpec(f *testing.F) {
+	for _, s := range []string{
+		`{"fault":"sensor"}`,
+		`{"world":"dense","fault":"sensor:ray_dropout","severity":"x=0.45","detector":"aad","recovery":true,"runs":2,"seed":-7,"max_mission_s":33.5,"train_envs":3,"map_seed":"memo","near_field_stride":2,"record":true}`,
+		`{"world":"factory","fault":"kernel:pid","severity":"low","detector":"gad","seed":9}`,
+		`{"fault":"state:wp_x","severity":"med","detector":"none","recovery":true}`,
+		`{"fault":"wind","severity":"tiny=5e-324","runs":-1}`,
+		`{"fault":"actuator","severity":" x =1e+21 "}`,
+		`{"fault":"all"}`, `{"fault":"sensor","severity":"low,high"}`, `{"fault":"sensor","map_seed":"seed"}`,
+		`{"fault":"sensor","near_field_stride":-1}`, `{"fault":"sensor","world":"nowhere"}`, `{}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var cs CellSpec
+		if json.Unmarshal(in, &cs) != nil {
+			return
+		}
+		_, spec, err := cs.Spec()
+		if err != nil {
+			return
+		}
+		cells := Cells(spec)
+		if len(cells) != 1 {
+			t.Fatalf("%s names %d cells", in, len(cells))
+		}
+		wire, err := json.Marshal(spec.CellSpec(cells[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back CellSpec
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatal(err)
+		}
+		_, again, err := back.Spec()
+		if err != nil {
+			t.Fatalf("projection %s of %s refused: %v", wire, in, err)
+		}
+		c, c2 := cells[0], Cells(again)[0]
+		if c.Name() != c2.Name() || c.Seed != c2.Seed ||
+			math.Float64bits(c.Severity.Scale) != math.Float64bits(c2.Severity.Scale) {
+			t.Fatalf("%s: cell %s (seed %d, scale %v) came back as %s (seed %d, scale %v)",
+				in, c.Name(), c.Seed, c.Severity.Scale, c2.Name(), c2.Seed, c2.Severity.Scale)
+		}
+		if spec.Runs != again.Runs || spec.Seed != again.Seed || spec.MaxMissionS != again.MaxMissionS ||
+			spec.TrainEnvs != again.TrainEnvs || spec.MapSeed != again.MapSeed || spec.NearFieldStride != again.NearFieldStride {
+			t.Fatalf("%s: knobs changed through the wire: %+v vs %+v", in, spec, again)
 		}
 	})
 }

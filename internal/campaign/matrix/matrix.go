@@ -34,6 +34,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"mavfi/internal/campaign"
 	"mavfi/internal/env"
@@ -147,6 +149,15 @@ func ParseTargets(s string) ([]Target, error) {
 	return out, nil
 }
 
+// worldPresets are the named standard environments World builds; a
+// generated world draws from the rand.Rand it is handed.
+var worldPresets = map[string]func(*rand.Rand) *env.World{
+	"factory": func(*rand.Rand) *env.World { return env.Factory() },
+	"farm":    func(*rand.Rand) *env.World { return env.Farm() },
+	"sparse":  env.Sparse,
+	"dense":   env.Dense,
+}
+
 // World builds one of the named standard environments; a generated world
 // draws from its own fresh rand.Source(1). mavfi, mavfi-replay, mavsim, the
 // job server and the dispatcher resolve world names here, so their matrix
@@ -154,21 +165,13 @@ func ParseTargets(s string) ([]Target, error) {
 // figures do not: experiments.NewContext draws Sparse and then Dense from
 // one rand.Source(Opts.Seed). At the default seed 1 its Sparse world is
 // World("sparse"), but its Dense world is not World("dense"). ROADMAP.md
-// item 2(a) decides which definition wins.
+// item 8(a) decides which definition wins.
 func World(name string) (*env.World, error) {
-	rng := rand.New(rand.NewSource(1))
-	switch name {
-	case "factory":
-		return env.Factory(), nil
-	case "farm":
-		return env.Farm(), nil
-	case "sparse":
-		return env.Sparse(rng), nil
-	case "dense":
-		return env.Dense(rng), nil
-	default:
+	build, ok := worldPresets[name]
+	if !ok {
 		return nil, fmt.Errorf("matrix: unknown env %q", name)
 	}
+	return build(rand.New(rand.NewSource(1))), nil
 }
 
 // Spec describes one campaign matrix. Zero-valued axes fall back to the
@@ -187,17 +190,15 @@ type Spec struct {
 	// [true]); "none" cells always collapse to a single recovery-less entry.
 	Recoveries []bool
 	// MapSeed selects the golden-map mode: "off" (default; every mission
-	// builds its octree from scratch, bit-identical to all prior PRs),
-	// "seed" (approximate mode: one deterministic golden map per world,
-	// built in process before the fan-out — every process that runs the
-	// spec builds its own — and forked at each mission start), or
-	// "memo" ("seed" plus saturated-evidence memoization: rays whose
-	// endpoint evidence is already clamped skip integration entirely —
-	// the headline approximate mode). The mode is deliberately NOT part
-	// of Cell.Name: flipping it never reshuffles cell seeds or fault
-	// schedules, so exact and seeded runs of one spec are the same
-	// missions on different starting maps — which is what the fidelity
-	// study compares.
+	// builds its octree from scratch, bit-identical to all prior PRs) or
+	// "memo" (approximate mode: one deterministic golden map per world,
+	// built in process before the fan-out and forked at each mission
+	// start, plus saturated-evidence memoization: rays whose endpoint
+	// evidence is already clamped skip integration entirely). The mode is
+	// deliberately NOT part of Cell.Name: flipping it never reshuffles cell
+	// seeds or fault schedules, so exact and approximate runs of one spec
+	// are the same missions on different starting maps — which is what the
+	// fidelity study compares.
 	MapSeed string
 	// NearFieldStride, when > 1, forwards pipeline.Config.NearFieldStride
 	// to every mission (approximate mode: near-field ray subsampling).
@@ -243,6 +244,48 @@ type Spec struct {
 // The sharded dispatcher normalizes once up front so the dispatcher, its
 // workers, and the sequential reference all enumerate identical cells.
 func (s Spec) Normalized() Spec { return s.normalized() }
+
+// Check reports the first reason the normalized spec cannot run, or nil.
+// It builds nothing, so RunOn, the campaign server and the dispatcher all
+// call it before any world is built or any mission flies, and refuse a bad
+// spec with the same text.
+func (s Spec) Check() error {
+	s = s.normalized()
+	for _, w := range s.Worlds {
+		if worldPresets[w] == nil {
+			return fmt.Errorf("matrix: unknown env %q", w)
+		}
+	}
+	for _, tg := range s.Targets {
+		if _, _, err := faultinject.ParseTarget(tg.String()); err != nil {
+			return fmt.Errorf("matrix: %w", err)
+		}
+	}
+	// A severity travels to dispatch workers as "name=scale", so the name
+	// must survive ParseSeverities and JSON: no separator, no leading white
+	// space, valid UTF-8.
+	for _, sev := range s.Severities {
+		if sev.Name == "" || strings.ContainsAny(sev.Name, ",=") || !utf8.ValidString(sev.Name) ||
+			strings.TrimLeftFunc(sev.Name, unicode.IsSpace) != sev.Name ||
+			!(sev.Scale > 0) || math.IsInf(sev.Scale, 0) {
+			return fmt.Errorf("matrix: bad severity %q=%v (want a UTF-8 name without ',', '=' or leading space, and a positive finite scale)", sev.Name, sev.Scale)
+		}
+	}
+	for _, d := range s.Detectors {
+		if err := checkDetector(d); err != nil {
+			return err
+		}
+	}
+	switch s.MapSeed {
+	case "off", "memo":
+	default:
+		return fmt.Errorf("matrix: unknown map-seed mode %q (have off, memo)", s.MapSeed)
+	}
+	if s.NearFieldStride < 0 {
+		return fmt.Errorf("matrix: negative near-field stride %d", s.NearFieldStride)
+	}
+	return nil
+}
 
 func (s Spec) normalized() Spec {
 	if len(s.Worlds) == 0 {
@@ -312,21 +355,19 @@ func (c Cell) Name() string {
 
 // drawSpec builds the cell's DrawFault parameterization: the open family
 // spec at the cell's severity over the world's nominal duration, restricted
-// to the cell's kind when one is set.
-func (c Cell) drawSpec(nominalS float64) (faultinject.DrawSpec, error) {
+// to the cell's kind when one is set. Check has accepted the target, so
+// ParseTarget cannot fail here.
+func (c Cell) drawSpec(nominalS float64) faultinject.DrawSpec {
 	spec := faultinject.NewDrawSpec(nominalS, c.Severity.Scale)
 	if c.Kind == "" {
-		return spec, nil
+		return spec
 	}
-	_, restricted, err := faultinject.ParseTarget(c.Target().String())
-	if err != nil {
-		return spec, fmt.Errorf("matrix: cell %s: %w", c.Name(), err)
-	}
+	_, restricted, _ := faultinject.ParseTarget(c.Target().String())
 	spec.Kernel = restricted.Kernel
 	spec.State = restricted.State
 	spec.SensorKind = restricted.SensorKind
 	spec.ActuatorKind = restricted.ActuatorKind
-	return spec, nil
+	return spec
 }
 
 // CellResult is one cell's aggregate: its campaign plus the fault plans its
@@ -414,18 +455,13 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 // matrix` CLI and the campaign server execute, which is what makes the
 // served-equals-CLI byte-identity invariant testable.
 func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
+	if err := spec.Check(); err != nil {
+		return nil, err
+	}
 	spec = spec.normalized()
 	cells := enumerate(spec)
 	if assets == nil {
 		assets = NewAssets()
-	}
-	switch spec.MapSeed {
-	case "off", "seed", "memo":
-	default:
-		return nil, fmt.Errorf("matrix: unknown map-seed mode %q (have off, seed, memo)", spec.MapSeed)
-	}
-	if spec.NearFieldStride < 0 {
-		return nil, fmt.Errorf("matrix: negative near-field stride %d", spec.NearFieldStride)
 	}
 
 	worlds := make(map[string]*env.World, len(spec.Worlds))
@@ -439,7 +475,7 @@ func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
 			return nil, err
 		}
 		worlds[name] = w
-		if spec.MapSeed != "off" {
+		if spec.MapSeed == "memo" {
 			// Golden maps are built (or taken from the asset cache)
 			// sequentially before the fan-out: every worker forks the same
 			// immutable snapshot, so worker width stays unobservable.
@@ -490,10 +526,7 @@ func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
 	plans := make([][]faultinject.FaultPlan, len(cells))
 	for ci, cell := range cells {
 		planRNG := rand.New(rand.NewSource(cell.Seed))
-		drawSpec, err := cell.drawSpec(nominal[cell.World])
-		if err != nil {
-			return nil, err
-		}
+		drawSpec := cell.drawSpec(nominal[cell.World])
 		cellPlans := make([]faultinject.FaultPlan, spec.Runs)
 		for j := range cellPlans {
 			cellPlans[j] = faultinject.DrawFault(cell.Family, drawSpec, counters[cell.World], planRNG)

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -179,5 +180,40 @@ func TestSummaryCSVCountsDegradedOutcomes(t *testing.T) {
 	}
 	if camp.CountOutcome(qof.Panicked) != 1 || camp.CountOutcome(qof.DeadlineExceeded) != 1 {
 		t.Error("CountOutcome miscounts degraded outcomes")
+	}
+}
+
+// TestSingleCellPlansPinned pins the single-cell draw mavfi and
+// mavfi-replay -record share to the plans each of them drew inline before
+// it moved into Assets.SingleCellPlans (sparse, seed 1, three missions):
+// -kernel planner, -state wp_x, -fault sensor and -fault kernel:pid.
+func TestSingleCellPlansPinned(t *testing.T) {
+	a := NewAssets()
+	for _, c := range []struct {
+		kernel, state, fault string
+		want                 string
+	}{
+		{"planner", "", "", `[{"kernel":{"Kernel":4,"Index":377,"Bit":25}},{"kernel":{"Kernel":4,"Index":9,"Bit":35}},{"kernel":{"Kernel":4,"Index":250,"Bit":62}}]`},
+		{"", "wp_x", "", `[{"state":{"State":2,"Time":3.0575765699210353,"Bit":25}},{"state":{"State":2,"Time":8.825695512391196,"Bit":35}},{"state":{"State":2,"Time":7.296259255023881,"Bit":62}}]`},
+		{"", "", "sensor", `[{"sensor":{"kind":1,"onset_s":7.843613393900328,"duration_s":7.3466628414245445,"severity":0.9290210836258899,"dir":{"X":-0.6464614104574173,"Y":0.760444180695953,"Z":0.06174376758076416},"seed":1596323959565325746}},{"sensor":{"kind":0,"onset_s":12.602066659953548,"duration_s":6.12347118670122,"severity":0.9825988042915577,"dir":{"X":0.5447035838469378,"Y":0.8362897544291052,"Z":-0.0625895548890462},"seed":1122612480126659027}},{"sensor":{"kind":2,"onset_s":6.763745470205357,"duration_s":9.314031082640462,"severity":0.9676749120915289,"dir":{"X":0.32886028568630055,"Y":-0.9426588998224131,"Z":0.056965876486917165},"seed":3383401831529293254}}]`},
+		{"", "", "kernel:pid", `[{"kernel":{"Kernel":5,"Index":83,"Bit":56}},{"kernel":{"Kernel":5,"Index":394,"Bit":54}},{"kernel":{"Kernel":5,"Index":16,"Bit":52}}]`},
+	} {
+		plans, err := a.SingleCellPlans("sparse", c.kernel, c.state, c.fault, 1.0, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(plans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != c.want {
+			t.Errorf("kernel=%q state=%q fault=%q:\n got %s\nwant %s", c.kernel, c.state, c.fault, b, c.want)
+		}
+	}
+	if plans, err := a.SingleCellPlans("sparse", "", "", "", 1.0, 3, 1); plans != nil || err != nil {
+		t.Errorf("a nominal cell drew %v, %v", plans, err)
+	}
+	if _, err := a.SingleCellPlans("sparse", "planner", "", "", 1.0, -1, 1); err == nil {
+		t.Error("a negative mission count was accepted")
 	}
 }

@@ -130,8 +130,7 @@ func TestSlotWaitEndsOnCancel(t *testing.T) {
 }
 
 // TestSlotsLeaveOutcomeUnchanged: a pool changes when missions fly, never
-// what they return — including isolated panics. At one worker even the
-// online statistics merge in the same order, so the whole Outcome matches.
+// what they return — including isolated panics.
 func TestSlotsLeaveOutcomeUnchanged(t *testing.T) {
 	base := synthMission(23)
 	mission := func(i int) qof.Metrics {
@@ -154,9 +153,6 @@ func TestSlotsLeaveOutcomeUnchanged(t *testing.T) {
 		}
 		if len(plain.Panics) != 1 || len(pooled.Panics) != 1 || plain.Panics[0].Index != pooled.Panics[0].Index {
 			t.Errorf("workers=%d: panics %+v vs %+v", workers, plain.Panics, pooled.Panics)
-		}
-		if workers == 1 && (plain.FlightTime != pooled.FlightTime || plain.EnergyJ != pooled.EnergyJ) {
-			t.Errorf("one worker: online statistics differ with a pool")
 		}
 	}
 }

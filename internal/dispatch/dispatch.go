@@ -274,7 +274,9 @@ type attempt struct {
 }
 
 // Run executes the matrix across the registered shards and reassembles a
-// Result byte-identical to matrix.Run for the same spec: cells are pure
+// Result byte-identical to matrix.Run for the same spec. A spec that
+// matrix.Spec.Check refuses fails at once with the check's error, before any
+// unit is launched: no retry can make it valid. Cells are pure
 // functions of their identity seeds, so placement, retries, worker deaths,
 // and local fallback are all unobservable in the output. Progress persists
 // crash-safely under Config.StateDir; a canceled or killed dispatcher
@@ -285,6 +287,9 @@ type attempt struct {
 // clears them; Spec.Deadline is likewise cleared — the lease TTL is the
 // dispatch-layer runaway protection, and it never breaks byte-identity.
 func (d *Dispatcher) Run(ctx context.Context, spec matrix.Spec) (*matrix.Result, error) {
+	if err := spec.Check(); err != nil {
+		return nil, err
+	}
 	if !d.running.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("dispatch: a campaign is already running")
 	}
@@ -294,11 +299,6 @@ func (d *Dispatcher) Run(ctx context.Context, spec matrix.Spec) (*matrix.Result,
 	nspec.Progress, nspec.OnMission = nil, nil
 	nspec.RecordDir = ""
 	nspec.Deadline = 0
-	switch nspec.MapSeed {
-	case "off", "seed", "memo":
-	default:
-		return nil, fmt.Errorf("dispatch: unknown map-seed mode %q", nspec.MapSeed)
-	}
 
 	cells := matrix.Cells(nspec)
 	id := campaignID(nspec, cells)
@@ -345,7 +345,7 @@ func (d *Dispatcher) Run(ctx context.Context, spec matrix.Spec) (*matrix.Result,
 			Cell:     pc.idx,
 			Name:     cells[pc.idx].Name(),
 			Token:    tok,
-			Spec:     cellSpec(nspec, cells[pc.idx]),
+			Spec:     nspec.CellSpec(cells[pc.idx]),
 		}
 		l := &lease{token: tok, sh: sh}
 		if sh != nil {
@@ -413,7 +413,7 @@ func (d *Dispatcher) Run(ctx context.Context, spec matrix.Spec) (*matrix.Result,
 			switch {
 			case !d.cfg.DisableLocal && pc.attempts >= maxRemoteAttempts && localBsy == 0:
 				// The cell keeps failing remotely; stop bouncing it.
-				d.logf("dispatch: cell %d failed %d remote attempts; running locally", pc.idx, pc.attempts)
+				d.logf("dispatch: cell %d failed %d attempts; running locally", pc.idx, pc.attempts)
 				launch(pc, nil, now)
 			case sh != nil:
 				launch(pc, sh, now)

@@ -465,3 +465,59 @@ func TestRunHonorsCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestRunRefusesInvalidSpecAtOnce: a spec matrix.Spec.Check refuses fails
+// before any unit is launched, with the check's own text — no retry could
+// make it valid, so the dispatcher must not retry it.
+func TestRunRefusesInvalidSpecAtOnce(t *testing.T) {
+	bad := map[string]func(*matrix.Spec){
+		"world":      func(s *matrix.Spec) { s.Worlds = []string{"bogus"} },
+		"detector":   func(s *matrix.Spec) { s.Detectors = []string{"bogus"} },
+		"stride":     func(s *matrix.Spec) { s.NearFieldStride = -1 },
+		"map-seed":   func(s *matrix.Spec) { s.MapSeed = "seed" },
+		"severity":   func(s *matrix.Spec) { s.Severities = []matrix.Severity{{Name: " high", Scale: 1}} },
+		"fault kind": func(s *matrix.Spec) { s.Targets = []matrix.Target{{Family: faultinject.FamilyWind, Kind: "gust"}} },
+	}
+	for name, mutate := range bad {
+		spec := fakeSpec()
+		mutate(&spec)
+		want := spec.Check()
+		if want == nil {
+			t.Fatalf("%s: the check accepted the spec", name)
+		}
+		fc := newFakeClient()
+		var cellsDone atomic.Int64
+		d := New(Config{
+			Shards:     []string{"a:1"},
+			Client:     fc,
+			OnCellDone: func(int, int) { cellsDone.Add(1) },
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err := d.Run(ctx, spec)
+		cancel()
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Run returned %v, want the check's %q", name, err, want)
+		}
+		if n := fc.totalExecs(); n != 0 {
+			t.Errorf("%s: %d units sent to shards", name, n)
+		}
+		if st := d.Stat(); st.LocalRuns != 0 || cellsDone.Load() != 0 {
+			t.Errorf("%s: %d local runs, %d cells done", name, st.LocalRuns, cellsDone.Load())
+		}
+	}
+}
+
+// TestWorkerRefusesRecordedUnit: a worker records nothing, so a unit that
+// asks for recording is refused before any mission flies.
+func TestWorkerRefusesRecordedUnit(t *testing.T) {
+	w := NewWorker(WorkerConfig{Workers: 1})
+	unit := WorkUnit{Campaign: "c", Name: "sparse-wind-high-none-norec",
+		Spec: matrix.CellSpec{World: "sparse", Fault: "wind", Runs: 1, Record: true}}
+	if _, err := w.Exec(context.Background(), unit); err == nil {
+		t.Fatal("a unit asking for recording was executed")
+	}
+	unit.Spec.Record = false
+	if _, err := w.Exec(context.Background(), unit); err != nil {
+		t.Fatalf("the same unit without recording: %v", err)
+	}
+}

@@ -19,95 +19,11 @@
 package dispatch
 
 import (
-	"fmt"
-
 	"mavfi/internal/campaign"
 	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/faultinject"
 	"mavfi/internal/qof"
 )
-
-// CellSpec is the wire form of one dispatched matrix cell: the cell's axis
-// coordinates plus the campaign-wide knobs a worker needs to reproduce the
-// cell exactly as the full matrix would have run it. Everything in here is
-// part of the cell's identity or a deterministic input, so two shards given
-// the same CellSpec return bit-identical results.
-type CellSpec struct {
-	// World is the environment name.
-	World string `json:"world"`
-	// Fault is the cell's fault target, "family[:kind]".
-	Fault string `json:"fault"`
-	// SeverityName and SeverityScale carry the severity coordinate verbatim
-	// (names may be custom "name=scale" pairs, so both halves ship).
-	SeverityName  string  `json:"severity_name"`
-	SeverityScale float64 `json:"severity_scale"`
-	// Detector and Recovery are the remaining axis coordinates.
-	Detector string `json:"detector"`
-	Recovery bool   `json:"recovery"`
-	// Runs is missions per cell; Seed is the MATRIX seed (the cell seed
-	// derives from it and the cell name on both sides identically).
-	Runs int   `json:"runs"`
-	Seed int64 `json:"seed"`
-	// MaxMissionS, TrainEnvs, MapSeed, NearFieldStride are the campaign-wide
-	// execution knobs that participate in determinism.
-	MaxMissionS     float64 `json:"max_mission_s,omitempty"`
-	TrainEnvs       int     `json:"train_envs"`
-	MapSeed         string  `json:"map_seed,omitempty"`
-	NearFieldStride int     `json:"near_field_stride,omitempty"`
-}
-
-// cellSpec projects one enumerated cell of a normalized spec onto the wire.
-func cellSpec(spec matrix.Spec, c matrix.Cell) CellSpec {
-	return CellSpec{
-		World:           c.World,
-		Fault:           c.Target().String(),
-		SeverityName:    c.Severity.Name,
-		SeverityScale:   c.Severity.Scale,
-		Detector:        c.Detector,
-		Recovery:        c.Recovery,
-		Runs:            spec.Runs,
-		Seed:            spec.Seed,
-		MaxMissionS:     spec.MaxMissionS,
-		TrainEnvs:       spec.TrainEnvs,
-		MapSeed:         spec.MapSeed,
-		NearFieldStride: spec.NearFieldStride,
-	}
-}
-
-// matrixSpec rebuilds the single-cell matrix.Spec the worker executes — the
-// same Spec shape the campaign server builds for a served job, so the
-// dispatched path inherits the served-equals-CLI byte-identity contract.
-func (cs CellSpec) matrixSpec() (matrix.Spec, error) {
-	if cs.World == "" || cs.Fault == "" {
-		return matrix.Spec{}, fmt.Errorf("dispatch: cell spec needs world and fault")
-	}
-	if _, err := matrix.World(cs.World); err != nil {
-		return matrix.Spec{}, err
-	}
-	targets, err := matrix.ParseTargets(cs.Fault)
-	if err != nil {
-		return matrix.Spec{}, err
-	}
-	if len(targets) != 1 {
-		return matrix.Spec{}, fmt.Errorf("dispatch: cell spec has %d fault targets, want 1", len(targets))
-	}
-	if cs.SeverityName == "" || !(cs.SeverityScale > 0) {
-		return matrix.Spec{}, fmt.Errorf("dispatch: bad severity %q=%v", cs.SeverityName, cs.SeverityScale)
-	}
-	return matrix.Spec{
-		Worlds:          []string{cs.World},
-		Targets:         targets,
-		Severities:      []matrix.Severity{{Name: cs.SeverityName, Scale: cs.SeverityScale}},
-		Detectors:       []string{cs.Detector},
-		Recoveries:      []bool{cs.Recovery},
-		Runs:            cs.Runs,
-		Seed:            cs.Seed,
-		MaxMissionS:     cs.MaxMissionS,
-		TrainEnvs:       cs.TrainEnvs,
-		MapSeed:         cs.MapSeed,
-		NearFieldStride: cs.NearFieldStride,
-	}, nil
-}
 
 // WorkUnit is one leased cell assignment: what the dispatcher POSTs to a
 // worker's /exec endpoint.
@@ -124,8 +40,10 @@ type WorkUnit struct {
 	// longer the cell's live lease is discarded, which is what makes a
 	// zombie worker finishing after its lease expired harmless.
 	Token uint64 `json:"token"`
-	// Spec is the cell to execute.
-	Spec CellSpec `json:"spec"`
+	// Spec is the cell to execute, in the single-cell form the campaign
+	// server's jobs use: Spec.CellSpec projects it from the dispatcher's
+	// enumeration, and the worker re-parses it to the same cell.
+	Spec matrix.CellSpec `json:"spec"`
 }
 
 // WorkResult is a worker's reply to one WorkUnit: the cell's mission

@@ -47,25 +47,21 @@ func (w *Worker) Exec(ctx context.Context, unit WorkUnit) (*WorkResult, error) {
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
 
-	spec, err := unit.Spec.matrixSpec()
+	if unit.Spec.Record {
+		return nil, fmt.Errorf("dispatch: unit %s asks for recording, which a worker does not do", unit.Name)
+	}
+	_, spec, err := unit.Spec.Spec()
 	if err != nil {
 		return nil, err
 	}
-	cells := matrix.Cells(spec)
-	if len(cells) != 1 {
-		return nil, fmt.Errorf("dispatch: unit %s expands to %d cells, want 1", unit.Name, len(cells))
-	}
-	if unit.Name != "" && cells[0].Name() != unit.Name {
-		return nil, fmt.Errorf("dispatch: unit cell name %q does not match spec cell %q", unit.Name, cells[0].Name())
+	if name := matrix.Cells(spec)[0].Name(); unit.Name != "" && name != unit.Name {
+		return nil, fmt.Errorf("dispatch: unit cell name %q does not match spec cell %q", unit.Name, name)
 	}
 	spec.Workers = w.cfg.Workers
 
 	res, err := matrix.RunOn(ctx, spec, w.assets)
 	if err != nil {
 		return nil, err
-	}
-	if len(res.Cells) != 1 {
-		return nil, fmt.Errorf("dispatch: unit %s produced %d cells, want 1", unit.Name, len(res.Cells))
 	}
 	cr := res.Cells[0]
 	return &WorkResult{

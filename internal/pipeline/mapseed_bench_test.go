@@ -33,11 +33,11 @@ func BenchmarkBuildMapSeed(b *testing.B) {
 
 // BenchmarkCampaignCell is the PR 9 headline: one campaign cell's worth of
 // missions (six seeds on the sparse world) flown cold (every mission builds
-// its octree from scratch) versus seeded (every mission forks the world's
-// golden map) versus seeded with near-field ray subsampling. The golden map
-// is built outside the timer — campaigns amortize it across a whole cell,
-// so the fair comparison is mission cost alone. make bench-seed records the
-// three rows in BENCH_PR9.json.
+// its octree from scratch) versus memo (every mission forks the world's
+// golden map and skips rays whose evidence is saturated), with and without
+// near-field ray subsampling. The golden map is built outside the timer —
+// campaigns amortize it across a whole cell, so the fair comparison is
+// mission cost alone. make bench-seed runs the three rows.
 func BenchmarkCampaignCell(b *testing.B) {
 	w := env.Sparse(rand.New(rand.NewSource(42)))
 	missionSeeds := []int64{1, 2, 3, 9, 11, 17}
@@ -51,16 +51,6 @@ func BenchmarkCampaignCell(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) { cell(b, nil, 0, false) })
-	b.Run("seeded", func(b *testing.B) {
-		seed := pipeline.BuildMapSeed(w)
-		b.ResetTimer()
-		cell(b, seed, 0, false)
-	})
-	b.Run("seeded-near2", func(b *testing.B) {
-		seed := pipeline.BuildMapSeed(w)
-		b.ResetTimer()
-		cell(b, seed, 2, false)
-	})
 	b.Run("memo", func(b *testing.B) {
 		seed := pipeline.BuildMapSeed(w)
 		b.ResetTimer()

@@ -120,18 +120,6 @@ type Campaign struct {
 // Add appends one mission result.
 func (c *Campaign) Add(m Metrics) { c.Results = append(c.Results, m) }
 
-// Merge folds another campaign shard into c, as if every one of o's missions
-// had been Added here. All campaign statistics (N, SuccessRate, the
-// flight-time and energy populations and their summaries) are functions of
-// the result multiset, so the merge order of shards does not affect them —
-// parallel workers can each build a shard and merge in completion order.
-func (c *Campaign) Merge(o *Campaign) {
-	if o == nil {
-		return
-	}
-	c.Results = append(c.Results, o.Results...)
-}
-
 // N returns the number of missions recorded.
 func (c *Campaign) N() int { return len(c.Results) }
 

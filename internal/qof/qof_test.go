@@ -2,7 +2,6 @@ package qof
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -96,60 +95,5 @@ func TestRecoveredFraction(t *testing.T) {
 			t.Errorf("RecoveredFraction(%v,%v,%v) = %v, want %v",
 				cse.golden, cse.injected, cse.protected, got, cse.want)
 		}
-	}
-}
-
-func TestCampaignMergeOrderIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Build shards of random sizes with random mission outcomes.
-	shards := make([]*Campaign, 7)
-	for s := range shards {
-		shards[s] = &Campaign{Name: "shard"}
-		for i := 0; i < 5+rng.Intn(20); i++ {
-			m := Metrics{
-				FlightTimeS: 50 + rng.Float64()*200,
-				EnergyJ:     rng.Float64() * 1e5,
-				ComputeS:    1 + rng.Float64(),
-				DetectS:     rng.Float64() * 0.1,
-			}
-			if rng.Float64() < 0.3 {
-				m.Outcome = Outcome(1 + rng.Intn(3))
-			}
-			shards[s].Add(m)
-		}
-	}
-	merge := func(order []int) *Campaign {
-		c := &Campaign{Name: "merged"}
-		for _, s := range order {
-			c.Merge(shards[s])
-		}
-		return c
-	}
-	ref := merge([]int{0, 1, 2, 3, 4, 5, 6})
-	for trial := 0; trial < 20; trial++ {
-		order := rng.Perm(len(shards))
-		got := merge(order)
-		if got.N() != ref.N() {
-			t.Fatalf("order %v: n=%d want %d", order, got.N(), ref.N())
-		}
-		if got.SuccessRate() != ref.SuccessRate() {
-			t.Errorf("order %v: success %v want %v", order, got.SuccessRate(), ref.SuccessRate())
-		}
-		// Summaries compute over the sorted population: exactly equal.
-		if got.FlightTimeSummary() != ref.FlightTimeSummary() {
-			t.Errorf("order %v: flight-time summary differs", order)
-		}
-		// Mean overhead sums floats in result order; equal up to
-		// reassociation.
-		if math.Abs(got.MeanOverheadFrac()-ref.MeanOverheadFrac()) > 1e-12 {
-			t.Errorf("order %v: overhead %v want %v", order, got.MeanOverheadFrac(), ref.MeanOverheadFrac())
-		}
-	}
-	// Merging nil or empty shards is a no-op.
-	before := ref.N()
-	ref.Merge(nil)
-	ref.Merge(&Campaign{})
-	if ref.N() != before {
-		t.Errorf("nil/empty merge changed n to %d", ref.N())
 	}
 }

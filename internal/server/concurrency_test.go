@@ -177,8 +177,12 @@ func waitState(t *testing.T, s *Server, id string, state JobState) {
 // TestStatusJSONRoundTrips pins the wire shape: a status marshals and
 // unmarshals without losing fields (guards the CI smoke job's jq paths).
 func TestStatusJSONRoundTrips(t *testing.T) {
+	spec, _, err := testSpec().Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := Status{ID: "job-0001", State: JobDone, Cell: "sparse-sensor-high-none", CellSeed: 7,
-		Spec: testSpec().normalized(), Done: 3, Total: 3,
+		Spec: spec, Done: 3, Total: 3,
 		Missions: []MissionEvent{{Mission: 0, Seed: 99, Outcome: "success", FlightTimeS: 1.5}}}
 	b, err := json.Marshal(st)
 	if err != nil {

@@ -1,135 +1,16 @@
 package server
 
 import (
-	"fmt"
 	"sync"
 
 	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/qof"
 )
 
-// JobSpec is the wire form of one campaign job (the POST /jobs body): one
-// campaign-matrix cell. Every field maps one-to-one onto a `mavfi matrix`
-// flag, which is what makes the served-equals-CLI byte-identity invariant
-// well-defined: a job's cell CSV and summary CSV are byte-identical to
-//
-//	mavfi matrix -worlds WORLD -families FAULT -severities SEVERITY \
-//	             -detectors DETECTOR -recoveries on|off -runs RUNS -seed SEED
-//
-// at any worker width.
-type JobSpec struct {
-	// World is the environment name (factory, farm, sparse, dense; default
-	// sparse).
-	World string `json:"world,omitempty"`
-	// Fault is the fault target, "family[:kind]" (required): kernel, state,
-	// sensor, actuator, wind, optionally restricted to one mechanism
-	// (e.g. "sensor:ray_dropout").
-	Fault string `json:"fault"`
-	// Severity is one severity level: "low", "med", "high", or
-	// "name=scale" (default "high").
-	Severity string `json:"severity,omitempty"`
-	// Detector is "none", "gad", or "aad" (default "none").
-	Detector string `json:"detector,omitempty"`
-	// Recovery enables recovery actions for detector-bearing jobs
-	// (ignored — collapsed off — when Detector is "none").
-	Recovery bool `json:"recovery,omitempty"`
-	// Runs is the number of missions (default 4).
-	Runs int `json:"runs,omitempty"`
-	// Seed is the campaign seed the cell and mission seeds derive from.
-	Seed int64 `json:"seed,omitempty"`
-	// MaxMissionS overrides the mission time budget (0 = pipeline default).
-	MaxMissionS float64 `json:"max_mission_s,omitempty"`
-	// TrainEnvs is the training-environment count for gad/aad (default 12).
-	TrainEnvs int `json:"train_envs,omitempty"`
-	// MapSeed selects the golden-map mode: "off" (default, exact), "seed"
-	// (approximate mode: missions fork the world's golden map, built on
-	// first use into the server's warm assets), or "memo" ("seed" plus
-	// saturated-evidence memoization).
-	MapSeed string `json:"map_seed,omitempty"`
-	// NearFieldStride, when > 1, enables near-field ray subsampling
-	// (approximate mode).
-	NearFieldStride int `json:"near_field_stride,omitempty"`
-	// Record persists every mission as a replayable recording under the
-	// server's -record-dir; recorded jobs survive server restarts.
-	Record bool `json:"record,omitempty"`
-}
-
-// normalized fills the spec's defaults (mirroring the matrix CLI flag
-// defaults) so the persisted job.json pins the effective configuration.
-func (js JobSpec) normalized() JobSpec {
-	if js.World == "" {
-		js.World = "sparse"
-	}
-	if js.Severity == "" {
-		js.Severity = "high"
-	}
-	if js.Detector == "" {
-		js.Detector = "none"
-	}
-	if js.Runs <= 0 {
-		js.Runs = 4
-	}
-	if js.TrainEnvs <= 0 {
-		js.TrainEnvs = 12
-	}
-	if js.MapSeed == "" {
-		js.MapSeed = "off"
-	}
-	return js
-}
-
-// matrixSpec converts the job into its single-cell matrix specification —
-// the exact Spec the equivalent CLI invocation builds, which is the shared
-// code path the byte-identity invariant rests on.
-func (js JobSpec) matrixSpec() (matrix.Spec, error) {
-	js = js.normalized()
-	if _, err := matrix.World(js.World); err != nil {
-		return matrix.Spec{}, err
-	}
-	if js.Fault == "" {
-		return matrix.Spec{}, fmt.Errorf("server: job needs a fault target (family[:kind])")
-	}
-	targets, err := matrix.ParseTargets(js.Fault)
-	if err != nil {
-		return matrix.Spec{}, err
-	}
-	if len(targets) != 1 {
-		return matrix.Spec{}, fmt.Errorf("server: a job is one cell; got %d fault targets", len(targets))
-	}
-	sevs, err := matrix.ParseSeverities(js.Severity)
-	if err != nil {
-		return matrix.Spec{}, err
-	}
-	if len(sevs) != 1 {
-		return matrix.Spec{}, fmt.Errorf("server: a job is one cell; got %d severities", len(sevs))
-	}
-	switch js.Detector {
-	case "none", "gad", "aad":
-	default:
-		return matrix.Spec{}, fmt.Errorf("server: unknown detector %q (have none, gad, aad)", js.Detector)
-	}
-	switch js.MapSeed {
-	case "off", "seed", "memo":
-	default:
-		return matrix.Spec{}, fmt.Errorf("server: unknown map-seed mode %q (have off, seed, memo)", js.MapSeed)
-	}
-	if js.NearFieldStride < 0 {
-		return matrix.Spec{}, fmt.Errorf("server: negative near-field stride %d", js.NearFieldStride)
-	}
-	return matrix.Spec{
-		Worlds:          []string{js.World},
-		Targets:         targets,
-		Severities:      sevs,
-		Detectors:       []string{js.Detector},
-		Recoveries:      []bool{js.Recovery},
-		Runs:            js.Runs,
-		Seed:            js.Seed,
-		MaxMissionS:     js.MaxMissionS,
-		TrainEnvs:       js.TrainEnvs,
-		MapSeed:         js.MapSeed,
-		NearFieldStride: js.NearFieldStride,
-	}, nil
-}
+// JobSpec is the wire form of one campaign job (the POST /jobs body and
+// the job.json spec): one campaign-matrix cell in the single-cell form
+// matrix.CellSpec, which the dispatcher's work units carry too.
+type JobSpec = matrix.CellSpec
 
 // JobState is a job's lifecycle state.
 type JobState string
@@ -204,6 +85,10 @@ type Job struct {
 	// Cell is the job's matrix cell (identity, seed, CSV naming).
 	Cell matrix.Cell
 
+	// run is the checked one-cell matrix.Spec the job flies; set by newJob
+	// and never written again.
+	run matrix.Spec
+
 	// recordDir is the job's recording directory ("" = unrecorded). It is
 	// set by newJob and never written again, so the executor reads it
 	// without j.mu.
@@ -221,12 +106,13 @@ type Job struct {
 	finished  chan struct{} // closed when the state turns terminal
 }
 
-// newJob builds a queued job.
-func newJob(id string, spec JobSpec, cell matrix.Cell, recordDir string) *Job {
+// newJob builds a queued job from the two halves JobSpec.Spec returns.
+func newJob(id string, spec JobSpec, run matrix.Spec, recordDir string) *Job {
 	return &Job{
 		ID:        id,
 		Spec:      spec,
-		Cell:      cell,
+		Cell:      matrix.Cells(run)[0],
+		run:       run,
 		recordDir: recordDir,
 		state:     JobQueued,
 		subs:      make(map[chan MissionEvent]struct{}),

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"mavfi/internal/campaign/matrix"
 )
 
 // TestStreamKeepalive pins the SSE idle-stream contract: a stream with no
@@ -22,12 +20,11 @@ func TestStreamKeepalive(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// Plant a queued job by hand so the stream stays idle forever: no
 	// executor ever picks it up, so the only traffic is keepalives.
-	spec := testSpec()
-	mspec, err := spec.matrixSpec()
+	spec, run, err := testSpec().Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob("job-9999", spec, matrix.Cells(mspec)[0], "")
+	j := newJob("job-9999", spec, run, "")
 	s.mu.Lock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)

@@ -12,17 +12,17 @@ import (
 )
 
 // TestSeededJobMatchesCLIAndPersistsSeed extends the served-equals-CLI gate
-// to approximate mode: a map_seed=seed job served over HTTP by a recording
-// server must produce the CSV bytes the equivalent seeded CLI matrix run
-// produces.
+// to approximate mode: a map_seed=memo job, whose missions fork the world's
+// golden-map seed, served over HTTP by a recording server must produce the
+// CSV bytes the equivalent CLI matrix run produces.
 func TestSeededJobMatchesCLIAndPersistsSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real missions")
 	}
 	spec := testSpec()
-	spec.MapSeed = "seed"
+	spec.MapSeed = "memo"
 	spec.NearFieldStride = 2
-	mspec, err := spec.matrixSpec()
+	_, mspec, err := spec.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,15 +46,17 @@ func TestSeededJobMatchesCLIAndPersistsSeed(t *testing.T) {
 		t.Fatalf("cell.csv: status %d", code)
 	}
 	if cell != ref.Cells[0].CSV() {
-		t.Errorf("seeded served cell CSV differs from CLI bytes:\nserved:\n%s\ncli:\n%s", cell, ref.Cells[0].CSV())
+		t.Errorf("memo served cell CSV differs from CLI bytes:\nserved:\n%s\ncli:\n%s", cell, ref.Cells[0].CSV())
 	}
 }
 
 // TestRecordDirFromOlderBuildBoots pins a record dir written by an older
-// build, which cached golden maps in a mapseeds directory beside the jobs.
-// That directory has no job.json, so recovery skips it without counting a
-// failure; the recorded job beside it recovers; and a memo job builds its
-// golden map in memory and finishes.
+// build, which cached golden maps in a mapseeds directory beside the jobs
+// and could record jobs in the retired map_seed=seed mode. The mapseeds
+// directory has no job.json, so recovery skips it without counting a
+// failure; the seed-mode job is refused, skipped and counted; the recorded
+// job beside them recovers; and a memo job builds its golden map in memory
+// and finishes.
 func TestRecordDirFromOlderBuildBoots(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
@@ -80,6 +82,14 @@ func TestRecordDirFromOlderBuildBoots(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(old, "sparse.mapseed"), []byte("MAVFISEED\x02 from an older build"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	seeded := filepath.Join(dir, "job-0009")
+	if err := os.Mkdir(seeded, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	man := `{"id":"job-0009","spec":{"world":"sparse","fault":"sensor","severity":"high","detector":"none","runs":1,"seed":42,"train_envs":12,"map_seed":"seed"}}`
+	if err := os.WriteFile(filepath.Join(seeded, "job.json"), []byte(man), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, ts := newTestServer(t, Config{Workers: 1, RecordDir: dir})
 	rec, ok := s2.Job(j.ID)
@@ -97,36 +107,43 @@ func TestRecordDirFromOlderBuildBoots(t *testing.T) {
 		t.Fatalf("memo job: status %d state %q (error: %s)", code, st.State, st.Error)
 	}
 	metrics, _ := getBody(t, ts, "/metrics")
-	for _, want := range []string{"mavfi_jobs_recovered_total 1\n", "mavfi_jobs_recover_failed_total 0\n"} {
+	if _, ok := s2.Job("job-0009"); ok {
+		t.Error("a map_seed=seed job was recovered")
+	}
+	for _, want := range []string{"mavfi_jobs_recovered_total 1\n", "mavfi_jobs_recover_failed_total 1\n"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 		}
 	}
 }
 
-// TestJobSpecRejectsBadMapSeed pins wire validation of the new fields.
+// TestJobSpecRejectsBadMapSeed pins wire validation of the approximate-mode
+// fields: an unknown or retired map_seed and a negative stride are refused,
+// memo and a stride are forwarded, and map_seed defaults to off.
 func TestJobSpecRejectsBadMapSeed(t *testing.T) {
-	bad := testSpec()
-	bad.MapSeed = "warp"
-	if _, err := bad.matrixSpec(); err == nil {
-		t.Error("unknown map_seed accepted")
+	for _, mode := range []string{"warp", "seed"} {
+		bad := testSpec()
+		bad.MapSeed = mode
+		if _, _, err := bad.Spec(); err == nil {
+			t.Errorf("map_seed %q accepted", mode)
+		}
 	}
 	neg := testSpec()
 	neg.NearFieldStride = -1
-	if _, err := neg.matrixSpec(); err == nil {
+	if _, _, err := neg.Spec(); err == nil {
 		t.Error("negative near_field_stride accepted")
 	}
 	ok := testSpec()
-	ok.MapSeed = "seed"
+	ok.MapSeed = "memo"
 	ok.NearFieldStride = 4
-	mspec, err := ok.matrixSpec()
+	_, mspec, err := ok.Spec()
 	if err != nil {
-		t.Fatalf("valid seeded spec rejected: %v", err)
+		t.Fatalf("valid memo spec rejected: %v", err)
 	}
-	if mspec.MapSeed != "seed" || mspec.NearFieldStride != 4 {
-		t.Errorf("seeded fields not forwarded: %+v", mspec)
+	if mspec.MapSeed != "memo" || mspec.NearFieldStride != 4 {
+		t.Errorf("approximate-mode fields not forwarded: %+v", mspec)
 	}
-	if def := (testSpec()).normalized(); def.MapSeed != "off" {
+	if def, _, _ := testSpec().Spec(); def.MapSeed != "off" {
 		t.Errorf("default map_seed = %q, want off", def.MapSeed)
 	}
 }

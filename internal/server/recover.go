@@ -88,15 +88,10 @@ func (s *Server) recoverJob(dir string) (*Job, error) {
 	if err := json.Unmarshal(b, &man); err != nil {
 		return nil, fmt.Errorf("decoding job.json: %w", err)
 	}
-	mspec, err := man.Spec.matrixSpec()
+	spec, mspec, err := man.Spec.Spec()
 	if err != nil {
 		return nil, fmt.Errorf("manifest spec: %w", err)
 	}
-	cells := matrix.Cells(mspec)
-	if len(cells) != 1 {
-		return nil, fmt.Errorf("manifest spec expands to %d cells, want 1", len(cells))
-	}
-	cell := cells[0]
 
 	infos, err := record.ScanDir(dir)
 	if err != nil {
@@ -107,13 +102,14 @@ func (s *Server) recoverJob(dir string) (*Job, error) {
 		byPath[info.Path] = info
 	}
 
-	j := newJob(man.ID, man.Spec, cell, dir)
+	j := newJob(man.ID, spec, mspec, dir)
 	j.recovered = true
+	cell := j.Cell
 
-	results := make([]qof.Metrics, man.Spec.Runs)
-	plans := make([]faultinject.FaultPlan, man.Spec.Runs)
+	results := make([]qof.Metrics, spec.Runs)
+	plans := make([]faultinject.FaultPlan, spec.Runs)
 	complete := true
-	for i := 0; i < man.Spec.Runs; i++ {
+	for i := 0; i < spec.Runs; i++ {
 		info, ok := byPath[record.MissionPath(dir, i)]
 		if !ok || !info.Complete {
 			complete = false
@@ -131,7 +127,7 @@ func (s *Server) recoverJob(dir string) (*Job, error) {
 	}
 	if !complete {
 		j.finish(JobInterrupted,
-			fmt.Sprintf("recovered with %d/%d recorded missions; resubmit to re-run", len(j.events), man.Spec.Runs), nil)
+			fmt.Sprintf("recovered with %d/%d recorded missions; resubmit to re-run", len(j.events), spec.Runs), nil)
 		return j, nil
 	}
 	res := &matrix.Result{

@@ -189,14 +189,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
-	spec = spec.normalized()
-	mspec, err := spec.matrixSpec()
+	spec, run, err := spec.Spec()
 	if err != nil {
 		return nil, err
-	}
-	cells := matrix.Cells(mspec)
-	if len(cells) != 1 {
-		return nil, fmt.Errorf("server: job spec expands to %d cells, want 1", len(cells))
 	}
 	if spec.Record && s.cfg.RecordDir == "" {
 		return nil, fmt.Errorf("server: job asks for recording but the server has no -record-dir")
@@ -229,7 +224,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 			recordDir = ""
 		}
 	}
-	j := newJob(id, spec, cells[0], recordDir)
+	j := newJob(id, spec, run, recordDir)
 	s.queue <- j
 	s.next++
 	s.jobs[id] = j
@@ -317,12 +312,7 @@ func (s *Server) executor() {
 // runJob executes one dequeued job through matrix.RunOn on the shared warm
 // assets and slots, and moves it to its terminal state.
 func (s *Server) runJob(j *Job) {
-	spec, err := j.Spec.matrixSpec()
-	if err != nil { // validated at submit; unreachable in practice
-		s.metrics.jobsFailed.Add(1)
-		j.finish(JobFailed, err.Error(), nil)
-		return
-	}
+	spec := j.run
 	spec.Workers = s.cfg.Workers
 	spec.Slots = s.slots
 	spec.Deadline = s.cfg.Deadline

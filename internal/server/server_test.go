@@ -97,7 +97,7 @@ func TestServedJobMatchesCLIByteIdentity(t *testing.T) {
 		t.Skip("runs real missions")
 	}
 	spec := testSpec()
-	mspec, err := spec.matrixSpec()
+	_, mspec, err := spec.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +253,30 @@ func TestSubmitValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %+v: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	// The spec check's refusals reach the client verbatim: the text
+	// `mavfi matrix` prints for the same flags.
+	for _, c := range []struct {
+		job  JobSpec
+		spec matrix.Spec
+	}{
+		{JobSpec{Fault: "sensor", World: "bogus"}, matrix.Spec{Worlds: []string{"bogus"}}},
+		{JobSpec{Fault: "sensor", Detector: "bogus"}, matrix.Spec{Detectors: []string{"bogus"}}},
+		{JobSpec{Fault: "sensor", NearFieldStride: -1}, matrix.Spec{NearFieldStride: -1}},
+		{JobSpec{Fault: "sensor", MapSeed: "seed"}, matrix.Spec{MapSeed: "seed"}},
+	} {
+		want := c.spec.Check()
+		body, _ := json.Marshal(c.job)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || want == nil || got.Error != want.Error() {
+			t.Errorf("spec %+v: status %d error %q, want 400 %v", c.job, resp.StatusCode, got.Error, want)
 		}
 	}
 	// Unknown JSON fields are rejected too (catches CLI/API drift).

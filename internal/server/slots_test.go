@@ -86,7 +86,7 @@ func TestOverlappingJobsMatchCLI(t *testing.T) {
 	specs := []JobSpec{first, second}
 	var refCell, refSummary [2]string
 	for k, spec := range specs {
-		mspec, err := spec.matrixSpec()
+		_, mspec, err := spec.Spec()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,36 +86,6 @@ func TestWelfordInRange(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 7
-	}
-	var all, a, b Welford
-	for i, x := range xs {
-		all.Add(x)
-		if i < 120 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged n=%d want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 || math.Abs(a.Std()-all.Std()) > 1e-9 {
-		t.Errorf("merge: mean %v/%v std %v/%v", a.Mean(), all.Mean(), a.Std(), all.Std())
-	}
-	// Merge into empty.
-	var empty Welford
-	empty.Merge(&all)
-	if empty.N() != all.N() || empty.Mean() != all.Mean() {
-		t.Error("merge into empty lost data")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
@@ -221,42 +191,5 @@ func TestMeanMaxMin(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
 		t.Error("empty-slice helpers should return 0")
-	}
-}
-
-// TestWelfordMergePartitionOrderIndependence is the property the parallel
-// campaign engine rests on: folding any partition of a sample stream into
-// per-shard accumulators and merging them — in any order — agrees with the
-// sequential accumulation, up to floating-point reassociation.
-func TestWelfordMergePartitionOrderIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-	}
-	var seq Welford
-	for _, x := range xs {
-		seq.Add(x)
-	}
-	for trial := 0; trial < 25; trial++ {
-		// Random partition into 1..8 shards.
-		k := 1 + rng.Intn(8)
-		shards := make([]Welford, k)
-		for _, x := range xs {
-			shards[rng.Intn(k)].Add(x)
-		}
-		var merged Welford
-		for _, s := range rng.Perm(k) {
-			merged.Merge(&shards[s])
-		}
-		if merged.N() != seq.N() {
-			t.Fatalf("trial %d: n=%d want %d", trial, merged.N(), seq.N())
-		}
-		if math.Abs(merged.Mean()-seq.Mean()) > 1e-9 {
-			t.Errorf("trial %d: mean %v want %v", trial, merged.Mean(), seq.Mean())
-		}
-		if math.Abs(merged.Var()-seq.Var()) > 1e-9 {
-			t.Errorf("trial %d: var %v want %v", trial, merged.Var(), seq.Var())
-		}
 	}
 }

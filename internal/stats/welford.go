@@ -89,21 +89,3 @@ func (w *Welford) State() (n int, mean, s float64) { return w.n, w.m, w.s }
 
 // Restore reinstates a previously exported accumulator state.
 func (w *Welford) Restore(n int, mean, s float64) { w.n, w.m, w.s = n, mean, s }
-
-// Merge folds the statistics of o into w, as if all of o's samples had been
-// Added to w (Chan et al. parallel combination).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	na, nb := float64(w.n), float64(o.n)
-	delta := o.m - w.m
-	n := na + nb
-	w.m += delta * nb / n
-	w.s += o.s + delta*delta*na*nb/n
-	w.n += o.n
-}
