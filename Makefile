@@ -42,7 +42,7 @@ race-freelist:
 # engine scaling curve, and the perception micro-benchmarks, and records the
 # machine-readable perf trajectory in $(BENCH_JSON) (benchmark → ns/op,
 # allocs/op, custom metrics). Scale campaigns with MAVFI_BENCH_RUNS.
-BENCH_JSON ?= BENCH_PR20.json
+BENCH_JSON ?= BENCH_PR24.json
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./... > $(BENCH_JSON).raw
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < $(BENCH_JSON).raw
@@ -80,11 +80,13 @@ bench-seed:
 
 # bench-probes is the collision-probe regression smoke: one iteration each of
 # the octomap segment queries the PR 5 fused walker + occupancy summary
-# optimised, planner-length segments and the collision check's look-ahead
-# replayed from recorded missions (where FirstBlocked steps over zero-count
-# blocks), so a probe-path regression fails as its own CI step.
+# optimised, planner-length segments (anywhere, and in the cruise band over
+# a mapped floor, where the prescan answers by z-layer) and the collision
+# check's look-ahead replayed from recorded missions (where FirstBlocked
+# steps over blocks whose crossed layers are empty), so a probe-path
+# regression fails as its own CI step.
 bench-probes:
-	$(GO) test -bench 'Benchmark(SegmentFree|FirstBlocked|FirstBlockedLookahead)$$' -benchtime=1x -run '^$$' ./internal/octomap
+	$(GO) test -bench 'Benchmark(SegmentFree|SegmentFreeCruise|FirstBlocked|FirstBlockedLookahead)$$' -benchtime=1x -run '^$$' ./internal/octomap
 
 # docs-check is the CI documentation gate: every internal/ package must have
 # a godoc package comment, and relative Markdown links in *.md and docs/
@@ -274,6 +276,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseSeverities$$' -fuzztime=5s ./internal/campaign/matrix
 	$(GO) test -run=NONE -fuzz='^FuzzCellSpec$$' -fuzztime=10s ./internal/campaign/matrix
 	$(GO) test -run=NONE -fuzz='^FuzzBlockExit$$' -fuzztime=10s ./internal/octomap
+	$(GO) test -run=NONE -fuzz='^FuzzBundleKeys$$' -fuzztime=10s ./internal/octomap
 
 # cover is the CI coverage gate: short-mode statement coverage over every
 # internal/ and cmd/ package, failing below the floor measured when the gate

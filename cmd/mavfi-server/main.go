@@ -95,7 +95,7 @@ func main() {
 			os.Exit(2)
 		}
 		runDispatch(*addr, *csvDir, spec, dispatch.Config{
-			Shards:       strings.Fields(strings.ReplaceAll(*shards, ",", " ")),
+			Shards:       matrix.SplitList(*shards),
 			LeaseTTL:     *lease,
 			DisableLocal: *noLocal,
 			StateDir:     *stateDir,
@@ -145,16 +145,12 @@ func advertiseAddr(override string, bound net.Addr) string {
 
 // runService is the default campaign-service mode.
 func runService(addr string, queue, workers int, recordDir string, deadline time.Duration, warm string, drainBudget time.Duration) {
-	var warmWorlds []string
-	if warm != "" {
-		warmWorlds = strings.Split(warm, ",")
-	}
 	srv, err := server.New(server.Config{
 		Queue:      queue,
 		Workers:    workers,
 		RecordDir:  recordDir,
 		Deadline:   deadline,
-		WarmWorlds: warmWorlds,
+		WarmWorlds: matrix.SplitList(warm),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

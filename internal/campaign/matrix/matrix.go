@@ -263,12 +263,13 @@ func (s Spec) Check() error {
 	}
 	// A severity travels to dispatch workers as "name=scale", so the name
 	// must survive ParseSeverities and JSON: no separator, no leading white
-	// space, valid UTF-8.
+	// space, valid UTF-8. It also names the cell's CSV file, so it must not
+	// name a path: no '/', '\' or NUL.
 	for _, sev := range s.Severities {
-		if sev.Name == "" || strings.ContainsAny(sev.Name, ",=") || !utf8.ValidString(sev.Name) ||
+		if sev.Name == "" || strings.ContainsAny(sev.Name, ",=/\\\x00") || !utf8.ValidString(sev.Name) ||
 			strings.TrimLeftFunc(sev.Name, unicode.IsSpace) != sev.Name ||
 			!(sev.Scale > 0) || math.IsInf(sev.Scale, 0) {
-			return fmt.Errorf("matrix: bad severity %q=%v (want a UTF-8 name without ',', '=' or leading space, and a positive finite scale)", sev.Name, sev.Scale)
+			return fmt.Errorf("matrix: bad severity %q=%v (want a UTF-8 name without ',', '=', '/', '\\', NUL or leading space, and a positive finite scale)", sev.Name, sev.Scale)
 		}
 	}
 	for _, d := range s.Detectors {

@@ -138,6 +138,34 @@ func TestParseSeverities(t *testing.T) {
 	}
 }
 
+// TestSpecRefusesPathSeverityNames: a severity name is part of its cell's
+// CSV file name, so a name holding '/', '\' or NUL is refused by the spec
+// check, and RunOn refuses such a spec with the check's text before any
+// mission flies, where it once flew every mission and failed writing the
+// CSV. ParseSeverities accepts the names; the check is what refuses them.
+func TestSpecRefusesPathSeverityNames(t *testing.T) {
+	for _, name := range []string{"a/b", `a\b`, "a\x00b", "/", "../x"} {
+		sev, err := ParseSeverities(name + "=1")
+		if err != nil {
+			t.Fatalf("ParseSeverities(%q): %v", name+"=1", err)
+		}
+		spec := smallSpec(1)
+		spec.Severities = sev
+		want := spec.Check()
+		if want == nil {
+			t.Fatalf("the check accepted severity %q", name)
+		}
+		flown := 0
+		spec.Progress = func(done, _ int) { flown = done }
+		if _, err := RunOn(context.Background(), spec, NewAssets()); err == nil || err.Error() != want.Error() {
+			t.Errorf("severity %q: RunOn returned %v, want the check's %q", name, err, want)
+		}
+		if flown != 0 {
+			t.Errorf("severity %q: %d missions flew before the refusal", name, flown)
+		}
+	}
+}
+
 func TestParseTargets(t *testing.T) {
 	all := []Target{
 		{Family: faultinject.FamilyKernel}, {Family: faultinject.FamilyState}, {Family: faultinject.FamilySensor},

@@ -118,6 +118,11 @@ func (s Spec) CellSpec(c Cell) CellSpec {
 	}
 }
 
+// SplitList reads a comma-separated list flag: its entries, trimmed of
+// white space, with empty ones dropped (nil for an empty value). Every list
+// flag of the CLIs is read this way.
+func SplitList(s string) []string { return strings.Fields(strings.ReplaceAll(s, ",", " ")) }
+
 // AxisFlags defines on fs the eleven flags that state a matrix — its axes,
 // runs, seeds and approximate-mode knobs — as `mavfi matrix` and
 // `mavfi-server -dispatch` both spell them. It returns the function that
@@ -156,12 +161,11 @@ func AxisFlags(fs *flag.FlagSet) func() (Spec, error) {
 				return Spec{}, fmt.Errorf("matrix: unknown recovery mode %q (want on, off)", part)
 			}
 		}
-		list := func(s string) []string { return strings.Fields(strings.ReplaceAll(s, ",", " ")) }
 		return Spec{
-			Worlds:          list(*worlds),
+			Worlds:          SplitList(*worlds),
 			Targets:         targets,
 			Severities:      sevs,
-			Detectors:       list(*detectors),
+			Detectors:       SplitList(*detectors),
 			Recoveries:      recs,
 			Runs:            *runs,
 			Seed:            *seed,

@@ -471,12 +471,13 @@ func TestRunHonorsCancellation(t *testing.T) {
 // make it valid, so the dispatcher must not retry it.
 func TestRunRefusesInvalidSpecAtOnce(t *testing.T) {
 	bad := map[string]func(*matrix.Spec){
-		"world":      func(s *matrix.Spec) { s.Worlds = []string{"bogus"} },
-		"detector":   func(s *matrix.Spec) { s.Detectors = []string{"bogus"} },
-		"stride":     func(s *matrix.Spec) { s.NearFieldStride = -1 },
-		"map-seed":   func(s *matrix.Spec) { s.MapSeed = "seed" },
-		"severity":   func(s *matrix.Spec) { s.Severities = []matrix.Severity{{Name: " high", Scale: 1}} },
-		"fault kind": func(s *matrix.Spec) { s.Targets = []matrix.Target{{Family: faultinject.FamilyWind, Kind: "gust"}} },
+		"world":         func(s *matrix.Spec) { s.Worlds = []string{"bogus"} },
+		"detector":      func(s *matrix.Spec) { s.Detectors = []string{"bogus"} },
+		"stride":        func(s *matrix.Spec) { s.NearFieldStride = -1 },
+		"map-seed":      func(s *matrix.Spec) { s.MapSeed = "seed" },
+		"severity":      func(s *matrix.Spec) { s.Severities = []matrix.Severity{{Name: " high", Scale: 1}} },
+		"severity path": func(s *matrix.Spec) { s.Severities = []matrix.Severity{{Name: "a/b", Scale: 1}} },
+		"fault kind":    func(s *matrix.Spec) { s.Targets = []matrix.Target{{Family: faultinject.FamilyWind, Kind: "gust"}} },
 	}
 	for name, mutate := range bad {
 		spec := fakeSpec()

@@ -56,6 +56,41 @@ func BenchmarkSegmentFree(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentFreeCruise measures SegmentFree on the edges a flying
+// planner tests most: 3 m segments inside the cruise band (1.2–5 m) over a
+// map whose floor is mapped, so every 8³ block of the bottom layer holds
+// Occupied voxels and only the z-layers above the floor can prove an edge
+// free without walking it. It reports the share of its queries the
+// prescan answers.
+func BenchmarkSegmentFreeCruise(b *testing.B) {
+	tr, origin, pts := benchScan()
+	tr.InsertCloud(origin, pts)
+	tr.InsertCloud(groundScan(geom.Box(geom.V(0, 0, 0), geom.V(60, 60, 20))))
+	rng := rand.New(rand.NewSource(19))
+	segs := make([][2]geom.Vec3, 256)
+	for i := range segs {
+		a := geom.V(rng.Float64()*56+2, rng.Float64()*56+2, 1.2+rng.Float64()*3.8)
+		e := a.Add(geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()*0.1).Normalize().Scale(3))
+		e.Z = geom.Clampf(e.Z, 1.2, 5)
+		segs[i] = [2]geom.Vec3{a, e}
+	}
+	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := segs[i%len(segs)]
+		tr.SegmentFree(s[0], s[1], q)
+	}
+	b.StopTimer()
+	answered := 0
+	for _, s := range segs {
+		if tr.bundleAllFree(s[0], s[1], q) {
+			answered++
+		}
+	}
+	b.ReportMetric(float64(answered)/float64(len(segs)), "prescan-frac")
+}
+
 // BenchmarkFirstBlocked measures the perception-side time-to-collision query.
 func BenchmarkFirstBlocked(b *testing.B) {
 	tr, segs := benchQueryTree()

@@ -8,17 +8,17 @@ import (
 // brickShift sets the brick edge: 8 leaf voxels per axis, 512 per brick. A
 // brick covers exactly one 8³ cell of the key cube, the same cell the
 // occupancy summary counts over, so the bricks, the dense brick index and
-// the summary share one cell grid of nc³ cells.
+// the summary share one cell grid of nc³ cells (the summary its prefix).
 const brickShift = 3
 
 // brickVoxels is the number of log-odds values one brick holds.
 const brickVoxels = 1 << (3 * brickShift)
 
 // maxDenseCells caps the cell grid a volume may address densely: the brick
-// index (4 bytes per cell, 8 MiB at the cap) and the occupancy summary (2
-// bytes per cell). A volume over the cap keys its bricks through a map and
-// runs without the summary; the paper's largest world (Farm) needs 2^15
-// cells.
+// index (4 bytes per cell, 8 MiB at the cap) and the occupancy summary (8
+// bytes per cell of the cell layers the bounds reach). A volume over the
+// cap keys its bricks through a map and runs without the summary; the
+// paper's largest world (Farm) needs 2^15 cells.
 const maxDenseCells = 1 << 21
 
 // maxClassCells caps the classification grid footprint (one byte per leaf

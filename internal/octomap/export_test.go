@@ -8,16 +8,19 @@ import (
 
 // The single-voxel and single-ray surface the package tests drive the tree
 // through. Nothing outside the tests calls it, and each method reads or
-// writes voxel values through the same paths the scan insertion uses.
+// writes voxel values through the same paths the scan insertion uses, and
+// bumps Generation as an insertion does.
 
 // InsertRay integrates one range measurement: exactly InsertCloud(origin,
 // []RayPoint{{End: end, Hit: hit}}).
 func (t *Tree) InsertRay(origin, end geom.Vec3, hit bool) {
+	t.gen++
 	t.integrateRay(origin, end, hit, 1)
 }
 
 // MarkOccupied applies one hit at p's voxel.
 func (t *Tree) MarkOccupied(p geom.Vec3) {
+	t.gen++
 	if x, y, z, ok := t.key(p); ok {
 		t.updateKey(x, y, z, true, 1)
 	}
@@ -25,6 +28,7 @@ func (t *Tree) MarkOccupied(p geom.Vec3) {
 
 // MarkFree applies one miss at p's voxel.
 func (t *Tree) MarkFree(p geom.Vec3) {
+	t.gen++
 	if x, y, z, ok := t.key(p); ok {
 		t.updateKey(x, y, z, false, 1)
 	}

@@ -36,19 +36,22 @@ import (
 //
 // On top of the fusion sits the occupancy summary (occSummary), used two
 // ways, both only under a policy that blocks on nothing but Occupied voxels
-// (summaryView), where a block with a zero occupied count cannot block:
+// (summaryView), where an 8×8 z-layer slab of a block whose layer byte is
+// zero cannot block:
 //   - SegmentFree's prescan (bundleAllFree): before walking anything, the
-//     query checks whether every 8³ block any of the seven walks could
-//     possibly classify holds zero Occupied leaves. When it does — the common
-//     case for a planner edge in open space — the whole query answers without
-//     stepping a single voxel. When it fails, the walks run voxel-for-voxel
-//     identical to the per-ray reference with no summary overhead in the loop.
-//   - FirstBlocked's block exit (firstBlockedWalk, blockExit): a look-ahead
-//     ray reaches far past anything a prescan could clear, so each walk steps
-//     over every zero-count block it meets that does not hold its end voxel,
-//     without classifying its voxels, and resumes in the exact state the
-//     step-by-step walk holds past it.
-// Either way every probe the summary elides lies in a zero-count block.
+//     query checks whether every (block, layer) slab any of the seven walks
+//     could possibly classify holds zero Occupied leaves. When it does (the
+//     common case for a planner edge in open space, the mapped ground a few
+//     layers below it included) the whole query answers without stepping a
+//     single voxel. When it fails, the walks run voxel-for-voxel identical
+//     to the per-ray reference with no summary overhead in the loop.
+//   - FirstBlocked's block skip (firstBlockedWalk, blockExit): a look-ahead
+//     ray reaches far past anything a prescan could clear, so each walk
+//     steps over every block it meets that does not hold its end voxel and
+//     whose layers it crosses there hold zero, without classifying its
+//     voxels, and resumes in the exact state the step-by-step walk holds
+//     past it.
+// Either way every probe the summary elides lies in a zero slab.
 
 // rayAxis is the single-axis slice of one probe ray's endpoint checks and
 // DDA setup: everything the per-ray references (rayFree, rayFirstBlocked)
@@ -113,97 +116,92 @@ func (m *multiWalker) init(t *Tree, a, b geom.Vec3) {
 	t.fillRayAxis(&m.z, a.Z, b.Z, t.origin.Z)
 }
 
-// summaryView returns the block counts the prescan and the block exit may
-// trust, or nil when the summary is unsound for the policy: a zero count
-// proves a block free of Occupied voxels only, so only a policy that blocks
-// on nothing but Occupied (UnknownIsFree; Free never blocks) may elide
-// classification loads.
-func (t *Tree) summaryView(q QueryPolicy) ([]uint16, int) {
-	if !q.UnknownIsFree {
-		return nil, 0
+// summaryView returns the summary words the prescan and the block skip may
+// trust, or nil when the summary is unsound for the policy: a zero layer
+// byte proves its slab free of Occupied voxels only, so only a policy that
+// blocks on nothing but Occupied (UnknownIsFree; Free never blocks) may
+// elide classification loads.
+func (t *Tree) summaryView(q QueryPolicy) *occSummary {
+	if !q.UnknownIsFree || t.sum.layers == nil {
+		return nil
 	}
-	return t.sum.counts, t.nc
+	return &t.sum
 }
 
-// axisBundleKeys folds into (lo, hi) the inclusive key range, on one axis,
-// of every voxel the seven probe walks of a radius-r query could classify
-// along that axis. ok is false when an offset endpoint coordinate leaves the
-// root slab on this axis (some probe ray then crosses out-of-volume space,
-// or the bundle is otherwise not fast-path eligible).
+// bundleSlack is the per-axis key slack of the prescan's box; see
+// axisBundleKeys for why one key is enough.
+const bundleSlack = 1
+
+// axisBundleKeys returns the inclusive key range, on one axis, of every
+// voxel the seven probe walks of a radius-r query along av→bv could
+// classify on that axis, or ok=false when an offset endpoint coordinate
+// (av±r, bv±r) is not inside the root slab (or is NaN): some probe ray then
+// crosses out-of-volume space, and the walks must answer.
 //
-// The range covers, per ray: the start-endpoint key (ak), the clipped-walk
-// start and end keys (x, ex), and the walk's defensive overshoot. The offset
-// rays' perturbed-axis keys are derived from the exact fl(coord±r) the
-// sequential path computes; their nudged clip points can shift a key by at
-// most one, and an exhausted walk can drift at most three defensive steps
-// past its end key (maxSteps is the Manhattan distance plus 3), hence the
-// fixed ±4 slack.
-func (t *Tree) axisBundleKeys(ax *rayAxis, av, bv, r, originv float64) (lo, hi int, ok bool) {
-	if !ax.aIn || !ax.bIn || !ax.p0In || !ax.p1In {
-		return 0, 0, false
-	}
+// On each axis a walk runs either the centre ray's state or, for the two
+// offset rays perturbed on this axis, the state of fl(av±r)→fl(bv±r). The
+// range is the hull of the four offset endpoint keys widened by
+// bundleSlack, and it holds every key a walk classifies:
+//   - the start-endpoint key and the clip keys: key() is monotone, and the
+//     clip points av+d·1e-9 and av+d·(1−1e-9) (d = bv−av) round into
+//     [av, bv], so their keys lie between the endpoint keys, and the centre
+//     ray's between the offset rays' (av−r ≤ av ≤ av+r for r > 0);
+//   - the walk itself: it steps monotonically from the start clip key
+//     toward the end clip key ex, and classifies a voxel only when it
+//     entered it at a parameter ≤ 1+1e-9 (the overshoot guard runs first).
+//     Rounding can carry it into ex±1 before that bound; entering the key
+//     after that takes at least res/|dir| more, and |dir| < rootSize ≤
+//     2^24·res, so that entry comes after 1+5.9e-8 and is never classified.
+//     An axis with step 0 never leaves its start key.
+//
+// So the walks stay inside the hull plus one key; TestBundleKeysCoverWalks
+// and FuzzBundleKeys record every classified voxel against this range, and
+// the test shows one key is needed.
+func (t *Tree) axisBundleKeys(av, bv, r, originv float64) (lo, hi int, ok bool) {
 	relAP := (av + r) - originv
 	relAM := (av - r) - originv
 	relBP := (bv + r) - originv
 	relBM := (bv - r) - originv
-	if relAM < 0 || relBM < 0 || relAP >= t.rootSize || relBP >= t.rootSize {
+	if !(relAM >= 0 && relBM >= 0 && relAP < t.rootSize && relBP < t.rootSize) {
 		return 0, 0, false
 	}
-	lo, hi = ax.ak, ax.ak
-	for _, k := range [6]int{ax.x, ax.ex, t.keyComp(relAP), t.keyComp(relAM), t.keyComp(relBP), t.keyComp(relBM)} {
-		if k < lo {
-			lo = k
-		} else if k > hi {
-			hi = k
-		}
-	}
-	lo -= 4
-	hi += 4
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= t.maxKey {
-		hi = t.maxKey - 1
-	}
+	lo = max(min(t.keyComp(relAM), t.keyComp(relBM))-bundleSlack, 0)
+	hi = min(max(t.keyComp(relAP), t.keyComp(relBP))+bundleSlack, t.maxKey-1)
 	return lo, hi, true
 }
 
-// bundleAllFree reports whether the whole 7-ray query bundle is provably
-// free without walking: every endpoint of every probe ray keys inside the
-// volume and every summary block overlapping the keys any walk could
-// classify holds zero Occupied leaves. The key coverage argument lives on
-// axisBundleKeys; given it, a true return is exact — the sequential walks
-// would classify only voxels in zero-count blocks, under a policy where
-// only Occupied voxels block, and would therefore return "free".
-func (t *Tree) bundleAllFree(m *multiWalker, a, b geom.Vec3, q QueryPolicy) bool {
-	counts, nb := t.summaryView(q)
-	if counts == nil {
+// bundleAllFree reports whether the whole 7-ray query bundle a→b is
+// provably free without walking: every endpoint of every probe ray keys
+// inside the volume, and every (cell, z-layer) slab overlapping the keys any
+// walk could classify holds zero Occupied leaves. The key coverage argument
+// lives on axisBundleKeys; given it, a true return is exact: the walks would
+// classify only voxels in zero slabs, under a policy where only Occupied
+// voxels block, and would therefore return "free".
+func (t *Tree) bundleAllFree(a, b geom.Vec3, q QueryPolicy) bool {
+	sum := t.summaryView(q)
+	if sum == nil {
 		return false
 	}
 	r := q.Radius
-	loX, hiX, ok := t.axisBundleKeys(&m.x, a.X, b.X, r, t.origin.X)
+	loX, hiX, ok := t.axisBundleKeys(a.X, b.X, r, t.origin.X)
 	if !ok {
 		return false
 	}
-	loY, hiY, ok := t.axisBundleKeys(&m.y, a.Y, b.Y, r, t.origin.Y)
+	loY, hiY, ok := t.axisBundleKeys(a.Y, b.Y, r, t.origin.Y)
 	if !ok {
 		return false
 	}
-	loZ, hiZ, ok := t.axisBundleKeys(&m.z, a.Z, b.Z, r, t.origin.Z)
+	loZ, hiZ, ok := t.axisBundleKeys(a.Z, b.Z, r, t.origin.Z)
 	if !ok {
 		return false
 	}
-	loX >>= brickShift
-	hiX >>= brickShift
-	loY >>= brickShift
-	hiY >>= brickShift
-	loZ >>= brickShift
-	hiZ >>= brickShift
-	for bz := loZ; bz <= hiZ; bz++ {
-		for by := loY; by <= hiY; by++ {
-			base := (bz*nb + by) * nb
-			for bx := loX; bx <= hiX; bx++ {
-				if counts[base+bx] != 0 {
+	for cz := loZ >> brickShift; cz <= hiZ>>brickShift; cz++ {
+		z0 := cz << brickShift
+		mask := layerMask(max(loZ-z0, 0), min(hiZ-z0, 7))
+		for cy := loY >> brickShift; cy <= hiY>>brickShift; cy++ {
+			base := (cz*t.nc + cy) * t.nc
+			for cx := loX >> brickShift; cx <= hiX>>brickShift; cx++ {
+				if sum.word(base+cx)&mask != 0 {
 					return false
 				}
 			}
@@ -345,17 +343,23 @@ func (t *Tree) walkFirstBlocked(a, b geom.Vec3, ax, ay, az *rayAxis, q QueryPoli
 // caller's segment parameter (w.segParam) of the entry into the first
 // blocked voxel, classifying inline as walkFree does. Where the occupancy
 // summary may answer (summaryView), the walk classifies nothing in an 8³
-// block whose occupied count is zero and that does not hold the walk's end
-// voxel: blockExit carries it to the state the step-by-step walk holds at
-// the first voxel past the block. No voxel of such a block can block the
-// ray; the walk cannot end at its end voxel inside it; and every other way
-// the step-by-step walk could stop inside it (the overshoot guard, the step
-// budget) would also end the walk unblocked, and stops it at or before the
-// exit voxel too, since crossings never decrease and a key that left the
-// volume stays out. So the answer and the fraction bits are those of
-// walking every voxel.
+// block that does not hold the walk's end voxel and whose z-layers the walk
+// crosses inside it hold no Occupied voxel: blockExit carries it to the
+// state the step-by-step walk holds at the first voxel past the block, and
+// the crossed layers run from the entry voxel's z to the last in-block z
+// (the exit voxel's, or one stepZ short of it when the walk left through
+// z). Otherwise, or when the walk ends inside the block, it walks the block
+// voxel by voxel from the entry state. No voxel of a skipped block's
+// crossed layers can block the ray; the walk cannot end at its end voxel
+// inside it; and every other way the step-by-step walk could stop inside it
+// (the overshoot guard, the step budget) would also end the walk
+// unblocked, and stops it at or before the exit voxel too, since crossings
+// never decrease and a key that left the volume stays out. A block whose
+// word is zero is skipped even when the walk ends inside it, which ends the
+// walk. So the answer and the fraction bits are those of walking every
+// voxel.
 func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
-	counts, nc := t.summaryView(q)
+	sum, nc := t.summaryView(q), t.nc
 	x, y, z := w.x, w.y, w.z
 	ex, ey, ez := w.ex, w.ey, w.ez
 	stepX, stepY, stepZ := w.stepX, w.stepY, w.stepZ
@@ -365,7 +369,7 @@ func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
 	maxKey := t.maxKey
 	grid, nx, ny, nz := t.grid, t.nx, t.ny, t.nz
 	cell, endCell := -1, -1 // the block last looked up, the end voxel's block
-	if counts != nil {
+	if sum != nil {
 		endCell = cellOf(nc, ex, ey, ez)
 	}
 	tNext := 0.0
@@ -374,19 +378,20 @@ func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
 		if tEntry > 1+1e-9 || x < 0 || y < 0 || z < 0 || x >= maxKey || y >= maxKey || z >= maxKey {
 			break // walker overshoot artifact; see walkFree
 		}
-		if counts != nil {
+		if sum != nil {
 			if c := cellOf(nc, x, y, z); c != cell {
 				cell = c
-				if counts[c] == 0 && c != endCell {
-					var tn float64
-					var next int
-					var ok bool
-					x, y, z, tMaxX, tMaxY, tMaxZ, tn, next, ok = blockExit(w, x, y, z, tMaxX, tMaxY, tMaxZ, steps)
+				if c != endCell {
+					ox, oy, oz, oMaxX, oMaxY, oMaxZ, tn, next, ok := blockExit(w, x, y, z, tMaxX, tMaxY, tMaxZ, steps)
 					if !ok {
-						break
+						if sum.word(c) == 0 {
+							break
+						}
+					} else if sum.word(c)&crossedLayers(z, oz, stepZ) == 0 {
+						x, y, z, tMaxX, tMaxY, tMaxZ = ox, oy, oz, oMaxX, oMaxY, oMaxZ
+						tNext, steps = tn, next-1 // the loop counts the exit voxel
+						continue
 					}
-					tNext, steps = tn, next-1 // the loop counts the exit voxel
-					continue
 				}
 			}
 		}
@@ -419,6 +424,17 @@ func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// crossedLayers returns the layer mask of the z-layers a walk crosses in
+// the block it entered at key z and left for the voxel at key oz: from z to
+// oz when it left through x or y, to oz−stepZ when it left through z.
+func crossedLayers(z, oz, stepZ int) uint64 {
+	last := oz
+	if oz>>brickShift != z>>brickShift {
+		last -= stepZ
+	}
+	return layerMask(min(z, last)&7, max(z, last)&7)
 }
 
 // blockExit takes the walk w, standing at voxel (x, y, z) with next

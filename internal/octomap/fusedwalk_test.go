@@ -297,9 +297,9 @@ func recordProbes(tr *Tree, fn func()) [][3]int {
 // requires the recordings to be non-empty, so it cannot pass vacuously.
 func TestFusedProbeSequenceMatchesSequential(t *testing.T) {
 	tr := queryTestTree(51)
-	savedCounts := tr.sum.counts
-	tr.sum.counts = nil // disarm the summary: fused must probe like sequential
-	defer func() { tr.sum.counts = savedCounts }()
+	savedLayers := tr.sum.layers
+	tr.sum.layers = nil // disarm the summary: fused must probe like sequential
+	defer func() { tr.sum.layers = savedLayers }()
 	rng := rand.New(rand.NewSource(52))
 	segs := fusedTestSegments(rng, 300)
 	recorded := 0
@@ -347,67 +347,91 @@ func assertSameProbes(t *testing.T, what string, si int, q QueryPolicy, fused, s
 // TestSummaryElisionAlignment pins the summary's elision invariant: with
 // the summary armed, the probe sequence of a query must be exactly the
 // unarmed sequence with zero or more probes elided, every elided probe must
-// lie in a summary cell with a zero occupied count, and the answers must
-// stay bit-identical. SegmentFree's prescan elides either nothing or a whole
-// query; FirstBlocked's block exit elides the runs of probes a walk makes
-// in zero-count blocks, in the middle of a walk, which the look-ahead rays
-// (10–60 m) reach. The test verifies both probe by probe rather than
-// trusting the range analysis or the block-exit argument. The unarmed
-// recordings must be non-empty, each query must have probes elided, and
-// FirstBlocked must elide some in the middle of a walk, so the test cannot
-// pass vacuously.
+// lie in a (block, z-layer) slab with no Occupied voxel, and the answers
+// must stay bit-identical. SegmentFree's prescan elides either nothing or a
+// whole query; FirstBlocked's block skip elides the runs of probes a walk
+// makes in blocks whose crossed layers are empty, in the middle of a walk,
+// which the look-ahead rays (10–60 m) reach. The map has its floor mapped,
+// so the bottom block layer is non-zero everywhere and the queries through
+// it elide only by layer. The test verifies every probe rather than
+// trusting the range analysis or the block-skip argument. The unarmed
+// recordings must be non-empty, each query must have probes elided, in
+// blocks with Occupied voxels among them, and FirstBlocked must elide some
+// in the middle of a walk, so the test cannot pass vacuously.
 func TestSummaryElisionAlignment(t *testing.T) {
 	tr := queryTestTree(61)
-	if tr.sum.counts == nil {
+	if tr.sum.layers == nil {
 		t.Fatal("test tree unexpectedly over the summary cap")
 	}
+	tr.InsertCloud(groundScan(geom.Box(geom.V(0, 0, 0), geom.V(32, 32, 16))))
 	rng := rand.New(rand.NewSource(62))
 	segs := append(fusedTestSegments(rng, 400), lookaheadSegments(rng, 200)...)
+	segs = append(segs, cruiseSegments(rng, 300)...)
 	q := testPolicy // the optimistic policy is the only one the summary serves
-	plainProbes, elidedSeg, elidedFirst, midWalk := 0, 0, 0, 0
+	plainProbes, elidedSeg, elidedFirst, midWalk, layeredSeg, layeredFirst := 0, 0, 0, 0, 0, 0
 	for si, s := range segs {
-		savedCounts := tr.sum.counts
+		savedLayers := tr.sum.layers
 
 		var sumFree bool
 		withSum := recordProbes(tr, func() { sumFree = tr.SegmentFree(s[0], s[1], q) })
-		tr.sum.counts = nil
+		tr.sum.layers = nil
 		var plainFree bool
 		plain := recordProbes(tr, func() { plainFree = tr.SegmentFree(s[0], s[1], q) })
-		tr.sum.counts = savedCounts
+		tr.sum.layers = savedLayers
 
 		if sumFree != plainFree {
 			t.Fatalf("seg %d: SegmentFree with summary=%v without=%v", si, sumFree, plainFree)
 		}
-		assertElisionAligned(t, tr, "SegmentFree", si, withSum, plain)
+		layeredSeg += assertElisionAligned(t, tr, "SegmentFree", si, withSum, plain)
 		plainProbes += len(plain)
 		elidedSeg += len(plain) - len(withSum)
 
 		var sumF, plainF float64
 		var sumOK, plainOK bool
 		withSum = recordProbes(tr, func() { sumF, sumOK = tr.FirstBlocked(s[0], s[1], q) })
-		tr.sum.counts = nil
+		tr.sum.layers = nil
 		plain = recordProbes(tr, func() { plainF, plainOK = tr.FirstBlocked(s[0], s[1], q) })
-		tr.sum.counts = savedCounts
+		tr.sum.layers = savedLayers
 
 		if sumOK != plainOK || math.Float64bits(sumF) != math.Float64bits(plainF) {
 			t.Fatalf("seg %d: FirstBlocked with summary=(%v,%v) without=(%v,%v)", si, sumF, sumOK, plainF, plainOK)
 		}
-		assertElisionAligned(t, tr, "FirstBlocked", si, withSum, plain)
+		layeredFirst += assertElisionAligned(t, tr, "FirstBlocked", si, withSum, plain)
 		plainProbes += len(plain)
 		elidedFirst += len(plain) - len(withSum)
 		if len(withSum) > 0 && len(withSum) < len(plain) {
 			midWalk++ // some probes kept, some elided: the walk stepped over blocks
 		}
 	}
-	if plainProbes == 0 || elidedSeg == 0 || elidedFirst == 0 || midWalk == 0 {
-		t.Fatalf("vacuous run: %d probes recorded, %d elided by SegmentFree's prescan, %d by FirstBlocked, %d FirstBlocked queries elided mid-walk",
-			plainProbes, elidedSeg, elidedFirst, midWalk)
+	if plainProbes == 0 || elidedSeg == 0 || elidedFirst == 0 || midWalk == 0 || layeredSeg == 0 || layeredFirst == 0 {
+		t.Fatalf("vacuous run: %d probes recorded, %d elided by SegmentFree's prescan (%d in occupied blocks), "+
+			"%d by FirstBlocked (%d in occupied blocks), %d FirstBlocked queries elided mid-walk",
+			plainProbes, elidedSeg, layeredSeg, elidedFirst, layeredFirst, midWalk)
 	}
 }
 
+// cruiseSegments draws planner-length segments and look-ahead rays in the
+// band a vehicle cruises in, 1.2–3.5 m over the floor: inside the bottom
+// block layer, above its mapped ground.
+func cruiseSegments(rng *rand.Rand, n int) [][2]geom.Vec3 {
+	segs := make([][2]geom.Vec3, 0, n)
+	for len(segs) < n {
+		a := geom.V(rng.Float64()*28+2, rng.Float64()*28+2, 1.2+rng.Float64()*2.3)
+		dir := geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()*0.05).Normalize()
+		length := 1 + rng.Float64()*4
+		if len(segs)%2 == 1 {
+			length = 10 + rng.Float64()*20
+		}
+		segs = append(segs, [2]geom.Vec3{a, a.Add(dir.Scale(length))})
+	}
+	return segs
+}
+
 // assertElisionAligned checks withSum is plain with elisions only, each
-// elided probe falling in a zero-count summary block.
-func assertElisionAligned(t *testing.T, tr *Tree, what string, si int, withSum, plain [][3]int) {
+// elided probe falling in a (block, layer) slab with no Occupied voxel, and
+// returns how many elided probes lie in blocks that do hold Occupied voxels
+// in other layers: the elisions only the layers allow.
+func assertElisionAligned(t *testing.T, tr *Tree, what string, si int, withSum, plain [][3]int) (layered int) {
 	t.Helper()
 	j := 0
 	for _, p := range plain {
@@ -416,12 +440,17 @@ func assertElisionAligned(t *testing.T, tr *Tree, what string, si int, withSum, 
 			continue
 		}
 		// Elided probe: must be provably unoccupied via the summary.
-		if c := tr.sum.counts[tr.cell(p[0], p[1], p[2])]; c != 0 {
-			t.Fatalf("seg %d: %s elided probe %v sits in a cell with %d occupied voxels", si, what, p, c)
+		w := tr.sum.word(tr.cell(p[0], p[1], p[2]))
+		if n := uint8(w >> (8 * (p[2] & 7))); n != 0 {
+			t.Fatalf("seg %d: %s elided probe %v sits in a block layer with %d occupied voxels", si, what, p, n)
+		}
+		if w != 0 {
+			layered++
 		}
 	}
 	if j != len(withSum) {
 		t.Fatalf("seg %d: %s summarised sequence is not a subsequence: %d/%d probes matched",
 			si, what, j, len(withSum))
 	}
+	return layered
 }

@@ -42,7 +42,8 @@ func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 
 // InsertCloudN integrates one scan n times over: exactly n consecutive
 // InsertCloud(origin, pts) calls, to the bit, in every voxel, summary
-// count, class-grid byte and the LeafUpdates total, so every Digest agrees.
+// layer byte, class-grid byte and the LeafUpdates total, so every Digest
+// agrees.
 //
 // A voxel's value depends only on its own updates, in order, and every
 // update a voxel gets from a scan is the same clamped miss unless one of
@@ -58,7 +59,7 @@ func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 //     order, and after the walk the held sequence is applied n times, which
 //     gives each marked voxel its own sequence n times over.
 //
-// The summary counts and grid bytes depend only on each voxel's class
+// The summary words and grid bytes depend only on each voxel's class
 // before and after, so one reclassify per changed crossing leaves them as
 // n passes would; Digest visits cells in cell order, and a marked voxel's
 // brick is one its hit would allocate, so moving the marked voxels first
@@ -73,6 +74,7 @@ func (t *Tree) InsertCloudN(origin geom.Vec3, pts []RayPoint, n int) {
 	if n <= 0 {
 		return
 	}
+	t.gen++
 	f := &t.fold
 	f.held = f.held[:0]
 	if n > 1 {
@@ -192,6 +194,7 @@ func (t *Tree) InsertCloudApprox(origin geom.Vec3, pts []RayPoint, nearRadius fl
 		t.InsertCloud(origin, pts)
 		return
 	}
+	t.gen++
 	nearSq := nearRadius * nearRadius
 	for i := range pts {
 		if memo && t.endpointSaturated(pts[i]) {

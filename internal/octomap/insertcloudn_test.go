@@ -13,15 +13,15 @@ import (
 
 // assertTwinsEqual requires two trees fed the same evidence by different
 // paths to agree on everything a reader can observe: the leaf-update total,
-// the digest (geometry, every brick's log-odds, the summary counts), the
-// summary counts and the classification grid byte for byte.
+// the digest (geometry, every brick's log-odds, the summary totals), the
+// summary layer words and the classification grid byte for byte.
 func assertTwinsEqual(t *testing.T, got, want *Tree, when string) {
 	t.Helper()
 	if g, w := got.LeafUpdates(), want.LeafUpdates(); g != w {
 		t.Fatalf("%s: LeafUpdates %d, want %d", when, g, w)
 	}
-	if !slices.Equal(got.sum.counts, want.sum.counts) {
-		t.Fatalf("%s: summary counts diverge", when)
+	if !slices.Equal(got.sum.layers, want.sum.layers) || got.sum.above != want.sum.above {
+		t.Fatalf("%s: summary words diverge", when)
 	}
 	if !bytes.Equal(got.grid, want.grid) {
 		t.Fatalf("%s: classification grids diverge", when)
@@ -68,7 +68,7 @@ func TestInsertCloudNMatchesRepeatedInsertCloud(t *testing.T) {
 					}
 					compareTrees(t, got, want)
 					assertGridExact(t, got, fmt.Sprintf("trial %d", trial))
-					if got.sum.counts != nil {
+					if got.sum.layers != nil {
 						assertSummaryExact(t, got, fmt.Sprintf("trial %d", trial))
 					}
 					if n == 0 && got.LeafUpdates() != 0 {
@@ -239,7 +239,7 @@ func TestInsertCloudNFoldsHitVoxelsExactly(t *testing.T) {
 				}
 				compareTrees(t, got, want)
 				assertGridExact(t, got, "end")
-				if got.sum.counts != nil {
+				if got.sum.layers != nil {
 					assertSummaryExact(t, got, "end")
 				}
 			})

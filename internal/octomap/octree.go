@@ -20,11 +20,12 @@
 // allocated on first write and found through a dense cell index, so an
 // update or a lookup costs one or two array loads. Beside them the tree
 // keeps two exact derived structures, both updated in the same write as the
-// voxel whenever its classification changes: the per-8³-cell occupied count
-// of the occupancy summary (summary.go) and a per-voxel classification byte
-// grid over the world bounds. Navigation queries (PointFree, SegmentFree,
-// FirstBlocked) enumerate crossed voxels with the same DDA walk the
-// insertion path uses and classify each with one grid load.
+// voxel whenever its classification changes: the per-8³-cell, per-z-layer
+// occupied counts of the occupancy summary (summary.go) and a per-voxel
+// classification byte grid over the world bounds. Navigation queries
+// (PointFree, SegmentFree, FirstBlocked) enumerate crossed voxels with the
+// same DDA walk the insertion path uses and classify each with one grid
+// load.
 package octomap
 
 import (
@@ -96,9 +97,10 @@ type Tree struct {
 	grid  []uint8    // exact Occupancy per leaf key of the bounds; nil over maxClassCells
 	codes []uint8    // miss-chain step or inBrick per leaf key of the bounds; nil when the chain is off
 	chain []float64  // the miss chain of params (see missChain); read only when codes is set
-	sum   occSummary // per-cell occupied-voxel counts for the probe prescan and block exit
+	sum   occSummary // per-cell, per-layer occupied-voxel counts for the probe prescan and block skip
 
-	leafUpdates int // total leaf evidence updates, for overhead accounting
+	leafUpdates int    // total leaf evidence updates, for overhead accounting
+	gen         uint64 // bumped by every insertion, Reset and fork (Generation)
 
 	fold seedFold // InsertCloudN's buffers; no mark is set between calls
 
@@ -166,12 +168,12 @@ func (t *Tree) Reset(bounds geom.AABB, resolution float64, params Params) {
 }
 
 // empty clears the map of the tree's current geometry: no bricks, zero
-// summary counts, an all-Unknown classification grid, every voxel at step 0
+// summary words, an all-Unknown classification grid, every voxel at step 0
 // of the miss chain when the tree has one, no leaf updates.
 func (t *Tree) empty() {
-	cells := denseCells(t.nc)
-	t.store.reset(cells)
-	t.sum.counts = zeroed(t.sum.counts, cells)
+	t.store.reset(denseCells(t.nc))
+	t.sum.layers = zeroed(t.sum.layers, summaryCells(t.nc, t.nz))
+	t.sum.above = 0
 	t.grid = zeroed(t.grid, classCells(t.nx, t.ny, t.nz))
 	codes := 0
 	if t.chain != nil {
@@ -198,6 +200,7 @@ func (t *Tree) reinit(g geometry, params Params) {
 	frac, _ := math.Frexp(g.resolution)
 	t.mulKey = frac == 0.5
 	t.probeRec = nil
+	t.gen++
 }
 
 // EnableClassCache is a no-op kept for source compatibility. The per-voxel
@@ -231,12 +234,8 @@ func (t *Tree) classOf(lo float64) Occupancy {
 // change, called by every write whose update changes a voxel's class, which
 // is what keeps both exact after every mutation with nothing to invalidate.
 func (t *Tree) reclassify(x, y, z int, from, to Occupancy) {
-	if t.sum.counts != nil && (from == Occupied) != (to == Occupied) {
-		if to == Occupied {
-			t.sum.counts[t.cell(x, y, z)]++
-		} else {
-			t.sum.counts[t.cell(x, y, z)]--
-		}
+	if t.sum.layers != nil && (from == Occupied) != (to == Occupied) {
+		t.sum.count(t.cell(x, y, z), z, to == Occupied)
 	}
 	if t.grid != nil && x < t.nx && y < t.ny && z < t.nz {
 		t.grid[(z*t.ny+y)*t.nx+x] = uint8(to)
@@ -260,6 +259,14 @@ func (t *Tree) classifySlow(x, y, z int) Occupancy {
 	lo, _ := t.lookup(x, y, z)
 	return t.classOf(lo)
 }
+
+// Generation returns a number that changes whenever the map may have
+// changed: every scan insertion, Reset and fork bumps it, and nothing else
+// writes a voxel. So two equal readings of one tree bracket a stretch in
+// which every query answer stood still, and a caller may key a cached
+// answer by the tree and this number (the collision check's way-point scan
+// does).
+func (t *Tree) Generation() uint64 { return t.gen }
 
 // Resolution returns the leaf voxel side length in metres.
 func (t *Tree) Resolution() float64 { return t.resolution }

@@ -73,17 +73,17 @@ func (t *Tree) PointFree(p geom.Vec3, q QueryPolicy) bool {
 // Since PR 5 the seven walks run fused: the shared direction is initialised
 // once and each offset ray re-derives only its single perturbed axis (see
 // fusedwalk.go), and the occupancy-summary prescan answers the whole query
-// without walking when every block in reach holds no obstacle. When the
-// walks do run, rays go centre first, then offsets in probeOffsets order
-// with the same early exit, so results and the classification-probe
-// sequence are bit-identical to the per-ray reference (segmentFreeSeq in
-// the equivalence suite).
+// without walking when every (block, z-layer) slab in reach holds no
+// obstacle. When the walks do run, rays go centre first, then offsets in
+// probeOffsets order with the same early exit, so results and the
+// classification-probe sequence are bit-identical to the per-ray reference
+// (segmentFreeSeq in the equivalence suite).
 func (t *Tree) SegmentFree(a, b geom.Vec3, q QueryPolicy) bool {
+	if q.Radius > 0 && t.bundleAllFree(a, b, q) {
+		return true // no walk can classify anything outside zero slabs
+	}
 	var m multiWalker
 	m.init(t, a, b)
-	if q.Radius > 0 && t.bundleAllFree(&m, a, b, q) {
-		return true // no walk can classify anything outside zero-count blocks
-	}
 	if !t.walkFree(&m.x, &m.y, &m.z, q) {
 		return false
 	}
@@ -126,8 +126,9 @@ func (t *Tree) SegmentFree(a, b geom.Vec3, q QueryPolicy) bool {
 // SegmentFree and fusedwalk.go), every one of them, whether it stays in the
 // volume or leaves it, in the one loop of firstBlockedWalk. FirstBlocked has
 // no prescan: a look-ahead ray reaches far past the blocks a bundle prescan
-// could clear, and the walk itself steps over every block whose occupied
-// count is zero (blockExit), which answers every query the prescan did.
+// could clear, and the walk itself steps over every block whose layers it
+// crosses hold no Occupied voxel (blockExit), which answers every query the
+// prescan did.
 func (t *Tree) FirstBlocked(a, b geom.Vec3, q QueryPolicy) (frac float64, ok bool) {
 	var m multiWalker
 	m.init(t, a, b)

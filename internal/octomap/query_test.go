@@ -301,8 +301,8 @@ func TestClassGridExact(t *testing.T) {
 			if got := gridAt(); got != tr.classOf(lo) {
 				t.Fatalf("iteration %d: grid byte %v after an update to %v", i, got, lo)
 			}
-			if got := tr.sum.counts[tr.cell(x, y, z)]; (got == 1) != (tr.classOf(lo) == Occupied) {
-				t.Fatalf("iteration %d: summary count %d for a voxel at %v", i, got, lo)
+			if got := tr.sum.layers[tr.cell(x, y, z)]; (got == layerUnit(z)) != (tr.classOf(lo) == Occupied) {
+				t.Fatalf("iteration %d: summary word %016x for a voxel at %v", i, got, lo)
 			}
 		}
 	}

@@ -99,22 +99,28 @@ func assertMatchesOracle(t *testing.T, tr *Tree, ref *refMap, when string) {
 		nc = 1
 	}
 	if cells := nc * nc * nc; cells > maxDenseCells {
-		if tr.sum.counts != nil {
+		if tr.sum.layers != nil {
 			t.Fatalf("%s: summary armed over the cap (%d cells)", when, cells)
 		}
 	} else {
-		counts := make([]uint16, cells)
+		// The words cover the cell layers that reach into the bounds' z
+		// extent; one count holds the Occupied voxels above them.
+		layers, above := make([]uint64, (tr.nz+7)/8*nc*nc), 0
 		for k, v := range ref.vox {
 			if ref.class(v) == Occupied {
-				counts[((k[2]/8)*nc+k[1]/8)*nc+k[0]/8]++
+				if c := ((k[2]/8)*nc+k[1]/8)*nc + k[0]/8; c < len(layers) {
+					layers[c] += layerUnit(k[2])
+				} else {
+					above++
+				}
 			}
 		}
-		if len(tr.sum.counts) != len(counts) {
-			t.Fatalf("%s: summary has %d cells, want %d", when, len(tr.sum.counts), len(counts))
+		if len(tr.sum.layers) != len(layers) || tr.sum.above != above {
+			t.Fatalf("%s: summary has %d cells and %d above, want %d and %d", when, len(tr.sum.layers), tr.sum.above, len(layers), above)
 		}
-		for i, c := range counts {
-			if tr.sum.counts[i] != c {
-				t.Fatalf("%s: summary cell %d: tree %d, oracle %d", when, i, tr.sum.counts[i], c)
+		for i, w := range layers {
+			if tr.sum.layers[i] != w {
+				t.Fatalf("%s: summary cell %d: tree %016x, oracle %016x", when, i, tr.sum.layers[i], w)
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func TestResetMatchesNew(t *testing.T) {
 				fresh.InsertCloud(origin, pts)
 				assertSameQueries(t, recycled, fresh, c.to, int64(s), "after a scan")
 			}
-			if recycled.sum.counts != nil { // none over the dense-cell cap
+			if recycled.sum.layers != nil { // none over the dense-cell cap
 				assertSummaryExact(t, recycled, "recycled tree")
 			}
 		})
@@ -171,7 +171,7 @@ func TestResetKeepsAllocations(t *testing.T) {
 	tr := New(bounds, 0.5, DefaultParams())
 	mapWorld(tr, bounds, 5)
 	snap := tr.Snapshot()
-	slab, index, grid, counts := &tr.store.slab[0], &tr.store.index[0], &tr.grid[0], &tr.sum.counts[0]
+	slab, index, grid, counts := &tr.store.slab[0], &tr.store.index[0], &tr.grid[0], &tr.sum.layers[0]
 	codes := &tr.codes[0]
 	for _, step := range []struct {
 		name string
@@ -184,7 +184,7 @@ func TestResetKeepsAllocations(t *testing.T) {
 			t.Fatalf("%s allocates %v objects, want 0", step.name, allocs)
 		}
 		if &tr.store.slab[:1][0] != slab || &tr.store.index[0] != index || &tr.grid[0] != grid ||
-			&tr.sum.counts[0] != counts || &tr.codes[0] != codes {
+			&tr.sum.layers[0] != counts || &tr.codes[0] != codes {
 			t.Fatalf("%s replaced the slab, the brick index, the grid, the summary or the codes", step.name)
 		}
 	}

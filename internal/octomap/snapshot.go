@@ -10,7 +10,7 @@ import (
 )
 
 // Snapshot is an immutable copy of a Tree's state: bricks, miss-chain codes,
-// the derived summary counts and classification grid, and the geometry that
+// the derived summary words and classification grid, and the geometry that
 // addresses them. It is the unit of cross-mission map memoization (the PR 9
 // golden-map seed): a campaign builds one mapping pass per world, snapshots
 // it, and every mission of the cell starts from a Fork instead of an empty
@@ -25,13 +25,13 @@ type Snapshot struct {
 
 	store       brickStore // immutable copy of the bricks
 	codes       []uint8    // immutable miss-chain codes; nil when the chain is off
-	counts      []uint16   // immutable summary counts; nil over maxDenseCells
+	sum         occSummary // immutable summary
 	grid        []uint8    // immutable classification grid; nil over maxClassCells
 	leafUpdates int
 }
 
 // Snapshot copies the tree's state: a memcpy each of the brick index, the
-// slab, the miss-chain codes, the summary counts and the classification
+// slab, the miss-chain codes, the summary words and the classification
 // grid.
 func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{
@@ -43,7 +43,7 @@ func (t *Tree) Snapshot() *Snapshot {
 			slab:  copied(nil, t.store.slab),
 		},
 		codes:       copied(nil, t.codes),
-		counts:      copied(nil, t.sum.counts),
+		sum:         occSummary{layers: copied(nil, t.sum.layers), above: t.sum.above},
 		grid:        copied(nil, t.grid),
 		leafUpdates: t.leafUpdates,
 	}
@@ -70,13 +70,13 @@ func (s *Snapshot) Fork() *Tree {
 // brick index, slab, codes, summary and classification grid where they fit
 // — the cross-mission memoization path: the pipeline recycles finished
 // trees through ForkInto, so a steady-state fork is a set of memcpys with no
-// allocation. The summary counts and the grid are copied, not rebuilt, and
+// allocation. The summary words and the grid are copied, not rebuilt, and
 // are exact because the snapshot's were.
 func (s *Snapshot) ForkInto(t *Tree) {
 	t.reinit(s.geometry, s.params)
 	t.store.copyFrom(&s.store)
 	t.codes = copied(t.codes, s.codes)
-	t.sum.counts = copied(t.sum.counts, s.counts)
+	t.sum.copyFrom(&s.sum)
 	t.grid = copied(t.grid, s.grid)
 	t.leafUpdates = s.leafUpdates
 }
@@ -88,7 +88,8 @@ func (s *Snapshot) eachCell(fn func(cell int, vals *[brickVoxels]float64)) {
 
 // Digest returns an FNV-64a hash of the tree's map: geometry, sensor model,
 // the leaf-update total, every cell eachCell visits (its cell number and 512
-// log-odds) in ascending cell order, and the summary counts. Those cells
+// log-odds) in ascending cell order, and the summary's per-cell totals
+// (eachTotal), each hashed as the uint16 the summary once stored. Those cells
 // are the ones a brick-only store holds bricks for, and visiting them in
 // cell order makes the digest independent of the order bricks were
 // allocated in and of which home each voxel lives in, so a forked tree and
@@ -96,15 +97,15 @@ func (s *Snapshot) eachCell(fn func(cell int, vals *[brickVoxels]float64)) {
 // byte the fork equivalence suite pins. The classification grid is derived
 // from the values and not hashed.
 func (t *Tree) Digest() uint64 {
-	return digest(t.geometry, t.params, t.leafUpdates, t.eachCell, t.sum.counts)
+	return digest(t.geometry, t.params, t.leafUpdates, t.eachCell, &t.sum, &t.store)
 }
 
 // Digest returns the digest a tree forked from this snapshot would report.
 func (s *Snapshot) Digest() uint64 {
-	return digest(s.geometry, s.params, s.leafUpdates, s.eachCell, s.counts)
+	return digest(s.geometry, s.params, s.leafUpdates, s.eachCell, &s.sum, &s.store)
 }
 
-func digest(g geometry, p Params, leafUpdates int, each func(func(int, *[brickVoxels]float64)), counts []uint16) uint64 {
+func digest(g geometry, p Params, leafUpdates int, each func(func(int, *[brickVoxels]float64)), sum *occSummary, st *brickStore) uint64 {
 	h := fnv.New64a()
 	var b []byte
 	for _, f := range []float64{g.resolution, g.origin.X, g.origin.Y, g.origin.Z, g.rootSize, float64(g.depth),
@@ -120,9 +121,9 @@ func digest(g geometry, p Params, leafUpdates int, each func(func(int, *[brickVo
 		h.Write(b)
 	})
 	b = b[:0]
-	for _, c := range counts {
-		b = binary.LittleEndian.AppendUint16(b, c)
-	}
+	sum.eachTotal(g.cellsPerAxis(), st, p, func(n uint16) {
+		b = binary.LittleEndian.AppendUint16(b, n)
+	})
 	h.Write(b)
 	return h.Sum64()
 }

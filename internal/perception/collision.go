@@ -25,12 +25,27 @@ type Report struct {
 	FutureCollisionSeq float64
 }
 
-// Checker is the collision-check kernel.
+// Checker is the collision-check kernel. It keeps its last way-point scan
+// (see CheckFrom), so a Checker is not safe for concurrent use: each mission
+// owns one.
 type Checker struct {
 	// Horizon caps the look-ahead, in seconds.
 	Horizon float64
 	// Policy configures occupancy queries (radius, unknown-space handling).
 	Policy octomap.QueryPolicy
+
+	scan wpScan
+}
+
+// wpScan is the last way-point scan: the map and generation it probed, and
+// the way-points its answer covers, traj[from:from+len(pts)], copied, with
+// pts[hit-from] the first blocked one (hit = -1 when none was).
+type wpScan struct {
+	tree *octomap.Tree
+	gen  uint64
+	from int
+	hit  int
+	pts  []geom.Vec3
 }
 
 // NewChecker returns the kernel with the experiment configuration: a 10 s
@@ -50,6 +65,25 @@ func NewChecker(radius float64) *Checker {
 // intermediate distance computation — the instruction-level injection site
 // for this kernel.
 func (c *Checker) Check(m *octomap.Tree, pos, vel geom.Vec3, traj []geom.Vec3, corrupt func(float64) float64) Report {
+	return c.CheckFrom(m, pos, vel, traj, 0, corrupt)
+}
+
+// CheckFrom is Check over the way-points traj[from:] (none when from is
+// past the end): FutureCollisionSeq counts from traj[from]. The mission
+// passes its whole trajectory and the tracker's nearest index, so that
+// consecutive checks name the same way-point by the same index.
+//
+// The way-point scan reuses the previous call's answer for every way-point
+// it provably still holds for: while the map is the same tree at the same
+// Generation (no scan has been inserted since), a way-point at an index the
+// previous scan covered, at or after its start, whose position is
+// bit-identical to the one it probed there, is free or blocked as it was,
+// since PointFree depends on nothing else. Every other way-point is probed.
+// So the report is the one a fresh scan gives, and the fault hook sees the
+// same values in the same order; between map updates (every fifth tick at
+// the default cadence) a scan costs a comparison per way-point instead of
+// seven voxel lookups.
+func (c *Checker) CheckFrom(m *octomap.Tree, pos, vel geom.Vec3, traj []geom.Vec3, from int, corrupt func(float64) float64) Report {
 	r := Report{TimeToCollision: c.Horizon, FutureCollisionSeq: -1}
 
 	speed := vel.Len()
@@ -79,14 +113,50 @@ func (c *Checker) Check(m *octomap.Tree, pos, vel geom.Vec3, traj []geom.Vec3, c
 		r.TimeToCollision = ttc
 	}
 
-	for i, wp := range traj {
-		if !m.PointFree(wp, c.Policy) {
-			r.FutureCollisionSeq = float64(i)
-			break
-		}
+	if hit := c.scanWaypoints(m, traj, from); hit >= 0 {
+		r.FutureCollisionSeq = float64(hit - from)
 	}
 	if corrupt != nil {
 		r.FutureCollisionSeq = corrupt(r.FutureCollisionSeq)
 	}
 	return r
+}
+
+// scanWaypoints returns the index of the first way-point of traj[from:]
+// that is not PointFree, or -1, reusing the previous scan where CheckFrom
+// says it may, and keeps this scan for the next call.
+func (c *Checker) scanWaypoints(m *octomap.Tree, traj []geom.Vec3, from int) int {
+	prev := &c.scan
+	gen := m.Generation()
+	known := 0 // way-points from..from+known-1 may reuse prev's answers
+	if prev.tree == m && prev.gen == gen && from >= prev.from {
+		known = max(prev.from+len(prev.pts)-from, 0)
+	}
+	hit := -1
+	for i := from; i < len(traj); i++ {
+		var free bool
+		if i-from < known && sameBits(traj[i], prev.pts[i-prev.from]) {
+			free = i != prev.hit
+		} else {
+			free = m.PointFree(traj[i], c.Policy)
+		}
+		if !free {
+			hit = i
+			break
+		}
+	}
+	end := len(traj)
+	if hit >= 0 {
+		end = hit + 1
+	}
+	prev.tree, prev.gen, prev.from, prev.hit = m, gen, from, hit
+	prev.pts = append(prev.pts[:0], traj[min(from, end):end]...)
+	return hit
+}
+
+// sameBits reports whether a and b are the same position bit for bit.
+func sameBits(a, b geom.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }

@@ -133,6 +133,11 @@ type runner struct {
 	scanBuf []octomap.RayPoint
 	posBuf  []geom.Vec3
 
+	// checkAudit, when non-nil, receives every collision check's inputs and
+	// report. Test instrumentation only (the way-point reuse test re-runs
+	// each check with a fresh scan through it); nil in production.
+	checkAudit func(pos, vel geom.Vec3, traj []geom.Vec3, from int, rep perception.Report)
+
 	rngs struct {
 		sensor, planner *rand.Rand
 	}
@@ -493,15 +498,19 @@ func (r *runner) perceive(st sim.State, phase planning.MissionPhase) {
 	if phase == planning.PhaseTakeoff {
 		return
 	}
-	var remaining []geom.Vec3
+	// The check scans the way-points from the tracker's nearest one on,
+	// reusing its previous answers while the map and those way-points are
+	// unchanged (perception.Checker.CheckFrom).
+	var traj []geom.Vec3
+	from := 0
 	if r.curTraj != nil {
 		r.posBuf = r.curTraj.AppendPositions(r.posBuf[:0])
-		i := r.tracker.NearestIndex()
-		if i < len(r.posBuf) {
-			remaining = r.posBuf[i:]
-		}
+		traj, from = r.posBuf, r.tracker.NearestIndex()
 	}
-	rep := r.checker.Check(r.tree, st.Pos, st.Vel, remaining, r.hook(faultinject.KernelColCheck))
+	rep := r.checker.CheckFrom(r.tree, st.Pos, st.Vel, traj, from, r.hook(faultinject.KernelColCheck))
+	if r.checkAudit != nil {
+		r.checkAudit(st.Pos, st.Vel, traj, from, rep)
+	}
 	rep.T = r.t
 	r.acct.ComputeS += r.cfg.Platform.ColCheckS
 	r.reportT.Publish(rep) // interceptor may corrupt; planner node stores it
