@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt fmt-check test test-full test-race race-freelist bench bench-smoke bench-plan bench-probes bench-insert bench-seed docs-check record replay replay-verify matrix-smoke server-smoke dispatch-smoke approx-smoke hang-smoke fuzz-smoke cover staticcheck vulncheck
+.PHONY: build vet fmt fmt-check test test-full test-race race-freelist bench bench-smoke bench-module bench-plan bench-probes bench-insert bench-seed docs-check record replay replay-verify matrix-smoke server-smoke dispatch-smoke approx-smoke hang-smoke fuzz-smoke cover staticcheck vulncheck
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,13 @@ bench:
 bench-smoke:
 	MAVFI_BENCH_RUNS=2 $(GO) test -bench . -benchtime=1x -run '^$$' ./...
 
+# bench-module vets and tests the benchmark (bench/, its own Go module that
+# builds this one from the parent directory, so `go build ./...` and
+# `go test ./...` never compile it): a change to an API the benchmark calls
+# fails here, not in the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # bench-plan is the planner-regression smoke: one iteration of BenchmarkPlan
 # (the RRT* + spatial-index + map-query hot path PR 4 optimised), cheap
 # enough for every PR.
@@ -94,39 +101,40 @@ bench-probes:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-# record captures a small demo campaign cell (nominal + planner-fault) as
-# replayable mission logs under data/demo; replay byte-verifies them.
+# record captures a small demo campaign (four planner-fault missions and
+# their golden baseline) as replayable mission logs under
+# $(RECORD_DIR)/golden and $(RECORD_DIR)/injection; replay byte-verifies
+# every recording in the tree.
 RECORD_DIR ?= data/demo
 record:
-	$(GO) run ./cmd/mavfi-replay -record -o $(RECORD_DIR)/nominal -runs 4 -seed 1
-	$(GO) run ./cmd/mavfi-replay -record -o $(RECORD_DIR)/kfault -kernel planner -runs 4 -seed 1
+	$(GO) run ./cmd/mavfi -kernel planner -runs 4 -seed 1 -record-dir $(RECORD_DIR)
 
 replay:
-	$(GO) run ./cmd/mavfi-replay -verify $(RECORD_DIR)/nominal $(RECORD_DIR)/kfault
+	$(GO) run ./cmd/mavfi-replay -verify $(RECORD_DIR)
 
-# replay-verify is the CI determinism gate. It records a nominal and a
-# fault-injected cell twice — once with 1 campaign worker, once with 4 —
-# then (a) requires the recordings to be byte-identical across worker widths
-# (cmp) and (b) re-simulates every recording from its header, failing on the
-# first byte of divergence between the recomputed and recorded tick streams.
+# replay-verify is the CI determinism gate. mavfi -record-dir records four
+# fault-injected cells (kfault, sfault, senfault, actfault), each under
+# injection/ beside the nominal cell under golden/, twice: once with 1
+# campaign worker, once with 4. The gate then (a) requires the two widths to
+# have written the same files, byte-identical (diff -r), and (b)
+# re-simulates every recording from its header, failing on the first byte
+# of divergence between the recomputed and recorded tick streams, and fails
+# unless -verify found and passed as many recordings as were written.
 replay-verify:
-	rm -rf data/ci
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w1/nominal -runs 3 -seed 1 -workers 1
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w1/kfault -kernel planner -runs 3 -seed 1 -workers 1
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w1/sfault -state wp_x -runs 3 -seed 1 -workers 1
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w1/senfault -fault sensor -runs 3 -seed 1 -workers 1
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w1/actfault -fault actuator -runs 3 -seed 1 -workers 1
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w4/nominal -runs 3 -seed 1 -workers 4
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w4/kfault -kernel planner -runs 3 -seed 1 -workers 4
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w4/sfault -state wp_x -runs 3 -seed 1 -workers 4
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w4/senfault -fault sensor -runs 3 -seed 1 -workers 4
-	$(GO) run ./cmd/mavfi-replay -record -o data/ci/w4/actfault -fault actuator -runs 3 -seed 1 -workers 4
-	@for cell in nominal kfault sfault senfault actfault; do \
-		for f in data/ci/w1/$$cell/*.rec; do \
-			cmp "$$f" "data/ci/w4/$$cell/$$(basename $$f)" || exit 1; \
-		done; \
-	done; echo "worker-width byte-identity: ok"
-	$(GO) run ./cmd/mavfi-replay -verify data/ci/w1/nominal data/ci/w1/kfault data/ci/w1/sfault data/ci/w1/senfault data/ci/w1/actfault
+	rm -rf data/ci && mkdir -p data/ci/bin
+	$(GO) build -o data/ci/bin/ ./cmd/mavfi ./cmd/mavfi-replay
+	@set -e; for w in 1 4; do \
+		data/ci/bin/mavfi -kernel planner -runs 3 -seed 1 -workers $$w -record-dir data/ci/w$$w/kfault; \
+		data/ci/bin/mavfi -state wp_x -runs 3 -seed 1 -workers $$w -record-dir data/ci/w$$w/sfault; \
+		data/ci/bin/mavfi -fault sensor -runs 3 -seed 1 -workers $$w -record-dir data/ci/w$$w/senfault; \
+		data/ci/bin/mavfi -fault actuator -runs 3 -seed 1 -workers $$w -record-dir data/ci/w$$w/actfault; \
+	done
+	diff -r data/ci/w1 data/ci/w4
+	@echo "worker-width byte-identity: ok"
+	data/ci/bin/mavfi-replay -verify data/ci/w1 | tee data/ci/verify.log
+	@n=$$(find data/ci/w1 -name '*.rec' | wc -l); \
+	grep -qx "verified $$n recordings: $$n ok, 0 incomplete, 0 failed" data/ci/verify.log || \
+		{ echo "-verify did not pass all $$n recordings written"; exit 1; }
 
 # matrix-smoke is the CI campaign-matrix determinism gate: a tiny matrix
 # (2 worlds x 3 zoo families x 2 severities, 2 missions per cell) run at 1
@@ -254,17 +262,16 @@ approx-smoke:
 
 # hang-smoke runs, each under a 120 s wall-clock cap, the commands that
 # never finished while geom.WrapAngle reduced a huge yaw by 2π steps: the
-# two `mavfi matrix` repros in bench/README.md and a wp_yaw state-fault
-# recording. The binaries are built first, so the cap times the runs alone
-# and `timeout` stops the process that hangs.
+# two `mavfi matrix` repros in bench/README.md and a recorded wp_yaw
+# state-fault campaign. The binary is built first, so the cap times the runs
+# alone and `timeout` stops the process that hangs.
 hang-smoke:
 	rm -rf data/hang && mkdir -p data/hang
 	$(GO) build -o data/hang/mavfi ./cmd/mavfi
-	$(GO) build -o data/hang/mavfi-replay ./cmd/mavfi-replay
 	timeout 120 data/hang/mavfi matrix -worlds farm -families kernel -severities high -runs 8 -seed 19
 	timeout 120 data/hang/mavfi matrix -worlds sparse -families kernel -severities med0=0.6 \
 		-detectors aad -recoveries off -train 50 -runs 2 -seed 29
-	timeout 120 data/hang/mavfi-replay -record -o data/hang/wp_yaw -state wp_yaw -runs 6 -seed 1
+	timeout 120 data/hang/mavfi -state wp_yaw -runs 6 -seed 1 -record-dir data/hang/wp_yaw
 	@echo "former WrapAngle hangs finish: ok"
 
 # fuzz-smoke gives each fuzz target a short budget on every PR, so the

@@ -1,103 +1,68 @@
-// Command mavfi-replay records, verifies, and renders mission recordings.
+// Command mavfi-replay verifies and renders mission recordings.
 //
 // A recording captures everything a mission needs to be re-flown — seed,
 // world geometry, platform, fault plans, pre-mission detector state — plus
 // the full tick log. Because the simulator is deterministic, re-simulating
 // from the header must reproduce the tick log byte-for-byte; -verify is that
 // determinism gate, and CI runs it on every push (make replay-verify).
+// Recordings are written by `mavfi -record-dir DIR`, one .rec file per
+// mission under DIR/golden and DIR/injection.
 //
 // Usage:
 //
-//	mavfi-replay -record -o DIR [-env sparse]
-//	             [-kernel planner | -state wp_x | -fault sensor[:kind]]
-//	             [-severity 1.0] [-runs 4] [-seed 1] [-workers 0]
-//	    record a campaign cell, one .rec file per mission under DIR
-//
 //	mavfi-replay -verify PATH...
-//	    re-simulate each recording (file or directory of *.rec) and fail
-//	    unless the recomputed tick stream byte-matches the log; corrupt or
-//	    incomplete files are reported and skipped, the aggregate summary
-//	    decides the exit status
+//	    re-simulate each recording (a file, or every *.rec file in a
+//	    directory tree) and fail unless the recomputed tick stream
+//	    byte-matches the log; corrupt or incomplete files are reported and
+//	    skipped, the aggregate summary decides the exit status, and
+//	    arguments that hold no recording fail
 //
 //	mavfi-replay -csv PATH [> out.csv]
 //	    render a recording to the standard trace CSV without re-simulation
 //
 //	mavfi-replay -info PATH...
-//	    print header/footer metadata (files or directories)
+//	    print header/footer metadata (files or directory trees)
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"mavfi/internal/campaign"
-	"mavfi/internal/campaign/matrix"
-	"mavfi/internal/pipeline"
 	"mavfi/internal/record"
 )
 
 func main() {
 	var (
-		doRecord = flag.Bool("record", false, "record a campaign cell to -o")
 		doVerify = flag.Bool("verify", false, "byte-verify recordings by re-simulation")
 		doCSV    = flag.Bool("csv", false, "render one recording to CSV on stdout")
 		doInfo   = flag.Bool("info", false, "print recording metadata")
-
-		out      = flag.String("o", "", "output directory for -record")
-		envName  = flag.String("env", "sparse", "environment: factory, farm, sparse, dense")
-		kernel   = flag.String("kernel", "", "kernel to inject (instruction-level mode)")
-		state    = flag.String("state", "", "inter-kernel state to corrupt (message-level mode)")
-		fault    = flag.String("fault", "", "zoo fault family[:kind], e.g. sensor, actuator:thrust_loss, wind")
-		severity = flag.Float64("severity", 1.0, "fault severity scale for -fault families")
-		runs     = flag.Int("runs", 4, "missions to record")
-		seed     = flag.Int64("seed", 1, "campaign seed")
-		workers  = flag.Int("workers", 0, "campaign worker goroutines (0 = MAVFI_WORKERS, else GOMAXPROCS)")
 	)
 	flag.Parse()
 
 	modes := 0
-	for _, m := range []bool{*doRecord, *doVerify, *doCSV, *doInfo} {
+	for _, m := range []bool{*doVerify, *doCSV, *doInfo} {
 		if m {
 			modes++
 		}
 	}
 	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "specify exactly one of -record, -verify, -csv, -info")
+		fmt.Fprintln(os.Stderr, "specify exactly one of -verify, -csv, -info")
 		os.Exit(2)
 	}
 
 	switch {
-	case *doRecord:
-		if *out == "" {
-			fmt.Fprintln(os.Stderr, "-record requires -o DIR")
-			os.Exit(2)
-		}
-		faults := 0
-		for _, set := range []bool{*kernel != "", *state != "", *fault != ""} {
-			if set {
-				faults++
-			}
-		}
-		if faults > 1 {
-			fmt.Fprintln(os.Stderr, "specify at most one of -kernel, -state, or -fault")
-			os.Exit(2)
-		}
-		if err := recordCell(*out, *envName, *kernel, *state, *fault, *severity, *runs, *seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	case *doVerify:
 		if flag.NArg() == 0 {
 			fmt.Fprintln(os.Stderr, "-verify requires recording paths")
 			os.Exit(2)
 		}
-		if !verifyAll(expand(flag.Args())) {
+		if !verifyAll(os.Stdout, expand(flag.Args())) {
 			os.Exit(1)
 		}
 	case *doCSV:
@@ -125,85 +90,63 @@ func main() {
 	}
 }
 
-// recordCell records one campaign cell — nominal, or with the faults
-// cmd/mavfi draws (matrix.Assets.SingleCellPlans), so a recorded cell is a
-// faithful slice of the full fault-injection campaign.
-func recordCell(dir, envName, kernel, state, fault string, severity float64, runs int, seed int64, workers int) error {
-	assets := matrix.NewAssets()
-	world, err := assets.World(envName)
-	if err != nil {
-		return err
-	}
-	plans, err := assets.SingleCellPlans(envName, kernel, state, fault, severity, runs, seed)
-	if err != nil {
-		return err
-	}
-	cfg := func(i int) pipeline.Config {
-		cfg := pipeline.Config{World: world, Seed: seed + int64(i)}
-		if plans != nil {
-			cfg.SetFault(plans[i])
-		}
-		return cfg
-	}
-
-	runner := campaign.New(campaign.WithWorkers(workers))
-	out, err := record.RunCampaign(context.Background(), runner, dir, "record", runs, cfg)
-	if err != nil {
-		return err
-	}
-	c := out.Campaign
-	fmt.Printf("recorded %d missions to %s (success %.1f%%)\n", c.N(), dir, c.SuccessRate()*100)
-	return nil
-}
-
-// expand replaces directory arguments with the *.rec files inside them.
+// expand replaces each directory argument with the *.rec files in its tree,
+// in lexical order, so `mavfi -record-dir DIR`'s DIR/golden and
+// DIR/injection are both found from DIR.
 func expand(args []string) []string {
 	var paths []string
 	for _, a := range args {
-		st, err := os.Stat(a)
-		if err == nil && st.IsDir() {
-			matches, _ := filepath.Glob(filepath.Join(a, "*.rec"))
-			if len(matches) == 0 {
-				fmt.Fprintf(os.Stderr, "warning: no *.rec files in %s\n", a)
-			}
-			paths = append(paths, matches...)
+		if st, err := os.Stat(a); err != nil || !st.IsDir() {
+			paths = append(paths, a)
 			continue
 		}
-		paths = append(paths, a)
+		n := len(paths)
+		filepath.WalkDir(a, func(path string, d fs.DirEntry, err error) error {
+			// An entry the walk cannot read stays listed, so that
+			// verifying it fails rather than the tree passing without it.
+			if err != nil || (d.Type().IsRegular() && filepath.Ext(path) == ".rec") {
+				paths = append(paths, path)
+			}
+			return nil
+		})
+		if len(paths) == n {
+			fmt.Fprintf(os.Stderr, "warning: no *.rec files in %s\n", a)
+		}
 	}
 	return paths
 }
 
-// verifyAll re-simulates every recording and reports per-file pass/fail.
-// A corrupt, incomplete, or diverging file never stops the sweep — every
-// remaining path is still checked — and the aggregate summary decides the
-// overall result, so one bad recording in a campaign directory surfaces
-// without masking the state of the rest.
-func verifyAll(paths []string) bool {
+// verifyAll re-simulates every recording and reports per-file pass/fail
+// to w. A corrupt, incomplete, or diverging file never stops the sweep —
+// every remaining path is still checked — and the aggregate summary decides
+// the overall result, so one bad recording in a campaign directory surfaces
+// without masking the state of the rest. No paths at all is a failure: a
+// gate that verified nothing has shown nothing.
+func verifyAll(w io.Writer, paths []string) bool {
 	var passed, incomplete, failed int
 	for _, path := range paths {
 		m, err := record.Open(path)
 		if err != nil {
 			if errors.Is(err, record.ErrIncomplete) {
-				fmt.Printf("INCOMPLETE  %s: %v\n", path, err)
+				fmt.Fprintf(w, "INCOMPLETE  %s: %v\n", path, err)
 				incomplete++
 			} else {
-				fmt.Printf("FAIL  %s: %v\n", path, err)
+				fmt.Fprintf(w, "FAIL  %s: %v\n", path, err)
 				failed++
 			}
 			continue
 		}
 		if err := m.Verify(); err != nil {
-			fmt.Printf("FAIL  %s: %v\n", path, err)
+			fmt.Fprintf(w, "FAIL  %s: %v\n", path, err)
 			failed++
 			continue
 		}
-		fmt.Printf("ok    %s (%d ticks byte-identical)\n", path, m.Footer.Samples)
+		fmt.Fprintf(w, "ok    %s (%d ticks byte-identical)\n", path, m.Footer.Samples)
 		passed++
 	}
-	fmt.Printf("verified %d recordings: %d ok, %d incomplete, %d failed\n",
+	fmt.Fprintf(w, "verified %d recordings: %d ok, %d incomplete, %d failed\n",
 		len(paths), passed, incomplete, failed)
-	return incomplete == 0 && failed == 0
+	return len(paths) > 0 && incomplete == 0 && failed == 0
 }
 
 // printInfo writes one recording's metadata to w. A path that cannot be

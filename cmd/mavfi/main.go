@@ -19,8 +19,9 @@
 // the paper's compute faults, -fault draws from any zoo family (optionally
 // restricted to one mechanism, e.g. -fault sensor:ray_dropout). With
 // -record-dir, every mission (golden and injection) is persisted as a
-// replayable recording under DIR/golden and DIR/injection; inspect or
-// byte-verify them with mavfi-replay.
+// replayable recording under DIR/golden and DIR/injection, and a mission
+// that cannot be recorded makes the command exit 1; inspect or byte-verify
+// the recordings with mavfi-replay.
 //
 // The matrix mode runs the deterministic campaign matrix: cells and
 // missions are seed-stable and the per-cell CSVs (-csv-dir) are
@@ -104,59 +105,35 @@ func main() {
 		}
 	}
 
-	// Golden baseline.
-	var golden *qof.Campaign
-	goldenCfg := func(i int) pipeline.Config {
-		return pipeline.Config{World: world, Seed: *seed + int64(i)}
-	}
-	if *recDir != "" {
-		goldenOut, err := record.RunCampaign(ctx, runner, filepath.Join(*recDir, "golden"), "golden", *runs, goldenCfg)
+	// The golden baseline, then the injection campaign. With -record-dir
+	// every mission is recorded under DIR/golden or DIR/injection, and a
+	// recording failure exits 1 once its campaign has flown.
+	fly := func(name string, cfg func(i int) pipeline.Config) *qof.Campaign {
+		dir := ""
+		if *recDir != "" {
+			dir = filepath.Join(*recDir, name)
+		}
+		out, err := record.RunCampaign(ctx, runner, dir, name, *runs, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "recording golden campaign:", err)
+			fmt.Fprintf(os.Stderr, "recording %s campaign: %v\n", name, err)
 			os.Exit(1)
 		}
-		golden = goldenOut.Campaign
-	} else {
-		goldenOut, _ := runner.Run(ctx, "golden", *runs, func(i int) qof.Metrics {
-			return pipeline.RunMission(goldenCfg(i)).Metrics
-		})
-		golden = goldenOut.Campaign
+		return out.Campaign
 	}
-
-	camp := &qof.Campaign{Name: "injection"}
-	fired := make([]bool, *runs)
-	results := make([]qof.Metrics, *runs)
-	injDir := ""
-	if *recDir != "" {
-		injDir = filepath.Join(*recDir, "injection")
-		if err := os.MkdirAll(injDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "recording injection campaign:", err)
-			os.Exit(1)
-		}
-	}
-	runner.ForEach(ctx, *runs, func(i int) {
+	golden := fly("golden", func(i int) pipeline.Config {
+		return pipeline.Config{World: world, Seed: *seed + int64(i)}
+	})
+	camp := fly("injection", func(i int) pipeline.Config {
 		cfg := pipeline.Config{World: world, Seed: *seed + int64(i)}
 		cfg.SetFault(plans[i])
 		if det != nil {
 			cfg.Detector = det()
 		}
-		var res pipeline.Result
-		if injDir != "" {
-			// Recording failures are reported but never fail the mission: the
-			// campaign aggregate survives a filling disk.
-			var err error
-			if res, err = record.RecordedMission(injDir, i, cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "recording mission %d: %v\n", i, err)
-			}
-		} else {
-			res = pipeline.RunMission(cfg)
-		}
-		results[i], fired[i] = res.Metrics, res.Injected
+		return cfg
 	})
 	injected := 0
-	for i := range results {
-		camp.Add(results[i])
-		if fired[i] {
+	for _, m := range camp.Results {
+		if m.InjectedAtS > 0 { // a fault fires on a tick, never at t = 0
 			injected++
 		}
 	}

@@ -149,11 +149,11 @@ func (a *Assets) counter(ctx context.Context, pool *campaign.Slots, world string
 	return ctr, nil
 }
 
-// SingleCellPlans draws the fault plans of the single-cell campaigns that
-// mavfi and mavfi-replay -record fly over world: plan i belongs to the
-// mission seeded seed+i. At most one of kernel, state and fault is set, as
-// those commands' flags of the same names spell them; with none set there
-// are no plans. The plan RNG is seeded at seed+42. kernel and state draw the
+// SingleCellPlans draws the fault plans of the single-cell injection
+// campaign mavfi flies over world (and records under -record-dir's
+// injection/): plan i belongs to the mission seeded seed+i. At most one of
+// kernel, state and fault is set, as mavfi's flags of the same names spell
+// them; with none set there are no plans, the golden campaign. The plan RNG is seeded at seed+42. kernel and state draw the
 // paper's compute faults directly: faultinject.NewPlan over the world's
 // calibration count (Counter at seed) and NewStatePlan over 15–85% of the
 // nominal duration. fault draws from the zoo with faultinject.DrawFault at

@@ -25,14 +25,13 @@ package matrix
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -159,9 +158,9 @@ var worldPresets = map[string]func(*rand.Rand) *env.World{
 }
 
 // World builds one of the named standard environments; a generated world
-// draws from its own fresh rand.Source(1). mavfi, mavfi-replay, mavsim, the
-// job server and the dispatcher resolve world names here, so their matrix
-// cells, single campaigns and recordings fly the same worlds. The paper
+// draws from its own fresh rand.Source(1). mavfi, mavsim, the job server
+// and the dispatcher resolve world names here, so their matrix cells,
+// single campaigns and recordings fly the same worlds. The paper
 // figures do not: experiments.NewContext draws Sparse and then Dense from
 // one rand.Source(Opts.Seed). At the default seed 1 its Sparse world is
 // World("sparse"), but its Dense world is not World("dense"). ROADMAP.md
@@ -233,9 +232,9 @@ type Spec struct {
 	// surface the campaign server pushes per-mission results through.
 	OnMission func(i int, m qof.Metrics)
 	// RecordDir, when set, persists every mission as a replayable recording
-	// under it (record.MissionPath over the flat mission index, the layout
-	// record.ScanDir recovers). Recording failures never fail missions; the
-	// first one is reported in Result.RecordErr.
+	// under it through record.RunCampaign (record.MissionPath over the flat
+	// mission index, the layout record.ScanDir recovers). Recording failures
+	// never fail missions; the first one is reported in Result.RecordErr.
 	RecordDir string
 }
 
@@ -535,16 +534,8 @@ func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
 		plans[ci] = cellPlans
 	}
 
-	if spec.RecordDir != "" {
-		if err := os.MkdirAll(spec.RecordDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	var recMu sync.Mutex
-	var recErr error
-
 	total := len(cells) * spec.Runs
-	out, runErr := runner.Run(ctx, "matrix", total, func(i int) qof.Metrics {
+	out, runErr := record.RunCampaign(ctx, runner, spec.RecordDir, "matrix", total, func(i int) pipeline.Config {
 		ci, j := i/spec.Runs, i%spec.Runs
 		cell := cells[ci]
 		cfg := pipeline.Config{
@@ -560,21 +551,16 @@ func RunOn(ctx context.Context, spec Spec, assets *Assets) (*Result, error) {
 			cfg.Detector = mk()
 			cfg.DetectOnly = !cell.Recovery
 		}
-		if spec.RecordDir == "" {
-			return pipeline.RunMission(cfg).Metrics
-		}
-		res, rerr := record.RecordedMission(spec.RecordDir, i, cfg)
-		if rerr != nil {
-			recMu.Lock()
-			if recErr == nil {
-				recErr = fmt.Errorf("matrix: recording mission %d: %w", i, rerr)
-			}
-			recMu.Unlock()
-		}
-		return res.Metrics
+		return cfg
 	})
-
-	res := &Result{Spec: spec, Panics: out.Panics, RecordErr: recErr}
+	if out == nil {
+		return nil, runErr // the record dir could not be made
+	}
+	res := &Result{Spec: spec, Panics: out.Panics}
+	if runErr != nil && !errors.Is(runErr, ctx.Err()) {
+		// A recording failure: every mission flew, so the Result is whole.
+		res.RecordErr, runErr = runErr, nil
+	}
 	for ci, cell := range cells {
 		camp := &qof.Campaign{Name: cell.Name()}
 		lo, hi := ci*spec.Runs, (ci+1)*spec.Runs

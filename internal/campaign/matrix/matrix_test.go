@@ -211,10 +211,11 @@ func TestSummaryCSVCountsDegradedOutcomes(t *testing.T) {
 	}
 }
 
-// TestSingleCellPlansPinned pins the single-cell draw mavfi and
-// mavfi-replay -record share to the plans each of them drew inline before
-// it moved into Assets.SingleCellPlans (sparse, seed 1, three missions):
-// -kernel planner, -state wp_x, -fault sensor and -fault kernel:pid.
+// TestSingleCellPlansPinned pins the single-cell draw of mavfi (which the
+// since-deleted mavfi-replay -record shared) to the plans each of them drew
+// inline before it moved into Assets.SingleCellPlans (sparse, seed 1, three
+// missions): -kernel planner, -state wp_x, -fault sensor and -fault
+// kernel:pid.
 func TestSingleCellPlansPinned(t *testing.T) {
 	a := NewAssets()
 	for _, c := range []struct {

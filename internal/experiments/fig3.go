@@ -47,8 +47,8 @@ func (c *Context) Fig3() *Fig3Result {
 		return pipeline.Config{World: w, Platform: c.Platform, Seed: c.Seed + int64(i)}
 	}))
 
+	ctr := c.calibrate(w, c.Platform)
 	for ki, k := range fig3Kernels {
-		ctr := c.calibrate(w, c.Platform)
 		// Draw the cell's Runs injection plans up front (sequentially, as
 		// NewPlan consumes the RNG) so each mission is a pure function of
 		// its index and the cell can shard across workers.

@@ -19,60 +19,58 @@ func MissionPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("mission-%05d.rec", i))
 }
 
-// RecordedMission flies cfg while persisting it to MissionPath(dir, i).
-// Recording failures never fail the mission: when the file cannot be created
-// or the writer errors, the mission still flies (or completes unrecorded) and
-// the recording error is returned alongside the genuine result. This is the
-// single per-mission persistence point RunCampaign and the campaign matrix's
-// RecordDir mode share, so every recorded campaign produces the same
-// dir/mission-%05d.rec layout record.ScanDir recovers.
-func RecordedMission(dir string, i int, cfg pipeline.Config) (pipeline.Result, error) {
-	f, err := os.Create(MissionPath(dir, i))
-	if err != nil {
-		// No file: fly unrecorded so the campaign aggregate survives.
-		return pipeline.RunMission(cfg), err
-	}
-	res, err := RunRecorded(cfg, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return res, err
-}
-
 // RunCampaign runs the n missions of one campaign cell across r's worker
-// pool, recording every mission to its own file under dir (created if
-// missing). Each worker writes only its mission's file, so recording is safe
-// at any worker width — and because mission i's configuration and flight
-// depend only on i, the files themselves are byte-identical regardless of
-// how many workers produced them (the property `make replay-verify` checks
-// with cmp across widths).
+// pool, recording mission i to MissionPath(dir, i) (dir is created if
+// missing); an empty dir flies the campaign unrecorded. It is the one loop
+// that records a campaign — cmd/mavfi's golden and injection campaigns and
+// the campaign matrix's RecordDir mode all fly through it — so every
+// recorded campaign has the layout ScanDir recovers. Each worker writes only
+// its mission's file, so recording is safe at any worker width, and because
+// mission i's configuration and flight depend only on i, the files
+// themselves are byte-identical regardless of how many workers produced
+// them (the property `make replay-verify` checks with cmp across widths).
 //
-// Recording failures do not abort the campaign: the mission still flies and
-// its metrics still aggregate; the first recording error is returned after
-// the campaign completes (alongside any context error, which takes
-// precedence as in campaign.Runner.Run).
+// Recording failures do not abort the campaign: a mission whose file cannot
+// be created or written still flies and its metrics still aggregate; the
+// first recording error is returned after the campaign completes (a context
+// error takes precedence, as in campaign.Runner.Run).
 func RunCampaign(ctx context.Context, r *campaign.Runner, dir, name string, n int, makeCfg func(i int) pipeline.Config) (*campaign.Outcome, error) {
+	if dir == "" {
+		return r.Run(ctx, name, n, func(i int) qof.Metrics {
+			return pipeline.RunMission(makeCfg(i)).Metrics
+		})
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var mu sync.Mutex
 	var firstErr error
-	record := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = fmt.Errorf("record: mission %d: %w", i, err)
-		}
-		mu.Unlock()
-	}
 	out, err := r.Run(ctx, name, n, func(i int) qof.Metrics {
-		res, rerr := RecordedMission(dir, i, makeCfg(i))
-		if rerr != nil {
-			record(i, rerr)
+		cfg := makeCfg(i)
+		var res pipeline.Result
+		f, err := os.Create(MissionPath(dir, i))
+		if err != nil {
+			res = pipeline.RunMission(cfg) // no file: fly unrecorded
+		} else {
+			res, err = RunRecorded(cfg, f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("record: mission %d: %w", i, err)
+			}
+			mu.Unlock()
 		}
 		return res.Metrics
 	})
 	if err != nil {
 		return out, err
 	}
+	// A mission abandoned at its deadline may still be running.
+	mu.Lock()
+	defer mu.Unlock()
 	return out, firstErr
 }

@@ -372,20 +372,26 @@ func (fakeDetector) Observe(t float64, deltas [detect.NumStates]float64) []detec
 	return nil
 }
 
+// TestWriterFailureDoesNotAbortMission pins that a failing destination
+// never changes the mission: whether it fails mid-mission (the budget
+// outlasts the header but not the tick chunks) or before the header, the
+// error surfaces and the result is the unrecorded mission's.
 func TestWriterFailureDoesNotAbortMission(t *testing.T) {
 	cfg := pipeline.Config{World: testWorld(), Seed: 3}
-	res, err := RunRecordedOptions(cfg, &failAfter{n: 8 << 10}, Options{ChunkSamples: 8})
-	if err == nil {
-		t.Fatal("RunRecorded did not surface the write error")
-	}
-	if res.FlightTimeS == 0 {
-		t.Fatal("mission did not fly to completion despite writer failure")
+	plain := pipeline.RunMission(cfg)
+	for _, budget := range []int{8 << 10, 0} {
+		res, err := RunRecordedOptions(cfg, &failAfter{n: budget}, Options{ChunkSamples: 8})
+		if err == nil {
+			t.Fatalf("budget %d: RunRecorded did not surface the write error", budget)
+		}
+		if res.FlightTimeS == 0 || res.Metrics != plain.Metrics {
+			t.Fatalf("budget %d: mission did not fly to completion despite writer failure: %+v", budget, res.Metrics)
+		}
 	}
 }
 
-// failAfter is an io.Writer that fails once its byte budget is spent —
-// a synthetic disk filling mid-mission (the budget outlasts the header but
-// not the tick chunks).
+// failAfter is an io.Writer that fails once its byte budget is spent — a
+// synthetic disk filling mid-mission.
 type failAfter struct{ n int }
 
 func (f *failAfter) Write(p []byte) (int, error) {

@@ -116,10 +116,13 @@ func (m *Mission) Config() (pipeline.Config, error) {
 }
 
 // RunRecorded flies one mission under cfg while streaming its tick log into
-// dst as a version-1 recording. The mission itself is unaffected by the
-// recording (and by recording failures — a failed writer drops samples, the
-// flight completes, and the error surfaces here), so campaign aggregates
-// stay usable even when a disk fills mid-campaign.
+// dst as a recording in the current format (Version). A config NewHeader
+// rejects is not flown. Otherwise the mission is unaffected by the recording
+// and by its failures: a dst that fails before the header is written leaves
+// the mission to fly unrecorded, and a writer that fails later drops
+// samples while the flight completes. Either way the error surfaces here
+// beside the genuine result, so campaign aggregates stay usable even when a
+// disk fills mid-campaign.
 func RunRecorded(cfg pipeline.Config, dst io.Writer) (pipeline.Result, error) {
 	return RunRecordedOptions(cfg, dst, Options{})
 }
@@ -132,16 +135,13 @@ func RunRecordedOptions(cfg pipeline.Config, dst io.Writer, opts Options) (pipel
 	}
 	w, err := NewWriter(dst, h, opts)
 	if err != nil {
-		return pipeline.Result{}, err
+		return pipeline.RunMission(cfg), err
 	}
 	cfg.Record = true
 	cfg.Sink = w
 	res := pipeline.RunMission(cfg)
 	w.SetResult(res)
-	if err := w.Close(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, w.Close()
 }
 
 // verifySink re-encodes the replayed samples through the canonical sample

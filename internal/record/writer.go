@@ -10,17 +10,15 @@ import (
 	"hash/fnv"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"mavfi/internal/geom"
 	"mavfi/internal/pipeline"
 	"mavfi/internal/trace"
 )
 
-// Options tune a Writer. The zero value selects the defaults; every knob
-// only affects framing and buffering, never the canonical tick stream, so
-// recordings made with different options still byte-verify against each
-// other's replays.
+// Options tune a Writer. The zero value selects the defaults; both knobs
+// only affect framing, never the canonical tick stream, so recordings made
+// with different options still byte-verify against each other's replays.
 type Options struct {
 	// ChunkSamples is the number of samples per compressed chunk frame
 	// (default 256). Larger chunks compress better; smaller chunks bound
@@ -29,16 +27,6 @@ type Options struct {
 	// SnapshotEvery is the snapshot-frame cadence in samples (default
 	// 512).
 	SnapshotEvery int
-	// QueueDepth is the number of filled chunk buffers that may wait for
-	// the compression goroutine (default 4). When the queue is full the
-	// tick path blocks — bounded memory, applied as backpressure.
-	QueueDepth int
-	// GzipLevel is the chunk compression level (default gzip.BestSpeed —
-	// the tick stream is small and the writer must keep up with the
-	// mission loop). Go's gzip output is deterministic for a fixed level,
-	// which is what makes whole recordings comparable byte-for-byte across
-	// campaign worker widths.
-	GzipLevel int
 }
 
 func (o Options) withDefaults() Options {
@@ -48,38 +36,33 @@ func (o Options) withDefaults() Options {
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 512
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4
-	}
-	if o.GzipLevel == 0 {
-		o.GzipLevel = gzip.BestSpeed
-	}
 	return o
 }
 
-// job is one unit handed to the compression goroutine: a chunk to compress
-// and frame, or a snapshot to frame as-is. The payload buffer is returned to
-// the free list afterwards.
-type job struct {
-	kind    byte
-	payload []byte
-}
+// gzipWriters pools chunk compressors, all at gzip.BestSpeed (the tick
+// stream is small and compression runs on the mission loop). A compressor's
+// state runs to hundreds of kilobytes, and a Reset one writes exactly the
+// bytes a new one would, so missions share them instead of each allocating
+// its own. Go's gzip output is deterministic for a fixed level, which is
+// what makes whole recordings comparable byte-for-byte across campaign
+// worker widths.
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // a valid level cannot fail
+	return zw
+}}
 
 // Writer streams one mission's samples into a recording. It implements
 // trace.Sink, so it plugs straight into pipeline.Config.Sink.
 //
-// Concurrency contract (the PR 4 zero-alloc recording contract, extended to
-// persistence): Append runs on the mission tick path and performs no
-// allocation and no compression — it serializes into a preallocated chunk
-// buffer and, when the chunk fills, hands it to a single background
-// goroutine over a bounded queue, taking a recycled buffer back from the
-// free list. Compression and file writes happen only on that goroutine.
-// Every buffer is preallocated in NewWriter, so a steady-state recorded
-// tick allocates nothing on either goroutine. If the background writer
-// falls behind, the tick path blocks on the free list once QueueDepth
-// chunks are in flight (bounded queueing, never unbounded growth); if it
-// fails (disk full), the writer latches the error, Append becomes a cheap
-// no-op, and Close reports what happened.
+// Concurrency contract: everything runs on the caller's goroutine (the
+// mission loop). Append serializes each sample into a preallocated chunk
+// buffer; the Append that fills a chunk compresses it with the writer's
+// pooled compressor into a reused buffer and writes the frame, and the one
+// that reaches a snapshot boundary writes the snapshot frame from a fixed
+// array. Every buffer is sized in NewWriter, so a steady-state recorded tick
+// allocates nothing, compressing ones included. The first write error is
+// latched: Append becomes a cheap no-op, the mission flies on, and Close
+// reports the error.
 //
 // Append must be called from one goroutine at a time (the mission loop);
 // Writer is not a concurrent sink for multiple missions — campaigns give
@@ -88,8 +71,7 @@ type Writer struct {
 	opts Options
 	dst  io.Writer
 
-	// Tick-path state (single goroutine).
-	cur          []byte
+	cur          []byte // the current chunk's encoded samples
 	curSamples   int
 	samples      int
 	payloadBytes int
@@ -100,25 +82,19 @@ type Writer struct {
 	digest       hash.Hash64
 	events       []Event
 
-	// Handoff to the compression goroutine.
-	work chan job
-	free chan []byte
-	wg   sync.WaitGroup
+	zw   *gzip.Writer // from gzipWriters, returned by Close
+	zbuf bytes.Buffer // one compressed chunk
+	hdr  [5]byte      // one frame's type and length
+	snap [snapshotBytes]byte
 
-	// failed flips once on the first background error; the tick path polls
-	// it cheaply and stops recording. The error itself is read after the
-	// goroutine exits (Close), so it needs no lock of its own.
-	failed atomic.Bool
-	err    error
-
+	err    error // the first compression or write error
 	result *ResultRecord
 	closed bool
 }
 
-// NewWriter writes the magic and header frame to dst and starts the
-// background compression goroutine. The caller must Close the writer to
-// flush the final chunk and write the events and footer frames; dst is not
-// closed (the caller owns the file).
+// NewWriter writes the magic and header frame to dst. The caller must Close
+// the writer to flush the final chunk and write the events and footer
+// frames; dst is not closed (the caller owns the file).
 func NewWriter(dst io.Writer, h Header, opts Options) (*Writer, error) {
 	opts = opts.withDefaults()
 	h.Version = Version
@@ -134,53 +110,40 @@ func NewWriter(dst io.Writer, h Header, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("record: encoding header: %w", err)
 	}
-	if err := writeFrame(dst, frameHeader, hdr); err != nil {
-		return nil, err
+	w := &Writer{opts: opts, dst: dst, digest: fnv.New64a()}
+	if w.writeFrame(frameHeader, hdr); w.err != nil {
+		return nil, w.err
 	}
-
-	w := &Writer{
-		opts:   opts,
-		dst:    dst,
-		digest: fnv.New64a(),
-		work:   make(chan job, opts.QueueDepth),
-		free:   make(chan []byte, opts.QueueDepth+1),
-	}
-	// One buffer per queue slot plus the current chunk: the tick path can
-	// always take a fresh buffer without allocating, and total buffered
-	// memory is bounded by (QueueDepth+2) chunks.
+	// A chunk never outgrows cur, and its compressed form never outgrows
+	// zbuf: deflate falls back to stored blocks, which add 5 bytes per
+	// 64 KiB, and gzip adds an 18-byte header and trailer.
 	bufCap := opts.ChunkSamples*sampleFixedBytes + maxSampleBytes
-	if bufCap < snapshotBytes {
-		bufCap = snapshotBytes
-	}
-	for i := 0; i < opts.QueueDepth+1; i++ {
-		w.free <- make([]byte, 0, bufCap)
-	}
 	w.cur = make([]byte, 0, bufCap)
-
-	w.wg.Add(1)
-	go w.compressLoop()
+	w.zbuf.Grow(bufCap + bufCap/4096 + 64)
+	w.zw = gzipWriters.Get().(*gzip.Writer)
 	return w, nil
 }
 
-// writeFrame emits one [type][len][payload] frame.
-func writeFrame(dst io.Writer, kind byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := dst.Write(hdr[:]); err != nil {
-		return fmt.Errorf("record: writing frame header: %w", err)
+// writeFrame emits one [type][len][payload] frame, latching the first write
+// error; once one is latched it writes nothing.
+func (w *Writer) writeFrame(kind byte, payload []byte) {
+	if w.err != nil {
+		return
 	}
-	if _, err := dst.Write(payload); err != nil {
-		return fmt.Errorf("record: writing frame payload: %w", err)
+	w.hdr[0] = kind
+	binary.LittleEndian.PutUint32(w.hdr[1:], uint32(len(payload)))
+	if _, err := w.dst.Write(w.hdr[:]); err != nil {
+		w.err = fmt.Errorf("record: writing frame header: %w", err)
+	} else if _, err := w.dst.Write(payload); err != nil {
+		w.err = fmt.Errorf("record: writing frame payload: %w", err)
 	}
-	return nil
 }
 
 // Append implements trace.Sink: serialize one finalized sample onto the
-// current chunk, flushing to the background goroutine at chunk and snapshot
-// boundaries. See the Writer doc comment for the concurrency contract.
+// current chunk, writing the chunk and snapshot frames at their boundaries.
+// See the Writer doc comment for the concurrency contract.
 func (w *Writer) Append(s trace.Sample) {
-	if w.closed || w.failed.Load() {
+	if w.closed || w.err != nil {
 		return
 	}
 	start := len(w.cur)
@@ -205,27 +168,28 @@ func (w *Writer) Append(s trace.Sample) {
 		// Snapshot after flushing the chunk that contains its last sample,
 		// so a snapshot frame always summarises fully-persisted data.
 		w.flushChunk()
-		w.enqueueSnapshot()
+		w.writeFrame(frameSnapshot, appendSnapshot(w.snap[:0], w.snapshot()))
 	}
 }
 
-// flushChunk hands the current chunk to the compression goroutine and takes
-// a recycled buffer. No-op on an empty chunk.
+// flushChunk compresses the current chunk and writes it as one frame, then
+// empties it. No-op on an empty chunk.
 func (w *Writer) flushChunk() {
 	if w.curSamples == 0 {
 		return
 	}
-	w.work <- job{kind: frameChunk, payload: w.cur}
-	w.cur = <-w.free
+	if w.err == nil {
+		w.zbuf.Reset()
+		w.zw.Reset(&w.zbuf)
+		if _, err := w.zw.Write(w.cur); err != nil {
+			w.err = err
+		} else if err := w.zw.Close(); err != nil {
+			w.err = err
+		}
+		w.writeFrame(frameChunk, w.zbuf.Bytes())
+	}
+	w.cur = w.cur[:0]
 	w.curSamples = 0
-}
-
-// enqueueSnapshot emits a snapshot frame through the same queue (ordering
-// with chunk frames is preserved: one goroutine drains in FIFO order).
-func (w *Writer) enqueueSnapshot() {
-	buf := <-w.free
-	buf = appendSnapshot(buf, w.snapshot())
-	w.work <- job{kind: frameSnapshot, payload: buf}
 }
 
 // snapshot captures the current cumulative recording state.
@@ -239,73 +203,6 @@ func (w *Writer) snapshot() Snapshot {
 	}
 }
 
-// gzipWriters pools chunk compressors per level, indexed by level minus
-// gzip.HuffmanOnly: a compressor's state runs to hundreds of kilobytes, and
-// a Reset one writes exactly the bytes a new one would, so missions share
-// them instead of each allocating its own.
-var gzipWriters [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
-
-// getGzipWriter returns a compressor at level writing to dst, from the pool
-// when it holds one; an invalid level reports gzip's error.
-func getGzipWriter(dst io.Writer, level int) (*gzip.Writer, error) {
-	if level >= gzip.HuffmanOnly && level <= gzip.BestCompression {
-		if zw, ok := gzipWriters[level-gzip.HuffmanOnly].Get().(*gzip.Writer); ok {
-			zw.Reset(dst)
-			return zw, nil
-		}
-	}
-	return gzip.NewWriterLevel(dst, level)
-}
-
-// putGzipWriter returns a compressor from getGzipWriter to the pool,
-// detached from its last destination.
-func putGzipWriter(zw *gzip.Writer, level int) {
-	zw.Reset(io.Discard)
-	gzipWriters[level-gzip.HuffmanOnly].Put(zw)
-}
-
-// compressLoop is the background goroutine: compress chunks, frame
-// snapshots, recycle buffers. On a write error it latches failure and keeps
-// draining (recycling buffers) so the tick path can never deadlock.
-func (w *Writer) compressLoop() {
-	defer w.wg.Done()
-	var buf bytes.Buffer
-	zw, zerr := getGzipWriter(&buf, w.opts.GzipLevel)
-	if zerr != nil {
-		w.fail(zerr)
-	} else {
-		defer putGzipWriter(zw, w.opts.GzipLevel)
-	}
-	for j := range w.work {
-		if !w.failed.Load() {
-			switch j.kind {
-			case frameChunk:
-				buf.Reset()
-				zw.Reset(&buf)
-				if _, err := zw.Write(j.payload); err != nil {
-					w.fail(err)
-				} else if err := zw.Close(); err != nil {
-					w.fail(err)
-				} else if err := writeFrame(w.dst, frameChunk, buf.Bytes()); err != nil {
-					w.fail(err)
-				}
-			case frameSnapshot:
-				if err := writeFrame(w.dst, frameSnapshot, j.payload); err != nil {
-					w.fail(err)
-				}
-			}
-		}
-		w.free <- j.payload[:0]
-	}
-}
-
-// fail latches the first background error.
-func (w *Writer) fail(err error) {
-	if !w.failed.Swap(true) {
-		w.err = err
-	}
-}
-
 // SetResult attaches the mission's outcome for the footer frame; call it
 // after the mission returns and before Close.
 func (w *Writer) SetResult(res pipeline.Result) {
@@ -316,8 +213,8 @@ func (w *Writer) SetResult(res pipeline.Result) {
 // Samples returns the number of samples appended so far.
 func (w *Writer) Samples() int { return w.samples }
 
-// Close flushes the final chunk, stops the compression goroutine, writes a
-// final snapshot plus the events and footer frames, and returns the first
+// Close flushes the final chunk, writes a final snapshot plus the events and
+// footer frames, returns the compressor to the pool, and returns the first
 // error the recording hit (nil for a complete, verifiable recording). Close
 // does not close the underlying writer.
 func (w *Writer) Close() error {
@@ -326,24 +223,19 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.flushChunk()
+	w.zw.Reset(io.Discard)
+	gzipWriters.Put(w.zw)
+	w.zw = nil
 	if w.samples > 0 && w.samples%w.opts.SnapshotEvery != 0 {
 		// Final snapshot so the last persisted state is always summarised.
-		w.enqueueSnapshot()
+		w.writeFrame(frameSnapshot, appendSnapshot(w.snap[:0], w.snapshot()))
 	}
-	close(w.work)
-	w.wg.Wait()
-	if w.failed.Load() {
-		return w.err
-	}
-
 	if len(w.events) > 0 {
 		ev, err := json.Marshal(w.events)
 		if err != nil {
 			return fmt.Errorf("record: encoding events: %w", err)
 		}
-		if err := writeFrame(w.dst, frameEvents, ev); err != nil {
-			return err
-		}
+		w.writeFrame(frameEvents, ev)
 	}
 	f := Footer{
 		Samples:      w.samples,
@@ -357,5 +249,6 @@ func (w *Writer) Close() error {
 	if err != nil {
 		return fmt.Errorf("record: encoding footer: %w", err)
 	}
-	return writeFrame(w.dst, frameFooter, ft)
+	w.writeFrame(frameFooter, ft)
+	return w.err
 }

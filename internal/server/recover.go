@@ -15,7 +15,7 @@ import (
 
 // recoverJobs rebuilds the server's view of recorded jobs from RecordDir.
 // Each job directory carries a job.json manifest plus the mission recordings
-// matrix.RunOn wrote through record.RecordedMission. A job whose every
+// matrix.RunOn wrote through record.RunCampaign. A job whose every
 // mission has a complete (footer-bearing) recording is restored as done —
 // its results come straight from the recording footers, with no
 // re-simulation, and its CSV endpoints serve the same bytes as before the

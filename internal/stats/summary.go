@@ -77,53 +77,6 @@ func (s Summary) String() string {
 		s.N, s.Min, s.P25, s.Median, s.P75, s.P95, s.Max, s.Mean, s.Std)
 }
 
-// Histogram is a fixed-bin histogram over [Lo, Hi); samples outside the range
-// are clamped into the boundary bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 {
-		nbins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add records sample x.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Mode returns the centre of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(best)+0.5)*w
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery used throughout the MAVFI
 // reproduction: the online Welford mean/variance recurrence the paper's
 // Gaussian anomaly detector is built on (Eqs. 1–2, after Knuth TAOCP vol. 2),
-// plus distribution summaries and histograms used to report the flight-time
-// figures.
+// plus the distribution summaries used to report the flight-time figures.
 package stats
 
 import "math"
@@ -69,16 +68,6 @@ func (w *Welford) Sigma(x float64) float64 {
 		return math.Inf(1)
 	}
 	return d / sd
-}
-
-// InRange reports whether x lies within n sigma of the running mean. Before
-// two samples have been seen every value is in range (the detector is still
-// warming up).
-func (w *Welford) InRange(x float64, n float64) bool {
-	if w.n < 2 {
-		return true
-	}
-	return w.Sigma(x) <= n
 }
 
 // Reset clears the accumulated statistics.

@@ -40,7 +40,8 @@ type Trace struct {
 // Event string beyond the call if it wants to stay allocation-free; it is
 // invoked from the mission tick loop, so implementations must keep the call
 // cheap and must not block on unbounded work (the record.Writer compresses
-// on a background goroutine behind a bounded queue for exactly this reason).
+// one chunk of a few hundred samples at a time, into buffers it sized up
+// front).
 // Errors are reported out of band (e.g. record.Writer.Close): Append does
 // not return one, keeping the tick path free of error-wrapping allocations.
 type Sink interface {
