@@ -42,7 +42,7 @@ race-freelist:
 # engine scaling curve, and the perception micro-benchmarks, and records the
 # machine-readable perf trajectory in $(BENCH_JSON) (benchmark → ns/op,
 # allocs/op, custom metrics). Scale campaigns with MAVFI_BENCH_RUNS.
-BENCH_JSON ?= BENCH_PR24.json
+BENCH_JSON ?= BENCH_PR27.json
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./... > $(BENCH_JSON).raw
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) < $(BENCH_JSON).raw
@@ -71,13 +71,14 @@ bench-plan:
 # against, the cold (exact-map) campaign cell whose missions Reset recycled
 # trees, the memo + near-stride 2 cell whose missions ForkInto them, the
 # four preset worlds' golden-map build (one walk per sweep scan, folded),
-# and the same worlds' sweep scans inserted once each into maps that start
-# empty (where most carve steps take the miss-chain path), so a regression
-# in the carve, the store, the fold or either tree lifecycle path fails as
-# its own CI step.
+# the same worlds' sweep scans inserted once each into maps that start
+# empty (where most carve steps take the miss-chain path), and each world's
+# golden seed forked into a recycled tree (ns and bytes copied per fork),
+# so a regression in the carve, the store, the fold or either tree
+# lifecycle path fails as its own CI step.
 bench-insert:
 	$(GO) test -bench 'Benchmark(InsertCloud|InsertRayReference)$$' -benchtime=1x -run '^$$' ./internal/octomap
-	$(GO) test -bench 'BenchmarkCampaignCell/(cold|memo-near2)$$|Benchmark(BuildMapSeed|InsertColdMap)$$' -benchtime=1x -run '^$$' ./internal/pipeline
+	$(GO) test -bench 'BenchmarkCampaignCell/(cold|memo-near2)$$|Benchmark(BuildMapSeed|InsertColdMap|ForkSeed)$$' -benchtime=1x -run '^$$' ./internal/pipeline
 
 # bench-seed is the PR 9 golden-map headline: one campaign cell flown cold /
 # memo / memo+stride (BenchmarkCampaignCell). BENCH_PR20.json has cold at
@@ -96,8 +97,9 @@ bench-probes:
 	$(GO) test -bench 'Benchmark(SegmentFree|SegmentFreeCruise|FirstBlocked|FirstBlockedLookahead)$$' -benchtime=1x -run '^$$' ./internal/octomap
 
 # docs-check is the CI documentation gate: every internal/ package must have
-# a godoc package comment, and relative Markdown links in *.md and docs/
-# must resolve.
+# a godoc package comment, relative Markdown links in *.md and docs/ must
+# resolve, and every test, fuzz target or benchmark that README.md or
+# docs/ names in backticks must be a function in some _test.go.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

@@ -8,7 +8,12 @@
 //     doc comment — currently internal/planning, the package the PR 4
 //     spatial-index refactor rewrote, or
 //   - any relative Markdown link in the repo's *.md files (root and docs/)
-//     points at a file that does not exist.
+//     points at a file that does not exist, or
+//   - a backticked Test…, Fuzz… or Benchmark… name in README.md or
+//     docs/*.md (optionally package-qualified, optionally with a /subtest
+//     path) names no top-level function of any _test.go in the repository.
+//     ROADMAP.md and CHANGES.md are not checked: they name planned and
+//     deleted tests.
 //
 // External links (http/https/mailto), pure anchors, and links that resolve
 // outside the repository root (GitHub-web paths like the CI badge's
@@ -19,6 +24,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -39,6 +46,7 @@ func main() {
 	problems = append(problems, checkPackageComments(*root)...)
 	problems = append(problems, checkExportedDocs(*root)...)
 	problems = append(problems, checkMarkdownLinks(*root)...)
+	problems = append(problems, checkTestCitations(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -247,4 +255,91 @@ func checkMarkdownLinks(root string) []string {
 		}
 	}
 	return problems
+}
+
+// testCitation matches a code span that is a test function's name: Test,
+// Fuzz or Benchmark followed by a non-lowercase character, optionally
+// qualified by a package path (internal/pipeline.BenchmarkPlan) and
+// optionally followed by a /subtest path. The name is the first group.
+var testCitation = regexp.MustCompile(`^(?:[\w./-]+\.)?((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)(?:/\S*)?$`)
+
+// codeSpan matches a one-line Markdown code span.
+var codeSpan = regexp.MustCompile("`([^`\n]+)`")
+
+// checkTestCitations requires every test, fuzz target and benchmark that
+// README.md or a Markdown file under docs/ cites in a code span to be a
+// top-level function of some _test.go file under root. Fenced code blocks
+// are skipped.
+func checkTestCitations(root string) []string {
+	defined, err := testFuncs(root)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: collecting test functions: %v", err)}
+	}
+	files := []string{filepath.Join(root, "README.md")}
+	_ = filepath.WalkDir(filepath.Join(root, "docs"), func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".md") {
+			files = append(files, p)
+		}
+		return nil
+	})
+	var problems []string
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", f, err))
+			continue
+		}
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		sc.Buffer(nil, len(data)+1)
+		fenced := false
+		for line := 1; sc.Scan(); line++ {
+			text := sc.Text()
+			if strings.HasPrefix(strings.TrimSpace(text), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, m := range codeSpan.FindAllStringSubmatch(text, -1) {
+				if c := testCitation.FindStringSubmatch(m[1]); c != nil && !defined[c[1]] {
+					problems = append(problems, fmt.Sprintf("%s:%d: `%s` names no function of any _test.go", f, line, m[1]))
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// testFuncs returns the names of the top-level functions declared in the
+// _test.go files under root, skipping directories whose name starts with a
+// dot (.git, build caches).
+func testFuncs(root string) (map[string]bool, error) {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		af, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range af.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return names, err
 }

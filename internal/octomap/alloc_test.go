@@ -32,7 +32,7 @@ func TestInsertCloudSteadyStateAllocFree(t *testing.T) {
 
 // TestCollisionQueriesAllocFree pins the PR3 contract on the query side,
 // extended in PR 5 over every fused-walker regime: the DDA segment queries
-// and the classification grid allocate nothing per probe (the grid is
+// and the code decode allocate nothing per probe (the codes are
 // allocated with the tree), across the prescan fast
 // path, walks the prescan declines, the slab-clipped walk for offset rays
 // leaving the volume, zero-radius probes, and the pessimistic policy the

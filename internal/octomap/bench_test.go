@@ -44,7 +44,7 @@ func benchQueryTree() (*Tree, [][2]geom.Vec3) {
 }
 
 // BenchmarkSegmentFree measures the DDA segment query on RRT*-edge-length
-// segments, classifying from the exact grid (the planner configuration).
+// segments, classifying from the codes (the planner configuration).
 func BenchmarkSegmentFree(b *testing.B) {
 	tr, segs := benchQueryTree()
 	q := QueryPolicy{UnknownIsFree: true, Radius: 0.55}

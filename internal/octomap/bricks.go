@@ -21,10 +21,11 @@ const brickVoxels = 1 << (3 * brickShift)
 // paper's largest world (Farm) needs 2^15 cells.
 const maxDenseCells = 1 << 21
 
-// maxClassCells caps the classification grid footprint (one byte per leaf
-// key of the world bounds). The paper's largest world (Farm, 80×80×20 m at
-// 0.5 m) needs ~1M cells; a world over the cap classifies every probe from
-// its brick.
+// maxClassCells caps the codes' footprint (one byte per leaf key of the
+// world bounds, the voxel's chain step or brick code; see chain.go). The
+// paper's largest world (Farm, 80×80×20 m at 0.5 m) needs ~1M codes; a
+// world over the cap keeps every voxel in its brick and classifies every
+// probe from there.
 const maxClassCells = 4 << 20
 
 // maxDepth bounds the key cube at 2^24 leaves per axis (8,388 km at the
@@ -141,8 +142,8 @@ func denseCells(nc int) int {
 	return nc * nc * nc
 }
 
-// classCells returns the size of the classification grid over extents nx,
-// ny, nz, or 0 when it exceeds maxClassCells; the product never overflows.
+// classCells returns the number of codes over extents nx, ny, nz, or 0
+// when it exceeds maxClassCells; the product never overflows.
 func classCells(nx, ny, nz int) int {
 	if nx > maxClassCells || ny > maxClassCells || nz > maxClassCells {
 		return 0

@@ -13,41 +13,62 @@ import (
 // chain[k+1] = Clampf(chain[k]+LogOddsMiss, ClampMin, ClampMax), up to its
 // fixed point chain[K] (ClampMin under the default model, where K = 5).
 //
-// Each voxel of the class grid has one byte in codes, at its grid index,
-// naming its home:
+// Each voxel of the bounds has one byte in codes, and it is the one home of
+// the voxel's state:
 //
-//   - code k <= K: the voxel is on the chain and its value is chain[k]. A
-//     miss sets the code to min(k+n, K) and its grid byte to Free, with no
-//     brick and no float arithmetic.
-//   - code inBrick: the value is in the voxel's brick. The first update of
-//     a chain voxel that is not a miss moves it there (toBrick), and it
-//     never returns.
+//   - code k <= K: the voxel is on the chain and its value is chain[k], so
+//     its class is Unknown at k = 0 and Free after. A miss sets the code to
+//     min(k+n, K), one byte store with no brick and no float arithmetic.
+//   - brickUnknown, brickFree or brickOccupied: the value is in the voxel's
+//     brick and the code carries its class. The first update of a chain
+//     voxel that is not a miss moves it there (toBrick), and it never
+//     returns; every write that changes its class rewrites the code
+//     (reclassify).
 //
-// The brick slot of a chain voxel holds 0 and is never read. Voxels outside
-// the bounds live in bricks only, and so does every voxel of a tree without
-// a class grid or whose params have no usable chain (see missChain): its
-// codes are nil.
+// K is at most 252, below the three brick codes. The brick slot of a chain
+// voxel holds 0 and is never read. Voxels outside the bounds live in bricks
+// only and are classified from them, as is every voxel of a tree over
+// maxClassCells: its codes are nil. A tree whose params have no usable
+// chain (see missChain) keeps its codes as a class store: every voxel
+// starts at brickUnknown.
 //
 // No reader can tell the homes apart. lookup reads the code first; the
-// class grid and the summary are written as before (no chain value is
-// Occupied, so a chain step never moves a summary count); and eachCell
-// visits exactly the cells a brick-only store would hold bricks for, since
-// every write either sets a non-zero code or allocates the brick. So every
-// value and every Digest is what the brick-only store produced.
+// summary is written as before (no chain value is Occupied, so a chain step
+// never moves a summary count); and eachCell visits exactly the cells a
+// brick-only store would hold bricks for, since every write either sets a
+// non-zero chain code or allocates the brick. So every value and every
+// Digest is what the brick-only store produced.
 
-// inBrick is the code of a voxel whose value lives in its brick. The chain
-// has at most 255 steps, so no step is ever coded inBrick.
-const inBrick = 255
+// The brick codes: a voxel whose value lives in its brick, with its class,
+// brickUnknown + Occupancy.
+const (
+	brickUnknown  = 253
+	brickFree     = brickUnknown + uint8(Free)
+	brickOccupied = brickUnknown + uint8(Occupied)
+)
+
+// brickCode returns the code of a voxel in its brick whose class is o.
+func brickCode(o Occupancy) uint8 { return brickUnknown + uint8(o) }
+
+// codeClass decodes a code to its voxel's class: chain step 0 is Unknown,
+// every later step Free, and a brick code carries its class.
+var codeClass = func() (c [256]uint8) {
+	for k := 1; k < brickUnknown; k++ {
+		c[k] = uint8(Free)
+	}
+	c[brickFree], c[brickOccupied] = uint8(Free), uint8(Occupied)
+	return c
+}()
 
 // missChain returns the miss chain of p, reusing buf's array, or nil when
 // the tree must run without it: when the first miss is a fixed point
-// already (K = 0), when the chain needs more than inBrick-1 steps to reach
-// its fixed point, or when a value after 0 would not classify Free (the
-// chain's grid store and its untouched summary rely on that; it holds
+// already (K = 0), when the chain needs more than brickUnknown-1 steps to
+// reach its fixed point, or when a value after 0 would not classify Free
+// (chain codes decode to Free and leave the summary untouched; that holds
 // whenever LogOddsMiss < 0 <= OccThresh, as in the default model).
 func missChain(buf []float64, p Params) []float64 {
 	chain := append(buf[:0], 0)
-	for len(chain) <= inBrick {
+	for len(chain) <= brickUnknown {
 		lo := chain[len(chain)-1]
 		next := geom.Clampf(lo+p.LogOddsMiss, p.ClampMin, p.ClampMax)
 		if next == lo {
@@ -71,18 +92,19 @@ func (t *Tree) onChain(x, y, z int) (int, bool) {
 		return 0, false
 	}
 	i := (z*t.ny+y)*t.nx + x
-	return i, t.codes[i] != inBrick
+	return i, t.codes[i] < brickUnknown
 }
 
 // toBrick returns the slab offset of the voxel at masked key (x, y, z),
 // allocating its brick, and moves the voxel's value there first when it
 // lives on the miss chain: the one way a voxel leaves the chain. The value
-// does not change.
+// and the class do not change.
 func (t *Tree) toBrick(x, y, z int) int {
 	off := t.store.brick(t.cell(x, y, z)) + voxelOffset(x, y, z)
 	if i, ok := t.onChain(x, y, z); ok {
-		t.store.slab[off] = t.chain[t.codes[i]]
-		t.codes[i] = inBrick
+		c := t.codes[i]
+		t.store.slab[off] = t.chain[c]
+		t.codes[i] = brickCode(Occupancy(codeClass[c]))
 	}
 	return off
 }
@@ -97,11 +119,14 @@ func (t *Tree) toBrick(x, y, z int) int {
 func eachCell(g geometry, p Params, s *brickStore, codes []uint8, fn func(cell int, vals *[brickVoxels]float64)) {
 	nc := g.cellsPerAxis()
 	cells := s.cells()
-	var chain []float64
+	chain := missChain(nil, p)
+	if chain == nil {
+		codes = nil // brick codes only: every value is in its brick
+	}
 	if codes != nil {
-		chain = missChain(nil, p)
-		// Cells of the bounds holding a non-zero code, over the box of
-		// cells the bounds span, in ascending cell order.
+		// Cells of the bounds holding a non-zero code (a brick code's cell
+		// has its brick already), over the box of cells the bounds span, in
+		// ascending cell order.
 		const edge = 1 << brickShift
 		bx, by, bz := (g.nx+edge-1)/edge, (g.ny+edge-1)/edge, (g.nz+edge-1)/edge
 		coded := make([]bool, bx*by*bz)
@@ -138,7 +163,7 @@ func eachCell(g geometry, p Params, s *brickStore, codes []uint8, fn func(cell i
 			for z := cz; z < min(cz+8, g.nz); z++ {
 				for y := cy; y < min(cy+8, g.ny); y++ {
 					for x := cx; x < min(cx+8, g.nx); x++ {
-						if c := codes[(z*g.ny+y)*g.nx+x]; c != inBrick {
+						if c := codes[(z*g.ny+y)*g.nx+x]; c < brickUnknown {
 							vals[voxelOffset(x, y, z)] = chain[c]
 						}
 					}

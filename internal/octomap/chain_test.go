@@ -8,19 +8,14 @@ import (
 	"mavfi/internal/geom"
 )
 
-// homeOf names the home of the voxel at in-bounds key (x, y, z): its
-// miss-chain step, or inBrick.
-func homeOf(tr *Tree, x, y, z int) uint8 { return tr.codes[(z*tr.ny+y)*tr.nx+x] }
-
 // homeCounts counts a tree's voxels of the bounds past step 0 of the chain
 // and its voxels in bricks.
 func homeCounts(tr *Tree) (chained, bricked int) {
 	for _, c := range tr.codes {
-		switch c {
-		case 0:
-		case inBrick:
+		switch {
+		case c >= brickUnknown:
 			bricked++
-		default:
+		case c != 0:
 			chained++
 		}
 	}
@@ -52,8 +47,9 @@ func (o oracleTwin) insert(origin geom.Vec3, pts []RayPoint, n int) {
 // TestMissChainHomesMatchReference drives voxels through every transition
 // between the two homes, and trees whose params keep the chain off, against
 // the map oracle: the same leaf-update total, bit-identical values, exact
-// summary counts and grid bytes after every step. Each case also checks
-// that the voxels it is about ended in the home the rules give them.
+// summary counts and codes that decode to the right classes after every
+// step. Each case also checks that the voxels it is about ended in the home
+// the rules give them.
 func TestMissChainHomesMatchReference(t *testing.T) {
 	cube := geom.Box(geom.V(0, 0, 0), geom.V(16, 16, 16))
 	p := DefaultParams()
@@ -69,7 +65,7 @@ func TestMissChainHomesMatchReference(t *testing.T) {
 		o := newOracleTwin(cube, p)
 		o.insert(origin, through, 1)
 		x, y, z, _ := o.tr.key(v)
-		if got := homeOf(o.tr, x, y, z); got != 1 {
+		if got := codeAt(o.tr, x, y, z); got != 1 {
 			t.Fatalf("after one carve v is at code %d, want chain step 1", got)
 		}
 		if o.tr.NumLeaves() != 0 {
@@ -77,12 +73,12 @@ func TestMissChainHomesMatchReference(t *testing.T) {
 		}
 		assertMatchesOracle(t, o.tr, o.ref, "carved")
 		o.insert(origin, onto, 1)
-		if got := homeOf(o.tr, x, y, z); got != inBrick {
-			t.Fatalf("after a hit v is at code %d, want inBrick", got)
+		if got := codeAt(o.tr, x, y, z); got != brickOccupied {
+			t.Fatalf("after a hit v is at code %d, want brickOccupied", got)
 		}
 		assertMatchesOracle(t, o.tr, o.ref, "hit")
 		o.insert(origin, through, 1) // a miss on a brick voxel stays there
-		if got := homeOf(o.tr, x, y, z); got != inBrick {
+		if got := codeAt(o.tr, x, y, z); got < brickUnknown {
 			t.Fatalf("a miss moved v back to code %d", got)
 		}
 		assertMatchesOracle(t, o.tr, o.ref, "carved again")
@@ -93,7 +89,7 @@ func TestMissChainHomesMatchReference(t *testing.T) {
 		x, y, z, _ := o.tr.key(v)
 		for i := 1; i <= 8; i++ {
 			o.insert(origin, through, 1)
-			if got, want := homeOf(o.tr, x, y, z), min(uint8(i), last); got != want {
+			if got, want := codeAt(o.tr, x, y, z), min(uint8(i), last); got != want {
 				t.Fatalf("after %d carves v is at code %d, want %d", i, got, want)
 			}
 			assertMatchesOracle(t, o.tr, o.ref, fmt.Sprintf("carve %d", i))
@@ -152,20 +148,37 @@ func TestMissChainHomesMatchReference(t *testing.T) {
 		}
 	})
 
+	// dyadic returns params whose chain steps by exactly -2^-7 and reaches
+	// ClampMin at step k: every chain value is exact, so the fixed point
+	// lands on step k to the bit.
+	dyadic := func(k int) Params {
+		const miss = -1.0 / 128
+		return Params{LogOddsHit: p.LogOddsHit, LogOddsMiss: miss, ClampMin: float64(k) * miss, ClampMax: p.ClampMax}
+	}
 	for _, c := range []struct {
 		name  string
 		p     Params
-		chain bool
+		steps int // the chain's fixed point K, 0 when the tree runs without the chain
 	}{
-		{"LogOddsMiss > 0", Params{LogOddsHit: 0.85, LogOddsMiss: 0.2, ClampMin: -2, ClampMax: 3.5, OccThresh: 0.5}, false},
-		{"OccThresh < 0", Params{LogOddsHit: p.LogOddsHit, LogOddsMiss: p.LogOddsMiss, ClampMin: p.ClampMin, ClampMax: p.ClampMax, OccThresh: -0.5}, false},
-		{"chain over 254 steps", Params{LogOddsHit: p.LogOddsHit, LogOddsMiss: -0.001, ClampMin: p.ClampMin, ClampMax: p.ClampMax}, false},
-		{"a 200-step chain", Params{LogOddsHit: p.LogOddsHit, LogOddsMiss: -0.01, ClampMin: p.ClampMin, ClampMax: p.ClampMax}, true},
+		{"LogOddsMiss > 0", Params{LogOddsHit: 0.85, LogOddsMiss: 0.2, ClampMin: -2, ClampMax: 3.5, OccThresh: 0.5}, 0},
+		{"OccThresh < 0", Params{LogOddsHit: p.LogOddsHit, LogOddsMiss: p.LogOddsMiss, ClampMin: p.ClampMin, ClampMax: p.ClampMax, OccThresh: -0.5}, 0},
+		{"chain over 254 steps", Params{LogOddsHit: p.LogOddsHit, LogOddsMiss: -0.001, ClampMin: p.ClampMin, ClampMax: p.ClampMax}, 0},
+		{"a 200-step chain", Params{LogOddsHit: p.LogOddsHit, LogOddsMiss: -0.01, ClampMin: p.ClampMin, ClampMax: p.ClampMax}, 200},
+		{"K = 252, the longest chain", dyadic(252), 252},
+		{"K = 253, one step too long", dyadic(253), 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o := newOracleTwin(cube, c.p)
-			if on := o.tr.codes != nil; on != c.chain {
-				t.Fatalf("chain on = %v, want %v", on, c.chain)
+			if k := max(len(o.tr.chain)-1, 0); k != c.steps {
+				t.Fatalf("chain fixed point at step %d, want %d", k, c.steps)
+			}
+			// One ray reaches a few cells of the cube: the tree must visit,
+			// and digest, exactly those a brick-only tree allocates.
+			one, control := New(cube, 0.5, c.p), bricksOnly(New(cube, 0.5, c.p))
+			one.InsertCloudN(origin, through, 2)
+			control.InsertCloudN(origin, through, 2)
+			if one.Digest() != control.Digest() {
+				t.Fatal("one ray: the tree and a brick-only tree digest differently")
 			}
 			rng := rand.New(rand.NewSource(19))
 			for i, sc := range referenceScans(rng, cube.Size()) {
@@ -174,13 +187,31 @@ func TestMissChainHomesMatchReference(t *testing.T) {
 			}
 			deepest := 0
 			for _, k := range o.tr.codes {
-				if k != inBrick {
+				if k < brickUnknown {
 					deepest = max(deepest, int(k))
 				}
 			}
-			if c.chain && deepest <= 5 {
+			if c.steps == 0 && deepest != 0 {
+				t.Fatalf("a tree without the chain holds chain code %d", deepest)
+			}
+			if c.steps == 0 {
+				return
+			}
+			if deepest <= 5 {
 				t.Fatalf("no voxel went past step %d of the long chain", deepest)
 			}
+			// One fold carries a fresh voxel past the fixed point: its code
+			// must stop at K, below the brick codes, and read ClampMin.
+			f := newOracleTwin(cube, c.p)
+			f.insert(origin, through, c.steps+3)
+			x, y, z, _ := f.tr.key(v)
+			if got := codeAt(f.tr, x, y, z); int(got) != c.steps {
+				t.Fatalf("after %d carves v is at code %d, want the fixed point %d", c.steps+3, got, c.steps)
+			}
+			if lo, _ := f.tr.lookup(x, y, z); lo != c.p.ClampMin {
+				t.Fatalf("fixed point of the chain is %v, want ClampMin %v", lo, c.p.ClampMin)
+			}
+			assertMatchesOracle(t, f.tr, f.ref, "carved past the fixed point")
 		})
 	}
 }

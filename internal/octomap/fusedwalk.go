@@ -244,7 +244,7 @@ func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy) bool {
 	tDeltaX, tDeltaY, tDeltaZ := ax.tDelta, ay.tDelta, az.tDelta
 	maxSteps := abs(ex-x) + abs(ey-y) + abs(ez-z) + 3
 	maxKey := t.maxKey
-	grid, nx, ny, nz := t.grid, t.nx, t.ny, t.nz
+	codes, nx, ny, nz := t.codeView()
 	tNext := 0.0
 	for steps := 0; steps < maxSteps; steps++ {
 		tEntry := tNext
@@ -258,11 +258,11 @@ func (t *Tree) walkFree(ax, ay, az *rayAxis, q QueryPolicy) bool {
 			// terminates the walk before either guard can trip).
 			return true
 		}
-		// Manually inlined classify: one predictable branch and one byte
-		// load per crossed voxel inside the bounds.
+		// Manually inlined classify: one predictable branch, one code load
+		// and one table load per crossed voxel inside the bounds.
 		var o Occupancy
-		if grid != nil && x < nx && y < ny && z < nz {
-			o = Occupancy(grid[(z*ny+y)*nx+x])
+		if x < nx && y < ny && z < nz {
+			o = Occupancy(codeClass[codes[(z*ny+y)*nx+x]])
 		} else {
 			o = t.classifySlow(x, y, z)
 		}
@@ -367,7 +367,7 @@ func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
 	tDeltaX, tDeltaY, tDeltaZ := w.tDeltaX, w.tDeltaY, w.tDeltaZ
 	maxSteps := w.maxSteps
 	maxKey := t.maxKey
-	grid, nx, ny, nz := t.grid, t.nx, t.ny, t.nz
+	codes, nx, ny, nz := t.codeView()
 	cell, endCell := -1, -1 // the block last looked up, the end voxel's block
 	if sum != nil {
 		endCell = cellOf(nc, ex, ey, ez)
@@ -397,8 +397,8 @@ func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
 		}
 		// Manually inlined classify, as in walkFree.
 		var o Occupancy
-		if grid != nil && x < nx && y < ny && z < nz {
-			o = Occupancy(grid[(z*ny+y)*nx+x])
+		if x < nx && y < ny && z < nz {
+			o = Occupancy(codeClass[codes[(z*ny+y)*nx+x]])
 		} else {
 			o = t.classifySlow(x, y, z)
 		}
@@ -424,6 +424,17 @@ func (t *Tree) firstBlockedWalk(w *rayWalker, q QueryPolicy) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// codeView returns what a walk's inlined classify reads: the codes and the
+// extents they cover, with nx = 0 when every probe must take classifySlow
+// instead (a tree without codes, or one whose probes are being recorded).
+func (t *Tree) codeView() (codes []uint8, nx, ny, nz int) {
+	nx = t.nx
+	if t.codes == nil || t.probeRec != nil {
+		nx = 0
+	}
+	return t.codes, nx, t.ny, t.nz
 }
 
 // crossedLayers returns the layer mask of the z-layers a walk crosses in

@@ -42,8 +42,7 @@ func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 
 // InsertCloudN integrates one scan n times over: exactly n consecutive
 // InsertCloud(origin, pts) calls, to the bit, in every voxel, summary
-// layer byte, class-grid byte and the LeafUpdates total, so every Digest
-// agrees.
+// layer byte, code and the LeafUpdates total, so every Digest agrees.
 //
 // A voxel's value depends only on its own updates, in order, and every
 // update a voxel gets from a scan is the same clamped miss unless one of
@@ -59,9 +58,10 @@ func (t *Tree) InsertCloud(origin geom.Vec3, pts []RayPoint) {
 //     order, and after the walk the held sequence is applied n times, which
 //     gives each marked voxel its own sequence n times over.
 //
-// The summary words and grid bytes depend only on each voxel's class
+// The summary words and brick codes depend only on each voxel's class
 // before and after, so one reclassify per changed crossing leaves them as
-// n passes would; Digest visits cells in cell order, and a marked voxel's
+// n passes would, and a marked voxel ends in its brick as its first hit
+// would leave it; Digest visits cells in cell order, and a marked voxel's
 // brick is one its hit would allocate, so moving the marked voxels first
 // cannot show; and every update still adds n to LeafUpdates.
 //

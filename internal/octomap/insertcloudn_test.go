@@ -14,7 +14,7 @@ import (
 // assertTwinsEqual requires two trees fed the same evidence by different
 // paths to agree on everything a reader can observe: the leaf-update total,
 // the digest (geometry, every brick's log-odds, the summary totals), the
-// summary layer words and the classification grid byte for byte.
+// summary layer words and the codes byte for byte.
 func assertTwinsEqual(t *testing.T, got, want *Tree, when string) {
 	t.Helper()
 	if g, w := got.LeafUpdates(), want.LeafUpdates(); g != w {
@@ -23,8 +23,8 @@ func assertTwinsEqual(t *testing.T, got, want *Tree, when string) {
 	if !slices.Equal(got.sum.layers, want.sum.layers) || got.sum.above != want.sum.above {
 		t.Fatalf("%s: summary words diverge", when)
 	}
-	if !bytes.Equal(got.grid, want.grid) {
-		t.Fatalf("%s: classification grids diverge", when)
+	if !bytes.Equal(got.codes, want.codes) {
+		t.Fatalf("%s: codes diverge", when)
 	}
 	if g, w := got.Digest(), want.Digest(); g != w {
 		t.Fatalf("%s: digest %016x, want %016x", when, g, w)
@@ -40,7 +40,7 @@ func assertTwinsEqual(t *testing.T, got, want *Tree, when string) {
 // both clamps). It runs on a 16 m cube and on a corridor over the
 // dense-index cap, whose bricks are keyed through the map and which has no
 // summary. Each trial ends with a voxel-by-voxel comparison and brute-force
-// checks of the grid (and, where there is one, the summary). A fold that
+// checks of the codes (and, where there is one, the summary). A fold that
 // skips reclassify, drops the endpoint updates or leaves the passes
 // uncounted fails it.
 func TestInsertCloudNMatchesRepeatedInsertCloud(t *testing.T) {
@@ -67,7 +67,7 @@ func TestInsertCloudNMatchesRepeatedInsertCloud(t *testing.T) {
 						assertTwinsEqual(t, got, want, fmt.Sprintf("trial %d scan %d", trial, i))
 					}
 					compareTrees(t, got, want)
-					assertGridExact(t, got, fmt.Sprintf("trial %d", trial))
+					assertCodesExact(t, got, fmt.Sprintf("trial %d", trial))
 					if got.sum.layers != nil {
 						assertSummaryExact(t, got, fmt.Sprintf("trial %d", trial))
 					}
@@ -126,7 +126,7 @@ type hitStats struct {
 	held      int // updates that land in hit voxels: what InsertCloudN holds back
 	crossings int // carve crossings among them
 	masked    int // crossings that reach a hit voxel through a masked overshoot key
-	offGrid   int // crossings of hit voxels outside the classification grid
+	offGrid   int // crossings of hit voxels outside the bounds the codes cover
 }
 
 // scanHitStats walks pts as InsertCloud would, with the test walker, and
@@ -174,7 +174,8 @@ func scanHitStats(tr *Tree, origin geom.Vec3, pts []RayPoint) hitStats {
 // three ways a crossing can reach a hit voxel that a mark must still catch:
 // a masked overshoot key (the degenerate-axis ray of the 16 m cube lands
 // on the voxel another ray of its scan hits), a hit voxel outside the
-// classification grid (the key cube of a 16×12×10 m box reaches past it),
+// bounds the codes cover (the key cube of a 16×12×10 m box reaches past
+// them),
 // and a volume over the dense-index cap, whose bricks are map-keyed. A fold
 // that treats hit voxels like unmarked ones, skips or reorders the held
 // updates, keeps marks from an earlier scan or counts an update once fails
@@ -238,7 +239,7 @@ func TestInsertCloudNFoldsHitVoxelsExactly(t *testing.T) {
 					t.Fatalf("scans lack the crossings this world must test: %+v", total)
 				}
 				compareTrees(t, got, want)
-				assertGridExact(t, got, "end")
+				assertCodesExact(t, got, "end")
 				if got.sum.layers != nil {
 					assertSummaryExact(t, got, "end")
 				}

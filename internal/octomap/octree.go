@@ -13,19 +13,19 @@
 // irrational multiples that never cancel exactly, so the case does not
 // arise in practice.
 //
-// Storage has two homes (chain.go). A voxel inside the world bounds whose
-// whole history is misses keeps one byte beside its classification byte:
-// its step on the miss chain, the values that many clamped misses leave.
-// Every other voxel lives in a bricked store (bricks.go): 8³ bricks
-// allocated on first write and found through a dense cell index, so an
-// update or a lookup costs one or two array loads. Beside them the tree
-// keeps two exact derived structures, both updated in the same write as the
-// voxel whenever its classification changes: the per-8³-cell, per-z-layer
-// occupied counts of the occupancy summary (summary.go) and a per-voxel
-// classification byte grid over the world bounds. Navigation queries
-// (PointFree, SegmentFree, FirstBlocked) enumerate crossed voxels with the
-// same DDA walk the insertion path uses and classify each with one grid
-// load.
+// Every voxel inside the world bounds has one code byte (chain.go), the one
+// home of its state. A voxel whose whole history is misses keeps its value
+// in the code alone: its step on the miss chain, the values that many
+// clamped misses leave. Every other voxel keeps its value in a bricked store
+// (bricks.go): 8³ bricks allocated on first write and found through a dense
+// cell index, so an update or a lookup costs one or two array loads; its
+// code then names the brick and carries the value's class, rewritten in the
+// same write as the value whenever the class changes. Beside them the tree
+// keeps one exact derived structure, updated in that write too: the
+// per-8³-cell, per-z-layer occupied counts of the occupancy summary
+// (summary.go). Navigation queries (PointFree, SegmentFree, FirstBlocked)
+// enumerate crossed voxels with the same DDA walk the insertion path uses
+// and classify each from its code: one byte load and one table load.
 package octomap
 
 import (
@@ -81,9 +81,9 @@ func logit(p float64) float64 { return math.Log(p / (1 - p)) }
 // hand carve a key one or two steps outside [0, maxKey). Such a key fails
 // carve's bounds test and goes to updateKey, which masks every key with
 // keyMask before addressing, so that evidence lands on the voxel the masked
-// key names, in its home, the summary and the class grid alike: the voxel
-// the octree's descent reached by reading only the low depth bits. Every
-// other path receives in-range keys only.
+// key names, in its home and the summary alike: the voxel the octree's
+// descent reached by reading only the low depth bits. Every other path
+// receives in-range keys only.
 type Tree struct {
 	geometry
 	params  Params
@@ -94,9 +94,8 @@ type Tree struct {
 	mulKey  bool    // resolution is a power of two: key() may multiply
 
 	store brickStore // the log-odds of every voxel off the miss chain
-	grid  []uint8    // exact Occupancy per leaf key of the bounds; nil over maxClassCells
-	codes []uint8    // miss-chain step or inBrick per leaf key of the bounds; nil when the chain is off
-	chain []float64  // the miss chain of params (see missChain); read only when codes is set
+	codes []uint8    // per leaf key of the bounds, its chain step or brick code (chain.go); nil over maxClassCells
+	chain []float64  // the miss chain of params (see missChain); nil when they have none
 	sum   occSummary // per-cell, per-layer occupied-voxel counts for the probe prescan and block skip
 
 	leafUpdates int    // total leaf evidence updates, for overhead accounting
@@ -104,23 +103,23 @@ type Tree struct {
 
 	fold seedFold // InsertCloudN's buffers; no mark is set between calls
 
-	// probeRec, when non-nil, observes every classification served from a
-	// brick rather than the grid, in probe order. Test instrumentation only
-	// (the fused-vs-sequential equivalence suite records probe sequences
-	// through it with the grid set aside); always nil in production.
+	// probeRec, when non-nil, observes every classification, in probe
+	// order, each then served from the voxel's value rather than its code.
+	// Test instrumentation only (the fused-vs-sequential equivalence suite
+	// records probe sequences through it); always nil in production, where
+	// it costs classify one test and each walk one before its loop.
 	probeRec func(x, y, z int)
 }
 
 // geometry is everything a tree derives from its bounds and resolution: the
-// key cube and the leaf-key extents of the bounds that size the
-// classification grid. Snapshots carry it, so forking and Snapshot.Matches
-// need no probe tree.
+// key cube and the leaf-key extents of the bounds that size the codes.
+// Snapshots carry it, so forking and Snapshot.Matches need no probe tree.
 type geometry struct {
 	resolution float64
 	depth      int
 	origin     geom.Vec3
 	rootSize   float64
-	nx, ny, nz int // classification-grid extents
+	nx, ny, nz int // leaf-key extents of the bounds
 }
 
 // newGeometry returns the geometry of the axis-aligned cube that contains
@@ -156,7 +155,7 @@ func New(bounds geom.AABB, resolution float64, params Params) *Tree {
 // Reset empties t and re-targets it at bounds, resolution and params,
 // leaving it indistinguishable from New(bounds, resolution, params) to every
 // query and to Digest while reusing its brick index, slab, summary and
-// classification grid where they fit. It panics where New does.
+// codes where they fit. It panics where New does.
 func (t *Tree) Reset(bounds geom.AABB, resolution float64, params Params) {
 	g := newGeometry(bounds, resolution)
 	if g.depth > maxDepth {
@@ -168,18 +167,18 @@ func (t *Tree) Reset(bounds geom.AABB, resolution float64, params Params) {
 }
 
 // empty clears the map of the tree's current geometry: no bricks, zero
-// summary words, an all-Unknown classification grid, every voxel at step 0
-// of the miss chain when the tree has one, no leaf updates.
+// summary words, every voxel Unknown at step 0 of the miss chain (at
+// brickUnknown when the tree has no chain), no leaf updates.
 func (t *Tree) empty() {
 	t.store.reset(denseCells(t.nc))
 	t.sum.layers = zeroed(t.sum.layers, summaryCells(t.nc, t.nz))
 	t.sum.above = 0
-	t.grid = zeroed(t.grid, classCells(t.nx, t.ny, t.nz))
-	codes := 0
-	if t.chain != nil {
-		codes = len(t.grid)
+	t.codes = zeroed(t.codes, classCells(t.nx, t.ny, t.nz))
+	if t.chain == nil {
+		for i := range t.codes {
+			t.codes[i] = brickUnknown
+		}
 	}
-	t.codes = zeroed(t.codes, codes)
 	t.leafUpdates = 0
 }
 
@@ -204,8 +203,8 @@ func (t *Tree) reinit(g geometry, params Params) {
 }
 
 // EnableClassCache is a no-op kept for source compatibility. The per-voxel
-// classification grid it used to arm on demand is now allocated with the
-// tree and kept exact on every write, so there is nothing left to enable;
+// classification it used to arm on demand is now carried by every voxel's
+// code and kept exact on every write, so there is nothing left to enable;
 // the benchmark harness's collision checker still calls it per plan.
 func (t *Tree) EnableClassCache() {}
 
@@ -229,29 +228,31 @@ func (t *Tree) classOf(lo float64) Occupancy {
 	}
 }
 
-// reclassify records that the voxel at masked key (x, y, z) went from class
-// from to class to: the one place the summary count and the class grid
-// change, called by every write whose update changes a voxel's class, which
-// is what keeps both exact after every mutation with nothing to invalidate.
+// reclassify records that the voxel at masked key (x, y, z), which lives in
+// its brick, went from class from to class to: the one place the summary
+// count and a brick code's class change, called by every brick write whose
+// update changes a voxel's class, which is what keeps both exact after
+// every mutation with nothing to invalidate.
 func (t *Tree) reclassify(x, y, z int, from, to Occupancy) {
 	if t.sum.layers != nil && (from == Occupied) != (to == Occupied) {
 		t.sum.count(t.cell(x, y, z), z, to == Occupied)
 	}
-	if t.grid != nil && x < t.nx && y < t.ny && z < t.nz {
-		t.grid[(z*t.ny+y)*t.nx+x] = uint8(to)
+	if t.codes != nil && x < t.nx && y < t.ny && z < t.nz {
+		t.codes[(z*t.ny+y)*t.nx+x] = brickCode(to)
 	}
 }
 
 // classify returns the occupancy classification of in-range leaf key
-// (x,y,z): one grid load inside the bounds, a brick lookup outside them.
+// (x,y,z): its code, decoded, inside the bounds, a brick lookup outside
+// them.
 func (t *Tree) classify(x, y, z int) Occupancy {
-	if t.grid != nil && x < t.nx && y < t.ny && z < t.nz {
-		return Occupancy(t.grid[(z*t.ny+y)*t.nx+x])
+	if codes, nx, ny, nz := t.codeView(); x < nx && y < ny && z < nz {
+		return Occupancy(codeClass[codes[(z*ny+y)*nx+x]])
 	}
 	return t.classifySlow(x, y, z)
 }
 
-// classifySlow classifies key (x,y,z) from its brick.
+// classifySlow classifies key (x,y,z) from its value, read from its home.
 func (t *Tree) classifySlow(x, y, z int) Occupancy {
 	if t.probeRec != nil {
 		t.probeRec(x, y, z)
@@ -332,7 +333,6 @@ func (t *Tree) updateKey(x, y, z int, hit bool, n int) {
 	t.leafUpdates += n
 	if i, ok := t.onChain(x, y, z); ok && !hit {
 		t.codes[i] = uint8(min(int(t.codes[i])+n, len(t.chain)-1))
-		t.grid[i] = uint8(Free)
 		return
 	}
 	delta := t.params.LogOddsMiss
@@ -397,24 +397,24 @@ func (t *Tree) integrateRay(origin, end geom.Vec3, hit bool, n int) {
 // walk and updateKey fused into one loop, which is where a
 // sweep-exact mission spends most of its host time, and it serves both
 // InsertCloud (n = 1) and InsertCloudN. The DDA state lives in locals, and
-// a crossing of a voxel on the miss chain (almost all of them) is two byte
-// stores: its code steps n along the chain, saturating at the fixed point,
-// and its class-grid byte becomes Free, the class of every chain value
-// after 0; such a voxel is never Occupied, so the summary cannot change.
-// Every other crossing (a voxel in its brick, a key outside the bounds, an
-// overshoot key, a tree without the chain) goes through updateKey, which
-// also holds back the updates to the voxels InsertCloudN marked; those are
-// all in bricks, so the fast path needs no mark test. The leaf-update
-// counter advances once per ray for the fast crossings. It visits the
-// voxels the walk crosses, in walk order, so every value, summary count and
-// grid byte comes out as the per-voxel updates leave them; the randomized
-// equivalence test against an independent map oracle pins this.
+// a crossing of a voxel on the miss chain (almost all of them) is one byte
+// store: its code steps n along the chain, saturating at the fixed point,
+// and so decodes to Free, the class of every chain value after 0; such a
+// voxel is never Occupied, so the summary cannot change. Every other
+// crossing (a voxel in its brick, a key outside the bounds, an overshoot
+// key, any voxel of a tree without the chain, whose codes are all brick
+// codes) goes through updateKey, which also holds back the updates to the
+// voxels InsertCloudN marked; those are all in bricks, so the fast path
+// needs no mark test. The leaf-update counter advances once per ray for the
+// fast crossings. It visits the voxels the walk crosses, in walk order, so
+// every value, summary count and code comes out as the per-voxel updates
+// leave them; the randomized equivalence test against an independent map
+// oracle pins this.
 func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool, n int) {
 	codes := t.codes
-	grid := t.grid[:len(codes)]
 	nx, ny, nz := t.nx, t.ny, t.nz
 	if codes == nil {
-		nx = 0 // no chain: every crossing takes updateKey
+		nx = 0 // no codes: every crossing takes updateKey
 	}
 	last := len(t.chain) - 1 // the chain's fixed point
 	x, y, z := w.x, w.y, w.z
@@ -423,9 +423,8 @@ func (t *Tree) carve(w *rayWalker, ex, ey, ez int, endOK bool, n int) {
 	for steps := 0; steps < w.maxSteps; steps++ {
 		if !endOK || x != ex || y != ey || z != ez {
 			i := (z*ny+y)*nx + x
-			if uint(x) < uint(nx) && uint(y) < uint(ny) && uint(z) < uint(nz) && codes[i] != inBrick {
+			if uint(x) < uint(nx) && uint(y) < uint(ny) && uint(z) < uint(nz) && codes[i] < brickUnknown {
 				codes[i] = uint8(min(int(codes[i])+n, last))
-				grid[i] = uint8(Free)
 				fast++
 			} else {
 				t.updateKey(x, y, z, false, n)

@@ -22,7 +22,8 @@ func bundleBox(tr *Tree, a, b geom.Vec3, r float64) (lo, hi [3]int, ok bool) {
 
 // walkProbes returns every voxel the seven walks of SegmentFree(a, b, q)
 // classify, in order, with the summary disarmed (so the prescan stands
-// aside) and the grid set aside (so every classification is recorded).
+// aside) and the probe recorder armed (so every classification is
+// recorded).
 func walkProbes(tr *Tree, a, b geom.Vec3, q QueryPolicy) [][3]int {
 	saved := tr.sum.layers
 	tr.sum.layers = nil
@@ -136,13 +137,14 @@ func boundarySegments(rng *rand.Rand, r, side float64, n int) [][2]geom.Vec3 {
 }
 
 // TestBundleKeysCoverWalks pins the prescan's coverage argument
-// (axisBundleKeys) probe by probe: on an empty map, with the summary and the
-// grid set aside, every voxel any of SegmentFree's seven walks classifies
-// lies inside the prescan's key box, over the boundary-heavy segment mix at
-// the radii the pipeline's planner and collision check use, one voxel, and
-// far under one. The prescan must have answered most of those queries, and
-// some probe must fall past the endpoint-key hull, so that a slack of 0
-// would have failed and the bound is shown to be tight.
+// (axisBundleKeys) probe by probe: on an empty map, with the summary set
+// aside and every probe recorded, every voxel any of SegmentFree's seven
+// walks classifies lies inside the prescan's key box, over the
+// boundary-heavy segment mix at the radii the pipeline's planner and
+// collision check use, one voxel, and far under one. The prescan must have
+// answered most of those queries, and some probe must fall past the
+// endpoint-key hull, so that a slack of 0 would have failed and the bound
+// is shown to be tight.
 func TestBundleKeysCoverWalks(t *testing.T) {
 	const side = 16.0
 	tr := New(geom.Box(geom.V(0, 0, 0), geom.V(side, side, side)), 0.5, DefaultParams())

@@ -18,15 +18,14 @@ var testPolicy = QueryPolicy{UnknownIsFree: true, Radius: 0.55}
 // integrating random depth scans from a few origins.
 func queryTestTree(seed int64) *Tree { return queryScans(newTestTree(), seed) }
 
-// bricksOnly sets aside the class grid and the miss-chain codes of a tree
-// that holds no evidence yet, so every voxel it is fed lives in a brick and
-// every probe classifies from its brick: the control the grid and the chain
-// are checked against.
+// bricksOnly sets aside the codes of a tree that holds no evidence yet, so
+// every voxel it is fed lives in a brick and every probe classifies from its
+// brick: the control the codes are checked against.
 func bricksOnly(tr *Tree) *Tree {
 	if tr.LeafUpdates() != 0 {
 		panic("bricksOnly: the tree already holds evidence")
 	}
-	tr.grid, tr.codes = nil, nil
+	tr.codes = nil
 	return tr
 }
 
@@ -241,10 +240,10 @@ func TestFirstBlockedMatchesOracleAndReference(t *testing.T) {
 	}
 }
 
-// TestClassCacheTransparent: queries classifying from the exact grid must
-// be indistinguishable from a control tree built without the grid and the
-// miss chain (every voxel in a brick, every probe reads its brick), across
-// interleaved map mutations of both.
+// TestClassCacheTransparent: queries classifying from the codes must be
+// indistinguishable from a control tree built without them (every voxel in
+// a brick, every probe reads its brick), across interleaved map mutations
+// of both.
 func TestClassCacheTransparent(t *testing.T) {
 	cached := queryTestTree(41)
 	plain := queryScans(bricksOnly(newTestTree()), 41)
@@ -253,38 +252,37 @@ func TestClassCacheTransparent(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			a, b := randomInteriorPoint(rng), randomInteriorPoint(rng)
 			if ca, pa := cached.At(a), plain.At(a); ca != pa {
-				t.Fatalf("round %d: At(%v) grid %v != bricks %v", round, a, ca, pa)
+				t.Fatalf("round %d: At(%v) codes %v != bricks %v", round, a, ca, pa)
 			}
 			if cs, ps := cached.SegmentFree(a, b, testPolicy), plain.SegmentFree(a, b, testPolicy); cs != ps {
-				t.Fatalf("round %d: SegmentFree(%v,%v) grid %v != bricks %v", round, a, b, cs, ps)
+				t.Fatalf("round %d: SegmentFree(%v,%v) codes %v != bricks %v", round, a, b, cs, ps)
 			}
 			cf, cok := cached.FirstBlocked(a, b, testPolicy)
 			pf, pok := plain.FirstBlocked(a, b, testPolicy)
 			if cok != pok || math.Float64bits(cf) != math.Float64bits(pf) {
-				t.Fatalf("round %d: FirstBlocked(%v,%v) grid (%v,%v) != bricks (%v,%v)", round, a, b, cf, cok, pf, pok)
+				t.Fatalf("round %d: FirstBlocked(%v,%v) codes (%v,%v) != bricks (%v,%v)", round, a, b, cf, cok, pf, pok)
 			}
 		}
-		// Mutate both maps identically; the grid must follow every write.
+		// Mutate both maps identically; the codes must follow every write.
 		origin := randomInteriorPoint(rng)
 		pts := randomScan(rng, origin, 40)
 		cached.InsertCloud(origin, pts)
 		plain.InsertCloud(origin, pts)
 	}
-	assertGridExact(t, cached, "after interleaved mutations")
+	assertCodesExact(t, cached, "after interleaved mutations")
 }
 
 // TestClassGridExact flips one voxel between Free and Occupied 70 times
 // through MarkFree/MarkOccupied (the scenario of the retired epoch-wrap
-// test), plus a carve through it, and requires its grid byte, At and the
-// summary to follow every single update, with the whole grid exact at the
-// end.
+// test), plus a carve through it, and requires the class its code carries,
+// At and the summary to follow every single update, with every code exact
+// at the end.
 func TestClassGridExact(t *testing.T) {
 	tr := newTestTree()
 	p := geom.V(5.25, 5.25, 5.25)
 	x, y, z, _ := tr.key(p)
-	gridAt := func() Occupancy { return Occupancy(tr.grid[(z*tr.ny+y)*tr.nx+x]) }
-	if gridAt() != Unknown {
-		t.Fatal("fresh grid byte not Unknown")
+	if classAt(tr, x, y, z) != Unknown {
+		t.Fatal("fresh code not Unknown")
 	}
 	for i := 0; i < 70; i++ {
 		want := Free
@@ -298,8 +296,8 @@ func TestClassGridExact(t *testing.T) {
 				tr.MarkFree(p)
 			}
 			lo, _ := tr.lookup(x, y, z)
-			if got := gridAt(); got != tr.classOf(lo) {
-				t.Fatalf("iteration %d: grid byte %v after an update to %v", i, got, lo)
+			if got := classAt(tr, x, y, z); got != tr.classOf(lo) {
+				t.Fatalf("iteration %d: code decodes to %v after an update to %v", i, got, lo)
 			}
 			if got := tr.sum.layers[tr.cell(x, y, z)]; (got == layerUnit(z)) != (tr.classOf(lo) == Occupied) {
 				t.Fatalf("iteration %d: summary word %016x for a voxel at %v", i, got, lo)
@@ -307,7 +305,7 @@ func TestClassGridExact(t *testing.T) {
 		}
 	}
 	tr.InsertRay(geom.V(0.25, 5.25, 5.25), geom.V(31.75, 5.25, 5.25), false)
-	assertGridExact(t, tr, "after 70 flips and a carve")
+	assertCodesExact(t, tr, "after 70 flips and a carve")
 	assertSummaryExact(t, tr, "after 70 flips and a carve")
 }
 
@@ -396,7 +394,7 @@ func TestSegmentQueriesAxisAlignedOnVoxelBoundary(t *testing.T) {
 // straddle a voxel boundary makes the end key unreachable, and the walker
 // burns its defensive step budget drifting past the clipped key range —
 // queries must treat those artifact keys as walk exhaustion, not index the
-// classification grid with them or misreport a collision.
+// codes with them or misreport a collision.
 func TestSegmentQueriesDegenerateAxisDelta(t *testing.T) {
 	tr := newTestTree()
 	q := QueryPolicy{UnknownIsFree: true}

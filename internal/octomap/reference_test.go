@@ -64,7 +64,8 @@ func (r *refMap) class(lo float64) Occupancy {
 // assertMatchesOracle requires tr to hold exactly the oracle's map: the same
 // leaf-update total, bit-identical log-odds in every voxel (and nothing
 // non-zero anywhere else), the summary counts the oracle's classes imply,
-// and the oracle's class in every classification-grid byte.
+// and a code that decodes to the oracle's class for every voxel of the
+// bounds.
 func assertMatchesOracle(t *testing.T, tr *Tree, ref *refMap, when string) {
 	t.Helper()
 	if tr.LeafUpdates() != ref.updates {
@@ -125,8 +126,8 @@ func assertMatchesOracle(t *testing.T, tr *Tree, ref *refMap, when string) {
 		}
 	}
 
-	if tr.grid == nil {
-		t.Fatalf("%s: test world has no classification grid", when)
+	if tr.codes == nil {
+		t.Fatalf("%s: test world has no codes", when)
 	}
 	known := 0
 	for k, v := range ref.vox {
@@ -134,21 +135,21 @@ func assertMatchesOracle(t *testing.T, tr *Tree, ref *refMap, when string) {
 			continue
 		}
 		want := ref.class(v)
-		if g := Occupancy(tr.grid[(k[2]*tr.ny+k[1])*tr.nx+k[0]]); g != want {
-			t.Fatalf("%s: grid byte of %v: %v, oracle %v", when, k, g, want)
+		if g := classAt(tr, k[0], k[1], k[2]); g != want {
+			t.Fatalf("%s: code of %v decodes to %v, oracle %v", when, k, g, want)
 		}
 		if want != Unknown {
 			known++
 		}
 	}
 	nonzero := 0
-	for _, b := range tr.grid {
-		if b != 0 {
+	for _, c := range tr.codes {
+		if Occupancy(codeClass[c]) != Unknown {
 			nonzero++
 		}
 	}
 	if nonzero != known {
-		t.Fatalf("%s: grid holds %d known voxels, oracle %d", when, nonzero, known)
+		t.Fatalf("%s: codes hold %d known voxels, oracle %d", when, nonzero, known)
 	}
 }
 
@@ -250,7 +251,7 @@ type refScan struct {
 // bytes. It runs on a 16 m cube, whose key cube the overshoot rays overrun,
 // and on a 600 m corridor whose 2^24-cell brick grid is over maxDenseCells,
 // so its bricks are keyed through the map and it has no summary. Dropping,
-// duplicating or misaddressing a single voxel update, summary update or grid
+// duplicating or misaddressing a single voxel update, summary update or code
 // write fails it.
 func TestFusedCarveMatchesReference(t *testing.T) {
 	worlds := []struct {
@@ -298,10 +299,10 @@ func TestFusedCarveMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCarveRetiresCachedClassifications pins the class-grid write on the
+// TestCarveRetiresCachedClassifications pins the brick-code write on the
 // carve path: a ray whose endpoint lies outside the volume changes the map
-// through its carve alone — no endpoint update — and must flip the grid
-// byte of an occupied voxel it carves through to Free, or the planners are
+// through its carve alone — no endpoint update — and must flip the code of
+// an occupied voxel it carves through to brickFree, or the planners are
 // served the map as it was.
 func TestCarveRetiresCachedClassifications(t *testing.T) {
 	tr := newTestTree()
@@ -310,15 +311,14 @@ func TestCarveRetiresCachedClassifications(t *testing.T) {
 	tr.InsertRay(origin, out, false) // allocates every brick on the path
 	tr.MarkOccupied(v)
 	x, y, z, _ := tr.key(v)
-	gridAt := func() Occupancy { return Occupancy(tr.grid[(z*tr.ny+y)*tr.nx+x]) }
-	if got := gridAt(); got != Occupied || tr.At(v) != Occupied {
-		t.Fatalf("setup: grid byte %v, At %v, want Occupied", got, tr.At(v))
+	if got := codeAt(tr, x, y, z); got != brickOccupied || tr.At(v) != Occupied {
+		t.Fatalf("setup: code %d, At %v, want brickOccupied", got, tr.At(v))
 	}
 	for i := 0; i < 3; i++ {
 		tr.InsertRay(origin, out, false)
 	}
 	p, _ := tr.Prob(v)
-	if got := gridAt(); got != Free || tr.At(v) != Free || p >= 0.5 {
-		t.Fatalf("after carving through v: grid byte %v, At %v (p = %v), want Free", got, tr.At(v), p)
+	if got := codeAt(tr, x, y, z); got != brickFree || tr.At(v) != Free || p >= 0.5 {
+		t.Fatalf("after carving through v: code %d, At %v (p = %v), want brickFree", got, tr.At(v), p)
 	}
 }

@@ -3,8 +3,10 @@ package octomap
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"mavfi/internal/env"
 	"mavfi/internal/geom"
 	"mavfi/internal/testutil"
 )
@@ -59,8 +61,8 @@ func assertSameQueries(t *testing.T, got, want *Tree, bounds geom.AABB, seed int
 }
 
 // mapWorld feeds a tree mission-like scans over bounds and queries it in
-// between, so it ends with a grown brick slab and a populated summary and
-// classification grid.
+// between, so it ends with a grown brick slab and populated summary and
+// codes.
 func mapWorld(tr *Tree, bounds geom.AABB, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	size := bounds.Size()
@@ -79,7 +81,7 @@ func mapWorld(tr *Tree, bounds geom.AABB, seed int64) {
 // world with different extents must digest like a New tree straight away
 // and, fed the same scans afterwards, keep matching it on Digest and on every
 // query. The same must hold for a tree recycled into the same extents with
-// a stale byte planted in its classification grid.
+// a stale code planted for a voxel it never saw.
 func TestResetMatchesNew(t *testing.T) {
 	worldA := geom.Box(geom.V(0, 0, 0), geom.V(32, 32, 16))
 	worldB := geom.Box(geom.V(-6, 2, 0.5), geom.V(18, 30, 12.5)) // other origin, extents and root cube
@@ -120,9 +122,9 @@ func TestResetMatchesNew(t *testing.T) {
 	// The subtest keeps the name of the class-cache epoch case it succeeds.
 	t.Run("mid class-cache epoch", func(t *testing.T) {
 		// Recycled tree: voxel v is Free on the old map, and a second voxel u
-		// the old map never saw gets a stale Occupied byte planted in the
-		// grid. Reset must clear the grid, or a classification of a map that
-		// no longer exists is served for voxels the fresh map has never
+		// the old map never saw gets a stale brickOccupied code planted.
+		// Reset must clear the codes, or a classification of a map that no
+		// longer exists is served for voxels the fresh map has never
 		// observed.
 		v, u := geom.V(10.25, 10.25, 4.25), geom.V(20.75, 3.25, 9.75)
 		recycled := New(worldA, 0.5, DefaultParams())
@@ -131,14 +133,14 @@ func TestResetMatchesNew(t *testing.T) {
 			t.Fatal("setup: voxel v not Free or u not Unknown on the old map")
 		}
 		x, y, z, _ := recycled.key(u)
-		recycled.grid[(z*recycled.ny+y)*recycled.nx+x] = uint8(Occupied)
+		recycled.codes[(z*recycled.ny+y)*recycled.nx+x] = brickOccupied
 
 		recycled.Reset(worldA, 0.5, DefaultParams())
 		if got, gotU := recycled.At(v), recycled.At(u); got != Unknown || gotU != Unknown {
-			t.Fatalf("Reset served a stale grid byte: At(v) = %v, At(u) = %v, want Unknown", got, gotU)
+			t.Fatalf("Reset served a stale code: At(v) = %v, At(u) = %v, want Unknown", got, gotU)
 		}
 		fresh := New(worldA, 0.5, DefaultParams())
-		assertSameQueries(t, recycled, fresh, worldA, 2, "after a Reset over a stale grid")
+		assertSameQueries(t, recycled, fresh, worldA, 2, "after a Reset over a stale code")
 		for i := 0; i < 4; i++ {
 			recycled.MarkOccupied(v)
 			fresh.MarkOccupied(v)
@@ -161,8 +163,8 @@ func TestNewRejectsHugeVolume(t *testing.T) {
 
 // TestResetKeepsAllocations pins what recycling is for: resetting a grown
 // tree to a world of the same extents, or forking a snapshot of such a world
-// into it, reuses its brick slab, brick index, miss-chain codes, summary and
-// classification grid instead of allocating new ones.
+// into it, reuses its brick slab, brick index, codes and summary instead of
+// allocating new ones.
 func TestResetKeepsAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc counts are meaningless under -race instrumentation")
@@ -171,8 +173,7 @@ func TestResetKeepsAllocations(t *testing.T) {
 	tr := New(bounds, 0.5, DefaultParams())
 	mapWorld(tr, bounds, 5)
 	snap := tr.Snapshot()
-	slab, index, grid, counts := &tr.store.slab[0], &tr.store.index[0], &tr.grid[0], &tr.sum.layers[0]
-	codes := &tr.codes[0]
+	slab, index, codes, counts := &tr.store.slab[0], &tr.store.index[0], &tr.codes[0], &tr.sum.layers[0]
 	for _, step := range []struct {
 		name string
 		fn   func()
@@ -183,9 +184,62 @@ func TestResetKeepsAllocations(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, step.fn); allocs != 0 {
 			t.Fatalf("%s allocates %v objects, want 0", step.name, allocs)
 		}
-		if &tr.store.slab[:1][0] != slab || &tr.store.index[0] != index || &tr.grid[0] != grid ||
-			&tr.sum.layers[0] != counts || &tr.codes[0] != codes {
-			t.Fatalf("%s replaced the slab, the brick index, the grid, the summary or the codes", step.name)
+		if &tr.store.slab[:1][0] != slab || &tr.store.index[0] != index || &tr.codes[0] != codes ||
+			&tr.sum.layers[0] != counts {
+			t.Fatalf("%s replaced the slab, the brick index, the codes or the summary", step.name)
 		}
 	}
+}
+
+// TestOneArrayPerVoxel pins the footprint of a voxel's state: on each
+// preset world's bounds, a tree after Reset, a recycled tree after ForkInto
+// and the Snapshot they fork from each hold exactly one array with an
+// element per leaf key of the bounds, and its elements are bytes: the
+// codes, with no second per-voxel array beside them for forks to copy.
+func TestOneArrayPerVoxel(t *testing.T) {
+	worlds := []*env.World{
+		env.Sparse(rand.New(rand.NewSource(1))),
+		env.Dense(rand.New(rand.NewSource(1))),
+		env.Factory(),
+		env.Farm(),
+	}
+	for i, w := range worlds {
+		tr := New(w.Bounds, 0.5, DefaultParams())
+		mapWorld(tr, w.Bounds, int64(30+i))
+		snap := tr.Snapshot()
+		n := tr.nx * tr.ny * tr.nz
+		recycled := New(w.Bounds, 0.5, DefaultParams())
+		mapWorld(recycled, w.Bounds, int64(40+i))
+		snap.ForkInto(recycled)
+		tr.Reset(w.Bounds, 0.5, DefaultParams())
+		for _, c := range []struct {
+			name string
+			v    any
+		}{{"Reset", tr}, {"ForkInto", recycled}, {"Snapshot", snap}} {
+			if sizes := perVoxelArrays(reflect.ValueOf(c.v), n); len(sizes) != 1 || sizes[0] != n {
+				t.Errorf("%s on %s's bounds (%d voxels): per-voxel arrays of %v bytes, want one of %d",
+					c.name, w.Name, n, sizes, n)
+			}
+		}
+	}
+}
+
+// perVoxelArrays returns the size in bytes of every slice held in v's
+// fields, through nested structs and pointers, whose length is n.
+func perVoxelArrays(v reflect.Value, n int) (sizes []int) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return perVoxelArrays(v.Elem(), n)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			sizes = append(sizes, perVoxelArrays(v.Field(i), n)...)
+		}
+	case reflect.Slice:
+		if v.Len() == n {
+			sizes = append(sizes, n*int(v.Type().Elem().Size()))
+		}
+	}
+	return sizes
 }

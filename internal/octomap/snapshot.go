@@ -9,12 +9,11 @@ import (
 	"mavfi/internal/geom"
 )
 
-// Snapshot is an immutable copy of a Tree's state: bricks, miss-chain codes,
-// the derived summary words and classification grid, and the geometry that
-// addresses them. It is the unit of cross-mission map memoization (the PR 9
-// golden-map seed): a campaign builds one mapping pass per world, snapshots
-// it, and every mission of the cell starts from a Fork instead of an empty
-// tree.
+// Snapshot is an immutable copy of a Tree's state: bricks, per-voxel codes,
+// the derived summary words, and the geometry that addresses them. It is
+// the unit of cross-mission map memoization (the golden-map seed): a
+// campaign builds one mapping pass per world, snapshots it, and every
+// mission of the cell starts from a Fork instead of an empty tree.
 //
 // A Snapshot is safe for concurrent use by any number of forking goroutines
 // because nothing ever writes through it: Fork/ForkInto copy the slices out.
@@ -24,15 +23,13 @@ type Snapshot struct {
 	geometry
 
 	store       brickStore // immutable copy of the bricks
-	codes       []uint8    // immutable miss-chain codes; nil when the chain is off
+	codes       []uint8    // immutable per-voxel codes; nil over maxClassCells
 	sum         occSummary // immutable summary
-	grid        []uint8    // immutable classification grid; nil over maxClassCells
 	leafUpdates int
 }
 
 // Snapshot copies the tree's state: a memcpy each of the brick index, the
-// slab, the miss-chain codes, the summary words and the classification
-// grid.
+// slab, the codes and the summary words.
 func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{
 		params:   t.params,
@@ -44,7 +41,6 @@ func (t *Tree) Snapshot() *Snapshot {
 		},
 		codes:       copied(nil, t.codes),
 		sum:         occSummary{layers: copied(nil, t.sum.layers), above: t.sum.above},
-		grid:        copied(nil, t.grid),
 		leafUpdates: t.leafUpdates,
 	}
 }
@@ -67,18 +63,24 @@ func (s *Snapshot) Fork() *Tree {
 }
 
 // ForkInto resets t to an exact copy of the snapshot's map, reusing t's
-// brick index, slab, codes, summary and classification grid where they fit
-// — the cross-mission memoization path: the pipeline recycles finished
-// trees through ForkInto, so a steady-state fork is a set of memcpys with no
-// allocation. The summary words and the grid are copied, not rebuilt, and
-// are exact because the snapshot's were.
+// brick index, slab, codes and summary where they fit — the cross-mission
+// memoization path: the pipeline recycles finished trees through ForkInto,
+// so a steady-state fork is a set of memcpys with no allocation. The
+// summary words are copied, not rebuilt, and are exact because the
+// snapshot's were.
 func (s *Snapshot) ForkInto(t *Tree) {
 	t.reinit(s.geometry, s.params)
 	t.store.copyFrom(&s.store)
 	t.codes = copied(t.codes, s.codes)
 	t.sum.copyFrom(&s.sum)
-	t.grid = copied(t.grid, s.grid)
 	t.leafUpdates = s.leafUpdates
+}
+
+// Bytes returns how many bytes ForkInto copies out of the snapshot: its
+// brick index, slab, codes and summary words (a volume over maxDenseCells
+// also clones a brick map, which is not counted).
+func (s *Snapshot) Bytes() int {
+	return 4*len(s.store.index) + 8*len(s.store.slab) + len(s.codes) + 8*len(s.sum.layers)
 }
 
 // eachCell runs the all-values iterator over the snapshot's map.
@@ -94,8 +96,8 @@ func (s *Snapshot) eachCell(fn func(cell int, vals *[brickVoxels]float64)) {
 // cell order makes the digest independent of the order bricks were
 // allocated in and of which home each voxel lives in, so a forked tree and
 // a tree rebuilt from the same insertions digest identically; that is the
-// byte the fork equivalence suite pins. The classification grid is derived
-// from the values and not hashed.
+// byte the fork equivalence suite pins. The codes are hashed only through
+// the values they hold; their classes derive from the values.
 func (t *Tree) Digest() uint64 {
 	return digest(t.geometry, t.params, t.leafUpdates, t.eachCell, &t.sum, &t.store)
 }

@@ -62,7 +62,7 @@ func TestForkThenInsertMatchesRebuildBitExact(t *testing.T) {
 
 // TestForkIntoRecycledTreeBitExact pins the pooled path: ForkInto onto a
 // dirty, structurally different tree (different map content, a populated
-// classification grid) must produce exactly the state Fork produces into a
+// set of codes) must produce exactly the state Fork produces into a
 // fresh tree, and further identical mutations must keep the two
 // bit-identical.
 func TestForkIntoRecycledTreeBitExact(t *testing.T) {
@@ -84,7 +84,7 @@ func TestForkIntoRecycledTreeBitExact(t *testing.T) {
 	if recycled.Digest() != fresh.Digest() {
 		t.Fatal("ForkInto onto a recycled tree differs from a fresh Fork")
 	}
-	assertGridExact(t, recycled, "recycled fork")
+	assertCodesExact(t, recycled, "recycled fork")
 
 	seedInsertions(recycled, 404, 2)
 	seedInsertions(fresh, 404, 2)
@@ -95,19 +95,18 @@ func TestForkIntoRecycledTreeBitExact(t *testing.T) {
 	assertSummaryExact(t, recycled, "recycled fork after mutations")
 }
 
-// TestForkClassCacheTransparent pins the classification grid after a fork:
-// a recycled tree whose grid was full of the old map's classifications must
-// answer every post-fork query exactly as a control tree fed the snapshot's
-// insertions without the grid and the miss chain (so every probe reads its
-// brick), through further mutations of both, across At, SegmentFree and
-// FirstBlocked.
+// TestForkClassCacheTransparent pins the codes after a fork: a recycled
+// tree whose codes were full of the old map's classifications must answer
+// every post-fork query exactly as a control tree fed the snapshot's
+// insertions without codes (so every probe reads its brick), through
+// further mutations of both, across At, SegmentFree and FirstBlocked.
 func TestForkClassCacheTransparent(t *testing.T) {
 	base := newTestTree()
 	seedInsertions(base, 505, 4)
 	snap := base.Snapshot()
 
 	cached := newTestTree()
-	seedInsertions(cached, 111, 5) // unrelated map the grid classifies
+	seedInsertions(cached, 111, 5) // unrelated map the codes classify
 	rng := rand.New(rand.NewSource(9))
 
 	snap.ForkInto(cached)
@@ -134,14 +133,14 @@ func TestForkClassCacheTransparent(t *testing.T) {
 		seedInsertions(cached, int64(600+round), 1)
 		seedInsertions(control, int64(600+round), 1)
 	}
-	assertGridExact(t, cached, "forked tree after mutations")
+	assertCodesExact(t, cached, "forked tree after mutations")
 }
 
 // TestForkMidEpochWrapRegression is the successor of the class-cache epoch
 // wrap regression: fork into a recycled tree with stale bytes planted in its
-// classification grid — one for a voxel the snapshot maps differently, one
+// codes — one for a voxel the snapshot maps differently, one
 // for a voxel the snapshot has never observed. ForkInto must replace the
-// whole grid with the snapshot's, so neither stale byte is ever served.
+// whole array with the snapshot's, so neither stale byte is ever served.
 func TestForkMidEpochWrapRegression(t *testing.T) {
 	// Old map: voxel v is Free (carved by a ray straight through it).
 	v, u := geom.V(10.25, 10.25, 4.25), geom.V(20.75, 3.25, 9.75)
@@ -162,7 +161,7 @@ func TestForkMidEpochWrapRegression(t *testing.T) {
 	if !ok {
 		t.Fatal("setup: voxel keys outside the volume")
 	}
-	old.grid[(uz*old.ny+uy)*old.nx+ux] = uint8(Free)
+	old.codes[(uz*old.ny+uy)*old.nx+ux] = brickFree
 
 	snap.ForkInto(old)
 	if got := old.At(v); got != Occupied {
@@ -171,7 +170,7 @@ func TestForkMidEpochWrapRegression(t *testing.T) {
 	if got := old.At(u); got != Unknown {
 		t.Fatalf("post-fork classification served a planted stale byte: got %v, want Unknown", got)
 	}
-	assertGridExact(t, old, "fork over a stale grid")
+	assertCodesExact(t, old, "fork over a stale code")
 }
 
 // TestForkPrescanExactUnderUnknownIsFree pins the bundleAllFree prescan on
@@ -280,7 +279,7 @@ func TestForkRandomizedInterleavedProperty(t *testing.T) {
 // TestSnapshotExtentsNeverOverflowGrid is the regression test for the
 // class-grid overflow: extents 2^21·2^21·2^22 wrap a 64-bit cell product to
 // 0, which once sized an empty grid that the first At indexed out of range.
-// A tree over those extents (a 2^22-leaf key cube) must run without a grid,
+// A tree over those extents (a 2^22-leaf key cube) must run without codes,
 // classify correctly, and fork into a tree that classifies and digests the
 // same.
 func TestSnapshotExtentsNeverOverflowGrid(t *testing.T) {
@@ -288,8 +287,8 @@ func TestSnapshotExtentsNeverOverflowGrid(t *testing.T) {
 	if tr.nx != 1<<21 || tr.ny != 1<<21 || tr.nz != 1<<22 || tr.depth != 22 {
 		t.Fatalf("extents %d×%d×%d at depth %d, want 2^21×2^21×2^22 at depth 22", tr.nx, tr.ny, tr.nz, tr.depth)
 	}
-	if tr.grid != nil {
-		t.Fatalf("a %d×%d×%d grid was sized", tr.nx, tr.ny, tr.nz)
+	if tr.codes != nil {
+		t.Fatalf("%d×%d×%d codes were sized", tr.nx, tr.ny, tr.nz)
 	}
 	p := geom.V(10.25, 10.25, 4.25)
 	tr.MarkOccupied(p)
@@ -326,12 +325,12 @@ func TestSnapshotForkDifferentWorldsThroughOnePool(t *testing.T) {
 		if pooled.Digest() != snapSmall.Digest() {
 			t.Fatalf("iteration %d: pooled fork of small world diverges", i)
 		}
-		assertGridExact(t, pooled, "pooled fork of the small world")
+		assertCodesExact(t, pooled, "pooled fork of the small world")
 		snapBig.ForkInto(pooled)
 		pooled.At(geom.V(50, 50, 10))
 		if pooled.Digest() != snapBig.Digest() {
 			t.Fatalf("iteration %d: pooled fork of big world diverges", i)
 		}
-		assertGridExact(t, pooled, "pooled fork of the big world")
+		assertCodesExact(t, pooled, "pooled fork of the big world")
 	}
 }

@@ -93,7 +93,7 @@ func (s *occSummary) copyFrom(src *occSummary) {
 // eachTotal calls fn with the Occupied total of every cell of the dense
 // cell grid of nc cells per axis, in cell order, or with nothing when the
 // summary is off. A cell past the prefix holds no chain voxel (it lies
-// above the class grid), so while above is non-zero its total is counted
+// above the bounds), so while above is non-zero its total is counted
 // from its brick in st, classified under p.
 func (s *occSummary) eachTotal(nc int, st *brickStore, p Params, fn func(uint16)) {
 	if s.layers == nil {

@@ -62,19 +62,30 @@ func assertSummaryExact(t *testing.T, tr *Tree, when string) {
 	}
 }
 
-// assertGridExact requires every byte of the classification grid to equal
-// the classification of its voxel's brick value, by brute force over the
-// bounds.
-func assertGridExact(t *testing.T, tr *Tree, when string) {
+// codeAt returns the code of the voxel at in-bounds key (x, y, z): its
+// miss-chain step or its brick code.
+func codeAt(tr *Tree, x, y, z int) uint8 { return tr.codes[(z*tr.ny+y)*tr.nx+x] }
+
+// classAt returns the class the code of in-bounds key (x, y, z) decodes to.
+func classAt(tr *Tree, x, y, z int) Occupancy { return Occupancy(codeClass[codeAt(tr, x, y, z)]) }
+
+// assertCodesExact requires the code of every voxel of the bounds to decode
+// to the classification of the voxel's value, read from its home, by brute
+// force over the bounds, and every brick code to name a voxel whose value
+// is in its brick.
+func assertCodesExact(t *testing.T, tr *Tree, when string) {
 	t.Helper()
-	if len(tr.grid) != tr.nx*tr.ny*tr.nz {
-		t.Fatalf("%s: grid has %d bytes for %dx%dx%d extents", when, len(tr.grid), tr.nx, tr.ny, tr.nz)
+	if len(tr.codes) != tr.nx*tr.ny*tr.nz {
+		t.Fatalf("%s: %d codes for %dx%dx%d extents", when, len(tr.codes), tr.nx, tr.ny, tr.nz)
 	}
 	for z := 0; z < tr.nz; z++ {
 		for y := 0; y < tr.ny; y++ {
 			for x := 0; x < tr.nx; x++ {
-				if got, want := Occupancy(tr.grid[(z*tr.ny+y)*tr.nx+x]), tr.classifySlow(x, y, z); got != want {
-					t.Fatalf("%s: grid byte of (%d,%d,%d) is %v, its brick says %v", when, x, y, z, got, want)
+				if got, want := classAt(tr, x, y, z), tr.classifySlow(x, y, z); got != want {
+					t.Fatalf("%s: code %d of (%d,%d,%d) decodes to %v, its value says %v", when, codeAt(tr, x, y, z), x, y, z, got, want)
+				}
+				if codeAt(tr, x, y, z) >= brickUnknown && tr.store.slot(tr.cell(x, y, z)) == 0 {
+					t.Fatalf("%s: (%d,%d,%d) has a brick code and no brick", when, x, y, z)
 				}
 			}
 		}
@@ -217,10 +228,10 @@ func TestLayerWordArithmetic(t *testing.T) {
 }
 
 // TestSummaryQueriesAcrossEpochWrap interleaves 70 mutation/query rounds
-// (enough to have wrapped the 6-bit epoch of the class cache the exact grid
+// (enough to have wrapped the 6-bit epoch of the class cache the exact codes
 // replaced) while the summary serves the same queries, checking fused
 // queries against the sequential reference the whole way: the summary and
-// the grid must stay exact through every round.
+// the codes must stay exact through every round.
 func TestSummaryQueriesAcrossEpochWrap(t *testing.T) {
 	tr := queryTestTree(71)
 	rng := rand.New(rand.NewSource(72))
@@ -240,18 +251,18 @@ func TestSummaryQueriesAcrossEpochWrap(t *testing.T) {
 		}
 	}
 	assertSummaryExact(t, tr, "after 70 rounds")
-	assertGridExact(t, tr, "after 70 rounds")
+	assertCodesExact(t, tr, "after 70 rounds")
 }
 
 // TestSummaryCapDisables pins the footprint-cap degradation: a volume whose
 // cell count exceeds maxDenseCells runs with the summary disabled (nil
-// words), its bricks keyed through the map and no classification grid, and
+// words), its bricks keyed through the map and no codes, and
 // queries still answer exactly like the sequential reference.
 func TestSummaryCapDisables(t *testing.T) {
 	// 2050 m at 0.125 m resolution → rootSize 4096 m, maxKey 2^15, nc 2^12:
 	// 2^36 cells, far over the cap, so the bricks are keyed through the map.
 	big := New(geom.Box(geom.V(0, 0, 0), geom.V(2050, 2050, 2050)), 0.125, DefaultParams())
-	if big.sum.layers != nil || big.store.index != nil || big.grid != nil {
+	if big.sum.layers != nil || big.store.index != nil || big.codes != nil {
 		t.Fatalf("dense structures armed over the cap: nc=%d", big.nc)
 	}
 	big.MarkOccupied(geom.V(100.06, 100.06, 100.06))

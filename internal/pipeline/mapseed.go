@@ -34,8 +34,9 @@ const nearFieldFrac = 0.3
 
 // MapSeed is an immutable golden-map snapshot for one world. Campaigns build
 // one seed per world and share it across every mission of a cell: mission
-// start becomes a memcpy of the bricks and grids, forked into a tree from the
-// mission free list (see idleTrees), instead of a from-scratch mapping pass.
+// start becomes a memcpy of the bricks, codes and summary, forked into a
+// tree from the mission free list (see idleTrees), instead of a from-scratch
+// mapping pass.
 //
 // A MapSeed is safe for concurrent use by any number of missions. Identity
 // holds at any worker width because ForkInto fully resets the recycled

@@ -6,14 +6,13 @@ import (
 
 	"mavfi/internal/campaign/matrix"
 	"mavfi/internal/env"
+	"mavfi/internal/octomap"
 	"mavfi/internal/pipeline"
 )
 
-// BenchmarkBuildMapSeed times the golden-map build a campaign pays once per
-// world before it forks any mission (setup_s in the sweep-memo benchmark):
-// one op builds the seeds of the four preset worlds, each generated as the
-// campaign matrix generates it. make bench-insert runs it once.
-func BenchmarkBuildMapSeed(b *testing.B) {
+// presetWorlds returns the four preset worlds, each generated as the
+// campaign matrix generates it.
+func presetWorlds(b *testing.B) []*env.World {
 	var worlds []*env.World
 	for _, name := range []string{"sparse", "dense", "factory", "farm"} {
 		w, err := matrix.World(name)
@@ -22,12 +21,44 @@ func BenchmarkBuildMapSeed(b *testing.B) {
 		}
 		worlds = append(worlds, w)
 	}
+	return worlds
+}
+
+// BenchmarkBuildMapSeed times the golden-map build a campaign pays once per
+// world before it forks any mission (setup_s in the sweep-memo benchmark):
+// one op builds the seeds of the four preset worlds, each generated as the
+// campaign matrix generates it. make bench-insert runs it once.
+func BenchmarkBuildMapSeed(b *testing.B) {
+	worlds := presetWorlds(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, w := range worlds {
 			pipeline.BuildMapSeed(w)
 		}
+	}
+}
+
+// BenchmarkForkSeed times the copy every seeded mission starts from: one op
+// forks a preset world's golden seed into a recycled tree, as a mission
+// drawing its tree from the free list does, with one sub-benchmark per
+// world. b.SetBytes is the bytes each fork copies (Snapshot.Bytes), also
+// reported as B/fork, so the output reads as fork cost and copy bandwidth.
+// make bench-insert runs it once.
+func BenchmarkForkSeed(b *testing.B) {
+	for _, w := range presetWorlds(b) {
+		snap := pipeline.BuildMapSeed(w).Snapshot()
+		b.Run(w.Name, func(b *testing.B) {
+			tree := new(octomap.Tree)
+			snap.ForkInto(tree) // recycled: grown to the seed before the timer
+			b.SetBytes(int64(snap.Bytes()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				snap.ForkInto(tree)
+			}
+			b.ReportMetric(float64(snap.Bytes()), "B/fork")
+		})
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 
 // mapAdapter exposes the OctoMap to the motion planners through the
 // planning.CollisionChecker interface, restricted to the planning altitude
-// band. Every probe it forwards classifies voxels from the tree's exact
-// classification grid, which scan integration keeps current in the same
+// band. Every probe it forwards classifies voxels from the exact class each
+// voxel's code carries, which scan integration keeps current in the same
 // writes that change the map, so there is nothing to arm per plan.
 type mapAdapter struct {
 	tree   *octomap.Tree

@@ -9,17 +9,18 @@ import (
 
 // idleTrees is the one free list every mission draws its octree from and
 // returns it to in finish. A mission's map grows to several hundred 8³
-// bricks plus a classification grid (MBs), so building each mission's tree
-// from scratch spent most of a campaign's allocation on regrowing them; a
-// recycled tree keeps its grown brick slab, brick index, summary and
-// classification grid, and Reset (exact missions) or ForkInto (seeded
+// bricks plus a code byte per voxel of the bounds (MBs), so building each
+// mission's tree from scratch spent most of a campaign's allocation on
+// regrowing them; a recycled tree keeps its grown brick slab, brick index,
+// codes and summary, and Reset (exact missions) or ForkInto (seeded
 // missions) reinitialises it to exactly the state octomap.New or
 // Snapshot.Fork would build, so which tree a mission draws is unobservable.
 //
 // The list holds at most GOMAXPROCS idle trees — one per processor that can
 // be flying a mission — and drops any tree returned beyond that, so an idle
-// process retains at most that many trees (1.9–4.6 MB of bricks, index,
-// summary and grid each on the paper's worlds). A sync.Pool was measured
+// process retains at most that many trees (1.2–3.2 MB of bricks, index,
+// codes and summary each on the paper's worlds after exact and memo
+// missions, the slab the largest part). A sync.Pool was measured
 // and rejected here: its per-P and victim copies each retain their largest
 // tree, which raised the benchmark's peak RSS on the served and sweep-memo
 // workloads by 13–15% over this list, which holds it below building every

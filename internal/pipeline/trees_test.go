@@ -124,9 +124,9 @@ func TestFreeListConcurrentMissions(t *testing.T) {
 // TestSteadyStateMissionAllocBudget is the allocation guard on the tree
 // lifecycle: once a warm-up mission has grown a tree and returned it to the
 // free list, the next exact mission of the same world must allocate under
-// 1 MB in total. Building each mission's tree from scratch allocates about
-// 11 MB of node arena, summary slab and classification grid, so
-// reintroducing per-mission arenas fails here.
+// 1 MB in total. Building each mission's tree from scratch allocates
+// megabytes of brick slab, index, codes and summary, so reintroducing
+// per-mission arenas fails here.
 func TestSteadyStateMissionAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation totals are meaningless under -race instrumentation")
